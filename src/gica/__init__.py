@@ -2,98 +2,4 @@
 for bivariate stochastic processes, with surrogate significance testing and
 benchmark simulators."""
 
-from .pipeline import AnalysisConfig, AnalysisResult, analyze_pair, derive_restricted
-from .restricted import RestrictedModel, restricted_ar, restricted_x
-from .simulate import (
-    SimSpec,
-    build_confounded_system,
-    build_true_model,
-    run_confounded_study,
-    simulate,
-    theoretical_profiles,
-    theoretical_sweep,
-)
-from .spectral import (
-    DEFAULT_BANDS,
-    FrequencyGrid,
-    MeasureReport,
-    SpectralProfile,
-    directed_coherence,
-    full_transfer,
-    integrate_band,
-    psd,
-    restricted_transfer_ga,
-    spectral_ga,
-    spectral_gc,
-    spectral_gi,
-    time_domain_measures,
-)
-from .surrogates import (
-    SignificanceVerdict,
-    SurrogateConfig,
-    fit_restricted_direct,
-    generate_surrogates,
-    significance_test,
-)
-from .timeseries import TimeSeriesPair, highpass_detrend, load_pair, preprocess, remove_mean, write_pair
-from .varmodel import (
-    AutocovarianceSequence,
-    BivariateVarModel,
-    UnstableModelError,
-    compute_autocovariance,
-    fit_var,
-    poles_to_ar_coeffs,
-    select_order_aic,
-    solve_discrete_lyapunov,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisConfig",
-    "AnalysisResult",
-    "AutocovarianceSequence",
-    "BivariateVarModel",
-    "DEFAULT_BANDS",
-    "FrequencyGrid",
-    "MeasureReport",
-    "RestrictedModel",
-    "SignificanceVerdict",
-    "SimSpec",
-    "SpectralProfile",
-    "SurrogateConfig",
-    "TimeSeriesPair",
-    "UnstableModelError",
-    "analyze_pair",
-    "build_confounded_system",
-    "build_true_model",
-    "compute_autocovariance",
-    "derive_restricted",
-    "directed_coherence",
-    "fit_restricted_direct",
-    "fit_var",
-    "full_transfer",
-    "generate_surrogates",
-    "highpass_detrend",
-    "integrate_band",
-    "load_pair",
-    "poles_to_ar_coeffs",
-    "preprocess",
-    "psd",
-    "remove_mean",
-    "restricted_ar",
-    "restricted_transfer_ga",
-    "restricted_x",
-    "run_confounded_study",
-    "select_order_aic",
-    "significance_test",
-    "simulate",
-    "solve_discrete_lyapunov",
-    "spectral_ga",
-    "spectral_gc",
-    "spectral_gi",
-    "theoretical_profiles",
-    "theoretical_sweep",
-    "time_domain_measures",
-    "write_pair",
-]

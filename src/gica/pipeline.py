@@ -2,8 +2,11 @@
 
 The pipeline preprocesses the pair, fits the full model (fixed order or
 AIC), derives the restricted models analytically from the fitted model's
-autocovariance, computes all spectral profiles and band summaries, and
-optionally attaches surrogate significance verdicts. The fitted innovation
+autocovariance (:func:`gica.restricted.derive_restricted`), computes all
+spectral profiles and band summaries in one pass
+(:func:`gica.spectral.assemble_profiles`), and optionally attaches
+surrogate significance verdicts, each surrogate refit going through the
+same two calls. The fitted innovation
 covariance is generally not diagonal; all derived quantities use the
 strictly causal convention (off-diagonal dropped), and a warning is
 attached when the implied residual correlation exceeds 0.2.
@@ -15,25 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import RestrictedModel, restricted_ar, restricted_x
-from .simulate import assemble_profiles
+from .restricted import RestrictedModel, derive_restricted
 from .spectral import (
     DEFAULT_BANDS,
     FrequencyGrid,
     MeasureReport,
     SpectralProfile,
-    band_table,
-    spectral_ga,
-    spectral_gc,
-    spectral_gi,
-    time_domain_measures,
+    assemble_profiles,
 )
 from .surrogates import H1, H2, SurrogateConfig, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
-from .varmodel import BivariateVarModel, compute_autocovariance, fit_var, select_order_aic
+from .varmodel import BivariateVarModel, fit_var, select_order_aic
 
 RESIDUAL_CORRELATION_WARN = 0.2
-TRUNCATION_SHIFT_WARN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -81,32 +78,6 @@ class AnalysisResult:
     report: MeasureReport
 
 
-def derive_restricted(
-    model: BivariateVarModel, q: int, warnings: list[str] | None = None
-) -> tuple[RestrictedModel, RestrictedModel]:
-    """Restricted models at ``q`` lags with a truncation self-check at ``2q``.
-
-    If doubling the truncation shifts either residual variance by more than
-    ``1e-4`` relative, a warning is appended: the default lag count is too
-    short for this model's memory.
-    """
-    gammas = compute_autocovariance(model, 2 * q)
-    rest_ar = restricted_ar(gammas, q)
-    rest_x = restricted_x(gammas, q)
-    if warnings is not None:
-        for short, kind in ((rest_ar, "self-past"), (rest_x, "driver-past")):
-            long = restricted_ar(gammas, 2 * q) if kind == "self-past" else restricted_x(
-                gammas, 2 * q
-            )
-            shift = abs(long.resid_var - short.resid_var) / short.resid_var
-            if shift > TRUNCATION_SHIFT_WARN:
-                warnings.append(
-                    f"{kind} residual variance shifts by {shift:.2e} when the "
-                    f"truncation is doubled from {q} to {2 * q} lags; consider a larger q"
-                )
-    return rest_ar, rest_x
-
-
 def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult:
     """Run the full pipeline on one pair."""
     clean = preprocess(pair, config.detrend_cutoff)
@@ -144,39 +115,10 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
     return result
 
 
-def _measure_values(
-    model: BivariateVarModel,
-    rest_ar: RestrictedModel,
-    rest_x: RestrictedModel,
-    grid: FrequencyGrid,
-    bands: dict[str, tuple[float, float]],
-) -> dict[str, dict[str, float]]:
-    """Scalar measure values per scope: time-domain plus band means."""
-    f_xy, f_y, a_y = time_domain_measures(model, rest_ar, rest_x, grid)
-    profiles = {
-        "gc": spectral_gc(model, grid),
-        "gi": spectral_gi(model, grid),
-        "ga": spectral_ga(model, rest_x, grid)[1],
-    }
-    table = band_table(profiles, bands)
-    out = {
-        "gc": {"time": f_xy},
-        "gi": {"time": f_y},
-        "ga": {"time": a_y},
-    }
-    for band, measures in table.items():
-        for measure in out:
-            out[measure][band] = measures[measure]["mean"]
-    return out
-
-
 def _significance(
     result: AnalysisResult, config: AnalysisConfig, grid: FrequencyGrid
 ) -> dict:
     """Surrogate verdicts for every requested hypothesis, measure, and scope."""
-    original = _measure_values(
-        result.model, result.rest_ar, result.rest_x, grid, config.bands
-    )
     out: dict = {
         "n_surrogates": config.n_surrogates,
         "alpha": config.alpha,
@@ -192,22 +134,23 @@ def _significance(
         surrogate_pairs = generate_surrogates(
             result.pair, sur_config, result.order, config.q
         )
-        collected: dict[str, dict[str, list[float]]] = {}
+        reports = []
         for sur in surrogate_pairs:
             model = fit_var(sur.x, sur.y, result.order).diagonalized()
             model.require_stable()
             rest_ar, rest_x = derive_restricted(model, config.q)
-            values = _measure_values(model, rest_ar, rest_x, grid, config.bands)
-            for measure, scopes in values.items():
-                for scope, value in scopes.items():
-                    collected.setdefault(measure, {}).setdefault(scope, []).append(value)
+            reports.append(assemble_profiles(model, rest_ar, rest_x, grid, config.bands)[1])
         tested = ("gc", "gi") if hyp == H1 else ("ga",)
         out[hyp] = {}
         for measure in tested:
             out[hyp][measure] = {}
-            for scope, values in collected[measure].items():
+            for scope in ("time", *config.bands):
                 verdict = significance_test(
-                    measure, scope, original[measure][scope], np.array(values), sur_config
+                    measure,
+                    scope,
+                    result.report.value(measure, scope),
+                    np.array([r.value(measure, scope) for r in reports]),
+                    sur_config,
                 )
                 out[hyp][measure][scope] = verdict.to_dict()
     return out

@@ -12,7 +12,10 @@ past,
     coeffs = r @ inv(Sigma_past),      resid_var = Gamma_yy(0) - r @ coeffs.
 
 Direct least-squares refits on long realizations are used only as test
-oracles for this route.
+oracles for this route. :func:`derive_restricted` is the entry point: it
+builds both models from a full model and checks the truncation at ``2q``;
+:func:`gica.spectral.assemble_profiles` then turns the three models into
+measures.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .varmodel import AutocovarianceSequence
+from .varmodel import AutocovarianceSequence, BivariateVarModel, compute_autocovariance
 
 AR_ON_Y = "ar_on_y"
 X_ON_Y = "x_on_y"
+TRUNCATION_SHIFT_WARN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -118,3 +122,29 @@ def restricted_x(gammas: AutocovarianceSequence, q: int = 20) -> RestrictedModel
     col = np.array([gammas.gamma_xx(k) for k in range(q)])
     cross = np.array([gammas.gamma_yx(k) for k in range(1, q + 1)])
     return _solve_projection(col, cross, gammas.gamma_yy(0), X_ON_Y)
+
+
+def derive_restricted(
+    model: BivariateVarModel, q: int, warnings: list[str] | None = None
+) -> tuple[RestrictedModel, RestrictedModel]:
+    """Restricted models at ``q`` lags with a truncation self-check at ``2q``.
+
+    If doubling the truncation shifts either residual variance by more than
+    ``1e-4`` relative, a warning is appended: the default lag count is too
+    short for this model's memory.
+    """
+    gammas = compute_autocovariance(model, 2 * q)
+    rest_ar = restricted_ar(gammas, q)
+    rest_x = restricted_x(gammas, q)
+    if warnings is not None:
+        for short, kind in ((rest_ar, "self-past"), (rest_x, "driver-past")):
+            long = restricted_ar(gammas, 2 * q) if kind == "self-past" else restricted_x(
+                gammas, 2 * q
+            )
+            shift = abs(long.resid_var - short.resid_var) / short.resid_var
+            if shift > TRUNCATION_SHIFT_WARN:
+                warnings.append(
+                    f"{kind} residual variance shifts by {shift:.2e} when the "
+                    f"truncation is doubled from {q} to {2 * q} lags; consider a larger q"
+                )
+    return rest_ar, rest_x

@@ -17,6 +17,10 @@ Systems
 ``benchmark``
     The four-setting matrix (i: b=0,c=0; ii: b=1,c=0; iii: b=0,c=1;
     iv: b=1,c=1) used for estimator validation, as open-loop instances.
+
+Theoretical profiles and the confounded study take the same path from a
+model to measures as an analysis: :func:`gica.restricted.derive_restricted`,
+then :func:`gica.spectral.assemble_profiles`.
 """
 
 from __future__ import annotations
@@ -26,26 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .restricted import RestrictedModel, restricted_ar, restricted_x
+from .restricted import derive_restricted
 from .spectral import (
     DEFAULT_BANDS,
     FrequencyGrid,
     MeasureReport,
     SpectralProfile,
-    band_table,
-    directed_coherence,
-    psd,
-    spectral_ga,
-    spectral_gc,
-    spectral_gi,
-    time_domain_measures,
+    assemble_profiles,
 )
 from .timeseries import TimeSeriesPair
 from .varmodel import (
     BivariateVarModel,
     UnstableModelError,
     companion_matrix,
-    compute_autocovariance,
     fit_var,
     poles_to_ar_coeffs,
     select_order_aic,
@@ -103,7 +100,7 @@ class SimSpec:
                     f"got {self.setting!r}"
                 )
         elif self.setting is not None:
-            raise ValueError(f"setting is only valid for the benchmark system")
+            raise ValueError("setting is only valid for the benchmark system")
 
     def effective_bc(self) -> tuple[float, float]:
         if self.system == "benchmark":
@@ -221,45 +218,19 @@ def theoretical_profiles(
     q: int = 20,
     bands: dict[str, tuple[float, float]] | None = None,
 ) -> tuple[dict[str, SpectralProfile], MeasureReport]:
-    """All spectral profiles and the measure report from exact parameters."""
+    """All spectral profiles and the measure report from exact parameters.
+
+    The report carries the ``2q`` truncation warnings of
+    :func:`gica.restricted.derive_restricted`.
+    """
     if grid is None:
         grid = FrequencyGrid.default()
     if bands is None:
         bands = DEFAULT_BANDS
     model = build_true_model(spec)
-    gammas = compute_autocovariance(model, q)
-    rest_ar = restricted_ar(gammas, q)
-    rest_x = restricted_x(gammas, q)
-    return assemble_profiles(model, rest_ar, rest_x, grid, bands)
-
-
-def assemble_profiles(
-    model: BivariateVarModel,
-    rest_ar: RestrictedModel,
-    rest_x: RestrictedModel,
-    grid: FrequencyGrid,
-    bands: dict[str, tuple[float, float]],
-    warnings: list[str] | None = None,
-) -> tuple[dict[str, SpectralProfile], MeasureReport]:
-    """Compute every profile and the band/time-domain report for one model."""
-    px, py, pcross = psd(model, grid)
-    dc_yx, dc_yy = directed_coherence(model, grid)
-    gc = spectral_gc(model, grid)
-    gi = spectral_gi(model, grid)
-    ga_shape, ga, _ = spectral_ga(model, rest_x, grid)
-    profiles = {
-        prof.measure_name: prof
-        for prof in (px, py, pcross, dc_yx, dc_yy, gc, gi, ga_shape, ga)
-    }
-    f_xy, f_y, a_y = time_domain_measures(model, rest_ar, rest_x, grid)
-    report = MeasureReport(
-        f_xy=f_xy,
-        f_y=f_y,
-        a_y=a_y,
-        bands=band_table(profiles, bands),
-        warnings=list(warnings or []),
-    )
-    return profiles, report
+    warnings: list[str] = []
+    rest_ar, rest_x = derive_restricted(model, q, warnings)
+    return assemble_profiles(model, rest_ar, rest_x, grid, bands, warnings)
 
 
 def theoretical_sweep(
@@ -319,13 +290,13 @@ def run_confounded_study(
         try:
             order = select_order_aic(pair.x, pair.y, p_max)
             model = fit_var(pair.x, pair.y, order).diagonalized()
-            gammas = compute_autocovariance(model, q)
-            rest_x = restricted_x(gammas, q)
-            sums["gc"] += spectral_gc(model, grid).values
-            sums["gi"] += spectral_gi(model, grid).values
-            sums["ga"] += spectral_ga(model, rest_x, grid)[1].values
-        except (UnstableModelError, ValueError, np.linalg.LinAlgError):
+            rest_ar, rest_x = derive_restricted(model, q)
+            profiles, _ = assemble_profiles(model, rest_ar, rest_x, grid, {})
+        except ValueError:
             failures += 1
+            continue
+        for name in sums:
+            sums[name] += profiles[name].values
     if failures > 0.05 * n_runs:
         raise RuntimeError(
             f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates"

@@ -22,6 +22,12 @@ with ``s2_yx`` the residual variance of the driver-only regression. Each
 spectral measure integrates back to its time-domain counterpart,
 ``2 * integral over [0, 1/2]``, and the zero-mean shape
 ``abar(f) = a(f) - A_Y`` integrates to zero.
+
+:func:`assemble_profiles` is the one place a model becomes measures. Given
+the restricted models from :func:`gica.restricted.derive_restricted`, it
+calls :func:`full_transfer` and :func:`restricted_transfer_ga` once each
+and derives every profile, the time-domain values and the band table from
+those two transfers.
 """
 
 from __future__ import annotations
@@ -94,21 +100,37 @@ class SpectralProfile:
         object.__setattr__(self, "values", values)
 
 
-def _lag_polynomial(coeffs_1d: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_k c_k e^(-2i pi f k)`` for ``k = 1 .. len(c)`` at each frequency."""
-    lags = np.arange(1, coeffs_1d.size + 1)
-    phases = np.exp(-2j * np.pi * np.outer(values, lags))
-    return phases @ coeffs_1d
+def _transfer(coeffs: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
+    """``[I - sum_k A_k e^(-2i pi f k)]^(-1)`` on the grid, shape ``(n, 2, 2)``.
+
+    The grid frequencies are ``j / M`` with ``M = 2 (n - 1)``, so the lag
+    polynomials are one real FFT of length ``M`` (lags ``k >= M`` alias
+    onto ``k mod M``), and each 2x2 matrix is inverted in closed form.
+    """
+    m = 2 * (grid.n_points - 1)
+    seq = np.zeros((m, 2, 2))
+    np.add.at(seq, np.arange(1, coeffs.shape[0] + 1) % m, coeffs)
+    e = np.eye(2) - np.fft.rfft(seq, axis=0)
+    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    if np.any(det == 0):
+        raise UnstableModelError(f"{what} transfer is singular on the frequency grid")
+    adj = np.stack([e[:, 1, 1], -e[:, 0, 1], -e[:, 1, 0], e[:, 0, 0]], axis=-1)
+    return adj.reshape(-1, 2, 2) / det[:, None, None]
 
 
 def full_transfer(model: BivariateVarModel, grid: FrequencyGrid) -> np.ndarray:
     """Transfer matrix ``H(f)`` of the full model, shape ``(n, 2, 2)``."""
     model.require_stable()
-    values = grid.values
-    lags = np.arange(1, model.p + 1)
-    phases = np.exp(-2j * np.pi * np.outer(values, lags))
-    e = np.eye(2)[None, :, :] - np.einsum("fk,kij->fij", phases, model.coeffs)
-    return np.linalg.inv(e)
+    return _transfer(model.coeffs, grid, "full model")
+
+
+def _mixed_coeffs(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
+    m = max(len(a_xx), len(a_xy), len(b_yx))
+    coeffs = np.zeros((m, 2, 2))
+    coeffs[: len(a_xx), 0, 0] = a_xx
+    coeffs[: len(a_xy), 0, 1] = a_xy
+    coeffs[: len(b_yx), 1, 0] = b_yx
+    return coeffs
 
 
 def restricted_transfer_ga(
@@ -123,131 +145,16 @@ def restricted_transfer_ga(
         [[1 - A_xx(f), -A_xy(f)],
          [  -B_yx(f),      1   ]].
     """
-    values = grid.values
-    n = values.size
-    e = np.zeros((n, 2, 2), dtype=complex)
-    e[:, 0, 0] = 1.0 - _lag_polynomial(np.asarray(a_xx, float), values)
-    e[:, 0, 1] = -_lag_polynomial(np.asarray(a_xy, float), values)
-    e[:, 1, 0] = -_lag_polynomial(np.asarray(b_yx, float), values)
-    e[:, 1, 1] = 1.0
-    try:
-        return np.linalg.inv(e)
-    except np.linalg.LinAlgError:
-        raise UnstableModelError(
-            "mixed model transfer is singular on the frequency grid"
-        ) from None
-
-
-def _mixed_companion(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
-    m = max(len(a_xx), len(b_yx))
-    coeffs = np.zeros((m, 2, 2))
-    coeffs[: len(a_xx), 0, 0] = a_xx
-    coeffs[: len(a_xy), 0, 1] = a_xy
-    coeffs[: len(b_yx), 1, 0] = b_yx
-    return companion_matrix(coeffs)
+    return _transfer(_mixed_coeffs(a_xx, a_xy, b_yx), grid, "mixed model")
 
 
 def _require_mixed_stable(model: BivariateVarModel, rest_x: RestrictedModel) -> None:
-    a_xx = model.coeffs[:, 0, 0]
-    a_xy = model.coeffs[:, 0, 1]
-    rho = np.abs(np.linalg.eigvals(_mixed_companion(a_xx, a_xy, rest_x.coeffs))).max()
+    mixed = _mixed_coeffs(model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs)
+    rho = np.abs(np.linalg.eigvals(companion_matrix(mixed))).max()
     if rho >= 1.0:
         raise UnstableModelError(
             f"mixed model for autonomy is unstable: spectral radius {rho:.6g} >= 1"
         )
-
-
-def _causal_and_internal_power(
-    model: BivariateVarModel, grid: FrequencyGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency split ``(s2_x |H_yx|^2, s2_y |H_yy|^2)`` of the target PSD."""
-    h = full_transfer(model, grid)
-    causal = model.sigma_x * np.abs(h[:, 1, 0]) ** 2
-    internal = model.sigma_y * np.abs(h[:, 1, 1]) ** 2
-    return causal, internal
-
-
-def psd(
-    model: BivariateVarModel, grid: FrequencyGrid
-) -> tuple[SpectralProfile, SpectralProfile, SpectralProfile]:
-    """Power spectra ``(P_X, P_Y, |cross|)`` under the diagonal-covariance convention.
-
-    Values are densities per Hz; ``2 * integral`` of ``P_Y`` over the
-    normalized band recovers the target variance.
-    """
-    h = full_transfer(model, grid)
-    s = np.diag(np.diag(model.sigma))
-    p = np.einsum("fij,jk,flk->fil", h, s, h.conj())
-    scale = 1.0 / grid.fs
-    return (
-        SpectralProfile(grid, p[:, 0, 0].real * scale, "psd_x"),
-        SpectralProfile(grid, p[:, 1, 1].real * scale, "psd_y"),
-        SpectralProfile(grid, np.abs(p[:, 1, 0]) * scale, "psd_cross"),
-    )
-
-
-def directed_coherence(
-    model: BivariateVarModel, grid: FrequencyGrid
-) -> tuple[SpectralProfile, SpectralProfile]:
-    """Squared directed coherences ``(|dc_yx|^2, |dc_yy|^2)``.
-
-    The two profiles are the causal and internal shares of the target PSD
-    and sum to one at every frequency.
-    """
-    causal, internal = _causal_and_internal_power(model, grid)
-    total = causal + internal
-    if np.any(total == 0):
-        raise ValueError(
-            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
-        )
-    return (
-        SpectralProfile(grid, causal / total, "dc_yx"),
-        SpectralProfile(grid, internal / total, "dc_yy"),
-    )
-
-
-def spectral_gc(model: BivariateVarModel, grid: FrequencyGrid) -> SpectralProfile:
-    """Spectral causality profile ``ln(P_Y / (s2_y |H_yy|^2))``, in nats."""
-    causal, internal = _causal_and_internal_power(model, grid)
-    return SpectralProfile(grid, np.log1p(causal / internal), "gc")
-
-
-def spectral_gi(model: BivariateVarModel, grid: FrequencyGrid) -> SpectralProfile:
-    """Spectral isolation profile ``ln(P_Y / (s2_x |H_yx|^2))``, in nats.
-
-    ``+inf`` at frequencies where the causal contribution is exactly zero.
-    """
-    causal, internal = _causal_and_internal_power(model, grid)
-    values = np.full_like(causal, np.inf)
-    nz = causal > 0
-    values[nz] = np.log1p(internal[nz] / causal[nz])
-    return SpectralProfile(grid, values, "gi")
-
-
-def spectral_ga(
-    model: BivariateVarModel, rest_x: RestrictedModel, grid: FrequencyGrid
-) -> tuple[SpectralProfile, SpectralProfile, float]:
-    """Spectral autonomy: zero-mean shape, full profile, and time-domain value.
-
-    Returns ``(abar, a, A_Y)`` where ``abar(f) = ln(|H_yy|^2 / |G_yy|^2)``
-    integrates to zero over the full band, ``A_Y = ln(s2_yx / s2_y)``, and
-    ``a(f) = A_Y + abar(f)``.
-    """
-    if rest_x.kind != X_ON_Y:
-        raise ValueError(f"autonomy needs a driver-only restricted model, got {rest_x.kind!r}")
-    model.require_stable()
-    _require_mixed_stable(model, rest_x)
-    h = full_transfer(model, grid)
-    g = restricted_transfer_ga(
-        model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs, grid
-    )
-    abar = np.log(np.abs(h[:, 1, 1]) ** 2) - np.log(np.abs(g[:, 1, 1]) ** 2)
-    a_y = float(np.log(rest_x.resid_var / model.sigma_y))
-    return (
-        SpectralProfile(grid, abar, "ga_shape"),
-        SpectralProfile(grid, a_y + abar, "ga"),
-        a_y,
-    )
 
 
 def _nonnegative(value: float, name: str) -> float:
@@ -255,31 +162,6 @@ def _nonnegative(value: float, name: str) -> float:
     if value < -1e-9:
         raise ValueError(f"{name} is negative ({value:.6g}); inconsistent models")
     return max(value, 0.0)
-
-
-def time_domain_measures(
-    model: BivariateVarModel,
-    rest_ar: RestrictedModel,
-    rest_x: RestrictedModel,
-    grid: FrequencyGrid | None = None,
-) -> tuple[float, float, float]:
-    """Time-domain causality, isolation, and autonomy ``(F_xy, F_y, A_y)``.
-
-    ``F_xy = ln(s2_yy / s2_y)`` and ``A_y = ln(s2_yx / s2_y)`` come from the
-    restricted residual variances; ``F_y`` is the full-band integral
-    ``2 * int gi`` and equals ``+inf`` for an exactly isolated target.
-    """
-    if rest_ar.kind != AR_ON_Y:
-        raise ValueError(f"F_xy needs a self-past restricted model, got {rest_ar.kind!r}")
-    if rest_x.kind != X_ON_Y:
-        raise ValueError(f"A_y needs a driver-only restricted model, got {rest_x.kind!r}")
-    if grid is None:
-        grid = FrequencyGrid.default()
-    f_xy = _nonnegative(np.log(rest_ar.resid_var / model.sigma_y), "F_xy")
-    a_y = _nonnegative(np.log(rest_x.resid_var / model.sigma_y), "A_y")
-    gi = spectral_gi(model, grid)
-    f_y = full_band_integral(gi)
-    return f_xy, f_y, a_y
 
 
 def full_band_integral(profile: SpectralProfile) -> float:
@@ -356,6 +238,12 @@ class MeasureReport:
     warnings: list[str] = field(default_factory=list)
     significance: dict | None = None
 
+    def value(self, measure: str, scope: str) -> float:
+        """Time-domain value (``scope == "time"``) or band mean of gc, gi or ga."""
+        if scope == "time":
+            return {"gc": self.f_xy, "gi": self.f_y, "ga": self.a_y}[measure]
+        return self.bands[scope][measure]["mean"]
+
     def to_dict(self) -> dict:
         def num(v: float):
             return "inf" if np.isinf(v) else float(v)
@@ -377,3 +265,70 @@ class MeasureReport:
         if self.significance is not None:
             out["significance"] = self.significance
         return out
+
+
+def assemble_profiles(
+    model: BivariateVarModel,
+    rest_ar: RestrictedModel,
+    rest_x: RestrictedModel,
+    grid: FrequencyGrid,
+    bands: dict[str, tuple[float, float]],
+    warnings: list[str] | None = None,
+) -> tuple[dict[str, SpectralProfile], MeasureReport]:
+    """Every spectral profile and the measure report of one model.
+
+    One pass: ``H(f)`` and the mixed-model ``G(f)`` are each computed once.
+    The profiles are the power spectra ``psd_x``, ``psd_y`` (densities per
+    Hz under the diagonal-covariance convention) and ``psd_cross``; the
+    squared directed coherences ``dc_yx``, ``dc_yy``, the causal and
+    internal shares of ``P_Y`` that sum to one; ``gc = ln(P_Y / (s2_y
+    |H_yy|^2))``; ``gi = ln(P_Y / (s2_x |H_yx|^2))``, ``+inf`` where the
+    causal part vanishes; the autonomy shape ``ga_shape = ln(|H_yy|^2 /
+    |G_yy|^2)`` and ``ga = A_y + ga_shape``. The report holds ``F_xy =
+    ln(s2_yy / s2_y)``, ``A_y = ln(s2_yx / s2_y)``, ``F_y = 2 * int gi``
+    and the band integrals and means of gc, gi and ga over ``bands``.
+    """
+    if rest_ar.kind != AR_ON_Y:
+        raise ValueError(f"F_xy needs a self-past restricted model, got {rest_ar.kind!r}")
+    if rest_x.kind != X_ON_Y:
+        raise ValueError(f"autonomy needs a driver-only restricted model, got {rest_x.kind!r}")
+    h = full_transfer(model, grid)
+    _require_mixed_stable(model, rest_x)
+    g = restricted_transfer_ga(
+        model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs, grid
+    )
+    s2_x, s2_y = model.sigma_x, model.sigma_y
+    causal = s2_x * np.abs(h[:, 1, 0]) ** 2
+    internal = s2_y * np.abs(h[:, 1, 1]) ** 2
+    total = causal + internal
+    if np.any(total == 0):
+        raise ValueError(
+            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
+        )
+    gi = np.full_like(causal, np.inf)
+    nz = causal > 0
+    gi[nz] = np.log1p(internal[nz] / causal[nz])
+    ga_shape = np.log(np.abs(h[:, 1, 1]) ** 2) - np.log(np.abs(g[:, 1, 1]) ** 2)
+    a_y = float(np.log(rest_x.resid_var / s2_y))
+    scale = 1.0 / grid.fs
+    cross = s2_x * h[:, 1, 0] * h[:, 0, 0].conj() + s2_y * h[:, 1, 1] * h[:, 0, 1].conj()
+    values = {
+        "psd_x": (s2_x * np.abs(h[:, 0, 0]) ** 2 + s2_y * np.abs(h[:, 0, 1]) ** 2) * scale,
+        "psd_y": total * scale,
+        "psd_cross": np.abs(cross) * scale,
+        "dc_yx": causal / total,
+        "dc_yy": internal / total,
+        "gc": np.log1p(causal / internal),
+        "gi": gi,
+        "ga_shape": ga_shape,
+        "ga": a_y + ga_shape,
+    }
+    profiles = {name: SpectralProfile(grid, v, name) for name, v in values.items()}
+    report = MeasureReport(
+        f_xy=_nonnegative(np.log(rest_ar.resid_var / s2_y), "F_xy"),
+        f_y=full_band_integral(profiles["gi"]),
+        a_y=_nonnegative(a_y, "A_y"),
+        bands=band_table(profiles, bands),
+        warnings=list(warnings or []),
+    )
+    return profiles, report

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 
 class UnstableModelError(ValueError):
@@ -210,27 +211,6 @@ def select_order_aic(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> int:
     return int(np.argmin(aics)) + 1
 
 
-def solve_discrete_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve ``P = A P A^T + Q`` by Kronecker vectorization.
-
-    Dense and exact for the model sizes used here (``A`` is ``2p x 2p``).
-    The result is symmetrized to remove roundoff asymmetry.
-    """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m = a.shape[0]
-    if a.shape != (m, m) or q.shape != (m, m):
-        raise ValueError("matrix shapes must agree and be square")
-    rho = np.abs(np.linalg.eigvals(a)).max()
-    if rho >= 1.0:
-        raise UnstableModelError(
-            f"Lyapunov equation has no stable solution: spectral radius {rho:.6g} >= 1"
-        )
-    vec_p = np.linalg.solve(np.eye(m * m) - np.kron(a, a), q.reshape(-1))
-    p = vec_p.reshape(m, m)
-    return (p + p.T) / 2
-
-
 @dataclass(frozen=True)
 class AutocovarianceSequence:
     """Exact lagged covariances ``Gamma_k = E[S_n S_{n-k}^T]`` of a model.
@@ -280,7 +260,8 @@ def compute_autocovariance(model: BivariateVarModel, q: int) -> AutocovarianceSe
     comp = model.companion()
     xi = np.zeros_like(comp)
     xi[:2, :2] = model.sigma
-    psi = solve_discrete_lyapunov(comp, xi)
+    psi = scipy.linalg.solve_discrete_lyapunov(comp, xi)
+    psi = (psi + psi.T) / 2  # remove roundoff asymmetry
     gammas = np.empty((max(q, p - 1) + 1, 2, 2))
     for j in range(p):
         gammas[j] = psi[:2, 2 * j : 2 * j + 2]

@@ -16,17 +16,14 @@ from numpy.testing import assert_allclose
 from scipy.stats import binom, chi2
 
 from gica.pipeline import AnalysisConfig, analyze_pair
-from gica.restricted import restricted_ar, restricted_x
+from gica.restricted import derive_restricted, restricted_ar, restricted_x
 from gica.simulate import SimSpec, build_true_model, run_confounded_study, simulate
 from gica.spectral import (
+    DEFAULT_BANDS,
     FrequencyGrid,
-    directed_coherence,
+    assemble_profiles,
     full_band_integral,
     full_transfer,
-    psd,
-    spectral_ga,
-    spectral_gc,
-    time_domain_measures,
 )
 from gica.surrogates import SurrogateConfig, generate_surrogates, significance_test
 from gica.varmodel import compute_autocovariance, fit_var, lagged_design
@@ -39,10 +36,8 @@ def _reference_model():
 
 
 def _exact_measures(model, q, grid=GRID):
-    gammas = compute_autocovariance(model, q)
-    rest_ar = restricted_ar(gammas, q)
-    rest_x = restricted_x(gammas, q)
-    return time_domain_measures(model, rest_ar, rest_x, grid), rest_ar, rest_x
+    rest_ar, rest_x = derive_restricted(model, q)
+    return assemble_profiles(model, rest_ar, rest_x, grid, DEFAULT_BANDS)
 
 
 def test_acceptance_01_pointwise_spectral_identities(random_model_factory):
@@ -52,9 +47,9 @@ def test_acceptance_01_pointwise_spectral_identities(random_model_factory):
     rng = np.random.default_rng(101)
     for _ in range(10):
         model = random_model_factory(rng)
-        _, psd_y, _ = psd(model, GRID)
-        dc_yx, dc_yy = directed_coherence(model, GRID)
-        gc = spectral_gc(model, GRID)
+        profiles, _ = _exact_measures(model, 20)
+        psd_y, dc_yx, dc_yy = profiles["psd_y"], profiles["dc_yx"], profiles["dc_yy"]
+        gc = profiles["gc"]
         h = full_transfer(model, GRID)
         causal = np.abs(h[:, 1, 0]) ** 2 * model.sigma[0, 0]
         internal = np.abs(h[:, 1, 1]) ** 2 * model.sigma[1, 1]
@@ -72,10 +67,10 @@ def test_acceptance_02_integrals_match_time_domain(random_model_factory):
     rng = np.random.default_rng(202)
     models = [_reference_model()] + [random_model_factory(rng) for _ in range(10)]
     for model in models:
-        (f_xy, _, a_y), _, rest_x = _exact_measures(model, 200)
-        gc_gap = abs(full_band_integral(spectral_gc(model, GRID)) - f_xy)
-        shape, ga, _ = spectral_ga(model, rest_x, GRID)
-        ga_gap = abs(full_band_integral(ga) - a_y)
+        profiles, report = _exact_measures(model, 200)
+        gc_gap = abs(full_band_integral(profiles["gc"]) - report.f_xy)
+        shape, ga = profiles["ga_shape"], profiles["ga"]
+        ga_gap = abs(full_band_integral(ga) - report.a_y)
         assert gc_gap < 1e-3
         assert ga_gap < 1e-3
         assert abs(full_band_integral(shape)) < 5e-3
@@ -86,8 +81,7 @@ def test_acceptance_03_autonomy_vanishes_without_self_dynamics():
     # with no target self-dynamics the autonomy profile is identically zero
     for c in (0.25, 0.5, 1.0):
         model = build_true_model(SimSpec(system="open_loop", n=10, b=0.0, c=c))
-        gammas = compute_autocovariance(model, 20)
-        ga = spectral_ga(model, restricted_x(gammas, 20), GRID)[1]
+        ga = _exact_measures(model, 20)[0]["ga"]
         assert np.abs(ga.values).max() < 1e-6
 
 
@@ -158,8 +152,8 @@ def test_acceptance_05_open_loop_trend_reproduction():
     b_rows = []
     for b in values:
         model = build_true_model(SimSpec(system="open_loop", n=10, b=b, c=0.5))
-        (f_xy, _, a_y), _, _ = _exact_measures(model, 200)
-        b_rows.append((f_xy, a_y))
+        _, report = _exact_measures(model, 200)
+        b_rows.append((report.f_xy, report.a_y))
     autonomy = [a for _, a in b_rows]
     assert autonomy[0] == 0.0
     assert all(np.diff(autonomy) > 0)
@@ -169,8 +163,8 @@ def test_acceptance_05_open_loop_trend_reproduction():
     c_rows = []
     for c in values:
         model = build_true_model(SimSpec(system="open_loop", n=10, b=1.0, c=c))
-        (f_xy, f_y, a_y), _, _ = _exact_measures(model, 200)
-        c_rows.append((f_xy, f_y, a_y))
+        _, report = _exact_measures(model, 200)
+        c_rows.append((report.f_xy, report.f_y, report.a_y))
     causality = [f for f, _, _ in c_rows]
     assert causality[0] == 0.0
     assert all(np.diff(causality) > 0)
@@ -182,10 +176,9 @@ def test_acceptance_05_open_loop_trend_reproduction():
 
     # peak locations on the default grid; both land within 0.01 of the
     # nominal pole frequencies, but not within one grid step (see xfails)
-    model = _reference_model()
-    _, _, rest_x = _exact_measures(model, 200)
-    gc_peak = GRID.values[np.argmax(spectral_gc(model, GRID).values)]
-    ga_peak = GRID.values[np.argmax(spectral_ga(model, rest_x, GRID)[1].values)]
+    profiles, _ = _exact_measures(_reference_model(), 200)
+    gc_peak = GRID.values[np.argmax(profiles["gc"].values)]
+    ga_peak = GRID.values[np.argmax(profiles["ga"].values)]
     assert gc_peak == pytest.approx(0.30029296875, abs=1e-12)
     assert ga_peak == pytest.approx(0.094482421875, abs=1e-12)
     assert abs(gc_peak - 0.3) < 0.01
@@ -199,8 +192,8 @@ def test_acceptance_05_open_loop_trend_reproduction():
     "0.3, so one-grid-step alignment with the pole frequency cannot hold",
 )
 def test_acceptance_05_causality_peak_grid_alignment():
-    model = _reference_model()
-    gc_peak = GRID.values[np.argmax(spectral_gc(model, GRID).values)]
+    profiles, _ = _exact_measures(_reference_model(), 200)
+    gc_peak = GRID.values[np.argmax(profiles["gc"].values)]
     assert abs(gc_peak - 0.3) <= GRID.step
 
 
@@ -210,9 +203,8 @@ def test_acceptance_05_causality_peak_grid_alignment():
     "0.1; the damped self-oscillation peaks below its pole frequency",
 )
 def test_acceptance_05_autonomy_peak_grid_alignment():
-    model = _reference_model()
-    _, _, rest_x = _exact_measures(model, 200)
-    ga_peak = GRID.values[np.argmax(spectral_ga(model, rest_x, GRID)[1].values)]
+    profiles, _ = _exact_measures(_reference_model(), 200)
+    ga_peak = GRID.values[np.argmax(profiles["ga"].values)]
     assert abs(ga_peak - 0.1) <= GRID.step
 
 
@@ -222,8 +214,8 @@ def test_acceptance_06_feedback_lowers_autonomy():
         SimSpec(system="closed_loop", n=10, b=1.0, c=0.5, d=1.0)
     )
     without = build_true_model(SimSpec(system="closed_loop", n=10, b=1.0, c=0.5, d=0.0))
-    (_, _, a_fb), _, _ = _exact_measures(with_feedback, 20)
-    (_, _, a_open), _, _ = _exact_measures(without, 20)
+    a_fb = _exact_measures(with_feedback, 20)[1].a_y
+    a_open = _exact_measures(without, 20)[1].a_y
     assert a_fb < a_open
     assert_allclose(a_fb, 1.1947771686762167, rtol=0, atol=1e-9)
     assert_allclose(a_open, 1.5023954237717920, rtol=0, atol=1e-9)
@@ -231,8 +223,7 @@ def test_acceptance_06_feedback_lowers_autonomy():
     # profile shape under feedback, resolved with the driver-past model
     # truncated at the full model order: a secondary local maximum inside
     # [0.25, 0.35] and a negative dip above 0.35
-    gammas = compute_autocovariance(with_feedback, 2)
-    ga = spectral_ga(with_feedback, restricted_x(gammas, 2), GRID)[1].values
+    ga = _exact_measures(with_feedback, 2)[0]["ga"].values
     interior = (ga[1:-1] > ga[:-2]) & (ga[1:-1] > ga[2:])
     local_max = GRID.values[1:-1][interior]
     assert any(0.25 <= f <= 0.35 for f in local_max)

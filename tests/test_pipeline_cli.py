@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gica.cli import main
-from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair, derive_restricted
+from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
+from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, build_true_model, simulate
 from gica.timeseries import TimeSeriesPair
 

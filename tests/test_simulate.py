@@ -1,4 +1,6 @@
 """Benchmark system construction, simulation, and theoretical profiles."""
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,8 +17,14 @@ from gica.simulate import (
     theoretical_profiles,
     theoretical_sweep,
 )
-from gica.spectral import FrequencyGrid, MeasureReport, spectral_ga, spectral_gc, time_domain_measures
-from gica.restricted import restricted_ar, restricted_x
+from gica.spectral import (
+    DEFAULT_BANDS,
+    FrequencyGrid,
+    MeasureReport,
+    assemble_profiles,
+    full_band_integral,
+)
+from gica.restricted import derive_restricted, restricted_ar, restricted_x
 from gica.varmodel import compute_autocovariance, fit_var
 
 PROFILE_NAMES = {
@@ -218,14 +226,27 @@ def test_theoretical_profiles_contents():
     assert set(profiles) == PROFILE_NAMES
     assert isinstance(report, MeasureReport)
     assert set(report.bands) == {"VLF", "LF"}
+    assert report.warnings == []
     model = build_true_model(spec)
     gammas = compute_autocovariance(model, 20)
-    f_xy, f_y, a_y = time_domain_measures(
-        model, restricted_ar(gammas, 20), restricted_x(gammas, 20), FrequencyGrid(513)
-    )
+    f_xy = np.log(restricted_ar(gammas, 20).resid_var / model.sigma_y)
+    a_y = np.log(restricted_x(gammas, 20).resid_var / model.sigma_y)
     assert_allclose(report.f_xy, f_xy, rtol=0, atol=1e-12)
-    assert_allclose(report.f_y, f_y, rtol=0, atol=1e-12)
+    assert_allclose(report.f_y, full_band_integral(profiles["gi"]), rtol=0, atol=1e-12)
     assert_allclose(report.a_y, a_y, rtol=0, atol=1e-12)
+
+
+def test_theoretical_profiles_report_short_truncation():
+    spec = SimSpec(system="open_loop", n=10, b=1.0, c=0.5)
+    _, report = theoretical_profiles(spec, FrequencyGrid(257), q=3)
+    assert len(report.warnings) == 2
+    assert all("consider a larger q" in w for w in report.warnings)
+
+
+def test_simulate_submodule_is_not_shadowed():
+    import gica.simulate as module
+
+    assert isinstance(module, types.ModuleType)
 
 
 def test_theoretical_profiles_reject_confounded():
@@ -271,27 +292,25 @@ def test_confounded_study_rejects_empty_run_count():
 def test_estimated_profiles_approach_theory():
     # long-sample fits should land close to exact spectra in sup norm
     grid = FrequencyGrid(513)
-    spec_base = SimSpec(system="open_loop", n=10, b=1.0, c=0.5)
-    model = build_true_model(spec_base)
-    gammas = compute_autocovariance(model, 20)
-    rest_x = restricted_x(gammas, 20)
-    gc_true = spectral_gc(model, grid).values
-    ga_true = spectral_ga(model, rest_x, grid)[1].values
-    f_xy_true, _, a_y_true = time_domain_measures(
-        model, restricted_ar(gammas, 20), rest_x, grid
+
+    def measures(model):
+        rest_ar, rest_x = derive_restricted(model, 20)
+        return assemble_profiles(model, rest_ar, rest_x, grid, DEFAULT_BANDS)
+
+    true_profiles, true_report = measures(
+        build_true_model(SimSpec(system="open_loop", n=10, b=1.0, c=0.5))
     )
+    gc_true = true_profiles["gc"].values
+    ga_true = true_profiles["ga"].values
     gc_err, ga_err, f_xy_hat, a_y_hat = [], [], [], []
     for s in range(20):
         pair = simulate(SimSpec(system="open_loop", n=10000, seed=(300, s), b=1.0, c=0.5))
-        fitted = fit_var(pair.x, pair.y, 2).diagonalized()
-        fg = compute_autocovariance(fitted, 20)
-        frest_x = restricted_x(fg, 20)
-        gc_err.append(np.abs(spectral_gc(fitted, grid).values - gc_true).max())
-        ga_err.append(np.abs(spectral_ga(fitted, frest_x, grid)[1].values - ga_true).max())
-        f_hat, _, a_hat = time_domain_measures(fitted, restricted_ar(fg, 20), frest_x, grid)
-        f_xy_hat.append(f_hat)
-        a_y_hat.append(a_hat)
+        profiles, report = measures(fit_var(pair.x, pair.y, 2).diagonalized())
+        gc_err.append(np.abs(profiles["gc"].values - gc_true).max())
+        ga_err.append(np.abs(profiles["ga"].values - ga_true).max())
+        f_xy_hat.append(report.f_xy)
+        a_y_hat.append(report.a_y)
     assert np.mean(gc_err) < 0.1
     assert np.mean(ga_err) < 0.1
-    assert abs(np.mean(f_xy_hat) - f_xy_true) < 0.02
-    assert abs(np.mean(a_y_hat) - a_y_true) < 0.02
+    assert abs(np.mean(f_xy_hat) - true_report.f_xy) < 0.02
+    assert abs(np.mean(a_y_hat) - true_report.a_y) < 0.02

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gica.restricted import restricted_ar, restricted_x
+from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, simulate
-from gica.spectral import FrequencyGrid, time_domain_measures
+from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
 from gica.surrogates import (
     H1,
     H2,
@@ -18,7 +18,7 @@ from gica.surrogates import (
     significance_test,
 )
 from gica.timeseries import TimeSeriesPair
-from gica.varmodel import UnstableModelError, compute_autocovariance, fit_var
+from gica.varmodel import UnstableModelError, fit_var
 
 
 def lag1_xcorr(pair):
@@ -27,10 +27,9 @@ def lag1_xcorr(pair):
 
 def fitted_measures(pair, order=2, q=20):
     model = fit_var(pair.x, pair.y, order).diagonalized()
-    gammas = compute_autocovariance(model, q)
-    return time_domain_measures(
-        model, restricted_ar(gammas, q), restricted_x(gammas, q), FrequencyGrid(513)
-    )
+    rest_ar, rest_x = derive_restricted(model, q)
+    _, report = assemble_profiles(model, rest_ar, rest_x, FrequencyGrid(513), DEFAULT_BANDS)
+    return report.f_xy, report.f_y, report.a_y
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from gica.varmodel import (
     lagged_design,
     poles_to_ar_coeffs,
     select_order_aic,
-    solve_discrete_lyapunov,
 )
 
 
@@ -136,13 +135,21 @@ def test_order_selection_tie_goes_to_smaller():
 
 
 def test_lyapunov_scalar_closed_form():
-    psi = solve_discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
-    assert_allclose(psi, [[4.0 / 3.0]], rtol=0, atol=1e-14)
+    # the embedded AR(1) of coefficient 0.5 has Gamma_yy(0) = 4/3; zero
+    # padding to order 5 makes the companion 10x10, where the solver takes
+    # its bilinear path instead of the direct one
+    for p in (1, 5):
+        coeffs = np.zeros((p, 2, 2))
+        coeffs[0, 1, 1] = 0.5
+        gammas = compute_autocovariance(BivariateVarModel(coeffs, np.eye(2)), 0)
+        assert_allclose(gammas.gammas[0], [[1.0, 0.0], [0.0, 4.0 / 3.0]], rtol=0, atol=1e-14)
 
 
 def test_lyapunov_rejects_unstable():
+    # spectral radius exactly one: no stationary solution
+    coeffs = np.array([[[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(UnstableModelError):
-        solve_discrete_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+        compute_autocovariance(BivariateVarModel(coeffs, np.eye(2)), 0)
 
 
 def test_autocovariance_embedded_ar1_closed_form():
