@@ -2,14 +2,14 @@
 
 The pipeline preprocesses the pair, fits the full model (fixed order or
 AIC), derives the restricted models analytically from the fitted model's
-autocovariance (:func:`gica.restricted.derive_restricted`), computes all
-spectral profiles and band summaries in one pass
-(:func:`gica.spectral.assemble_profiles`), and optionally attaches
-surrogate significance verdicts, each surrogate refit going through the
-same two calls. The fitted innovation
-covariance is generally not diagonal; all derived quantities use the
-strictly causal convention (off-diagonal dropped), and a warning is
-attached when the implied residual correlation exceeds 0.2.
+autocovariance (:func:`gica.restricted.derive_restricted`, whose first
+step is the model's stability gate), computes all spectral profiles and
+band summaries in one pass (:func:`gica.spectral.assemble_profiles`), and
+optionally attaches surrogate significance verdicts, each surrogate refit
+going through the same two calls. The fitted innovation covariance is
+generally not diagonal; all derived quantities use the strictly causal
+convention (off-diagonal dropped), and a warning is attached when the
+implied residual correlation exceeds 0.2.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
             "may be distorted"
         )
     model = fitted.diagonalized()
-    model.require_stable()
     rest_ar, rest_x = derive_restricted(model, config.q, warnings)
     grid = FrequencyGrid(config.grid_points, pair.fs)
     profiles, report = assemble_profiles(
@@ -137,7 +136,6 @@ def _significance(
         reports = []
         for sur in surrogate_pairs:
             model = fit_var(sur.x, sur.y, result.order).diagonalized()
-            model.require_stable()
             rest_ar, rest_x = derive_restricted(model, config.q)
             reports.append(assemble_profiles(model, rest_ar, rest_x, grid, config.bands)[1])
         tested = ("gc", "gi") if hyp == H1 else ("ga",)

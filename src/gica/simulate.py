@@ -18,6 +18,9 @@ Systems
     The four-setting matrix (i: b=0,c=0; ii: b=1,c=0; iii: b=0,c=1;
     iv: b=1,c=1) used for estimator validation, as open-loop instances.
 
+Feedback-free systems run as ``lfilter`` cascades, a closed loop with
+feedback as :func:`gica.varmodel.simulate_var`.
+
 Theoretical profiles and the confounded study take the same path from a
 model to measures as an analysis: :func:`gica.restricted.derive_restricted`,
 then :func:`gica.spectral.assemble_profiles`.
@@ -41,11 +44,11 @@ from .spectral import (
 from .timeseries import TimeSeriesPair
 from .varmodel import (
     BivariateVarModel,
-    UnstableModelError,
-    companion_matrix,
     fit_var,
     poles_to_ar_coeffs,
+    require_stable,
     select_order_aic,
+    simulate_var,
 )
 
 BURN_IN = 1000
@@ -148,9 +151,7 @@ def build_confounded_system(a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     )
     a2 = np.diag([ax2, ay2, az2])
     coeffs = np.stack([a1, a2])
-    rho = np.abs(np.linalg.eigvals(companion_matrix(coeffs))).max()
-    if rho >= 1.0:
-        raise UnstableModelError(f"confounded system unstable: radius {rho:.6g}")
+    require_stable(coeffs, "confounded system")
     return coeffs, np.eye(3)
 
 
@@ -188,7 +189,7 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
     model = build_true_model(spec)
     noise = rng.standard_normal((total, 2))
     if spec.system == "closed_loop" and spec.d != 0.0:
-        x, y = _simulate_loop(model, noise)
+        x, y = simulate_var(model.coeffs, noise).T
     else:
         b, c = spec.effective_bc()
         ax1, ax2 = poles_to_ar_coeffs(*DRIVER_POLE)
@@ -196,20 +197,6 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
         x = _ar2_filter(ax1, ax2, noise[:, 0])
         y = _ar2_filter(ay1, ay2, -c * _shift1(x) + noise[:, 1])
     return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
-
-
-def _simulate_loop(model: BivariateVarModel, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # general recursion for systems with feedback; zero initial conditions
-    p = model.p
-    total = noise.shape[0]
-    s = np.zeros((total + p, 2))
-    coeffs = model.coeffs
-    for t in range(total):
-        acc = noise[t].copy()
-        for k in range(1, p + 1):
-            acc += coeffs[k - 1] @ s[t + p - k]
-        s[t + p] = acc
-    return s[p:, 0], s[p:, 1]
 
 
 def theoretical_profiles(

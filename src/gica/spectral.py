@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel
-from .varmodel import BivariateVarModel, UnstableModelError, companion_matrix
+from .varmodel import BivariateVarModel, UnstableModelError, require_stable
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,7 @@ def restricted_transfer_ga(
 
 def _require_mixed_stable(model: BivariateVarModel, rest_x: RestrictedModel) -> None:
     mixed = _mixed_coeffs(model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs)
-    rho = np.abs(np.linalg.eigvals(companion_matrix(mixed))).max()
-    if rho >= 1.0:
-        raise UnstableModelError(
-            f"mixed model for autonomy is unstable: spectral radius {rho:.6g} >= 1"
-        )
+    require_stable(mixed, "mixed model for autonomy")
 
 
 def _nonnegative(value: float, name: str) -> float:

@@ -7,7 +7,9 @@ autonomy): the target surrogate is driven by the driver's past alone. In
 both cases the driver surrogate keeps its full fitted equation (own and
 target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
-initial conditions with a 100-sample burn-in.
+initial conditions with a 100-sample burn-in. The generator is gated by
+:func:`gica.varmodel.require_stable`, and a whole batch runs through one
+call of :func:`gica.varmodel.simulate_var`.
 
 Verdict rules on the surrogate distribution of each measure: causality is
 significant above the upper ``1 - alpha`` percentile, isolation below the
@@ -24,7 +26,7 @@ import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y
 from .timeseries import TimeSeriesPair
-from .varmodel import UnstableModelError, lagged_design, companion_matrix
+from .varmodel import lagged_design, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
 
@@ -125,11 +127,6 @@ def fit_restricted_direct(
     return coeffs, resid
 
 
-def _cyclic(values: np.ndarray, length: int) -> np.ndarray:
-    reps = -(-length // values.size)
-    return np.tile(values, reps)[:length]
-
-
 def generate_surrogates(
     pair: TimeSeriesPair, config: SurrogateConfig, p: int, q: int = 20
 ) -> list[TimeSeriesPair]:
@@ -153,40 +150,20 @@ def generate_surrogates(
         coeffs[:q, 1, 1] = b
     else:
         coeffs[:q, 1, 0] = b
-    rho = np.abs(np.linalg.eigvals(companion_matrix(coeffs))).max()
-    if rho >= 1.0:
-        raise UnstableModelError(
-            f"fitted surrogate generator is unstable (spectral radius {rho:.6g}); "
-            "cannot produce surrogates for this record"
-        )
+    require_stable(coeffs, "fitted surrogate generator")
 
     n = pair.n
-    total = SURROGATE_BURN_IN + n
-    out = []
+    drive = np.empty((config.n_surrogates, SURROGATE_BURN_IN + n, 2))
     for i in range(config.n_surrogates):
         rng = np.random.default_rng((config.seed, i))
-        u_perm = rng.permutation(u)
-        v_perm = rng.permutation(v)
-        # burn-in reuses the permuted residuals cyclically, the retained
-        # stretch restarts them from the beginning
-        u_drive = np.concatenate([_cyclic(u_perm, SURROGATE_BURN_IN), _cyclic(u_perm, n)])
-        v_drive = np.concatenate([_cyclic(v_perm, SURROGATE_BURN_IN), _cyclic(v_perm, n)])
-        xs = np.zeros(m + total)
-        ys = np.zeros(m + total)
-        for t in range(total):
-            x_hist = xs[t : t + m][::-1]
-            y_hist = ys[t : t + m][::-1]
-            xs[t + m] = a_xx @ x_hist[:p] + a_xy @ y_hist[:p] + u_drive[t]
-            if config.hypothesis == H1:
-                ys[t + m] = b @ y_hist[:q] + v_drive[t]
-            else:
-                ys[t + m] = b @ x_hist[:q] + v_drive[t]
-        out.append(
-            TimeSeriesPair(
-                xs[m + SURROGATE_BURN_IN :], ys[m + SURROGATE_BURN_IN :], pair.fs
-            )
-        )
-    return out
+        for channel, resid in enumerate((u, v)):
+            perm = rng.permutation(resid)
+            # burn-in reuses the permuted residuals cyclically, the retained
+            # stretch restarts them from the beginning
+            drive[i, :SURROGATE_BURN_IN, channel] = np.resize(perm, SURROGATE_BURN_IN)
+            drive[i, SURROGATE_BURN_IN:, channel] = np.resize(perm, n)
+    series = simulate_var(coeffs, drive)[:, SURROGATE_BURN_IN:]
+    return [TimeSeriesPair(s[:, 0], s[:, 1], pair.fs) for s in series]
 
 
 def significance_test(

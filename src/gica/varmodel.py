@@ -8,6 +8,8 @@ with 2x2 coefficient matrices ``A_k``. Everything downstream (spectra,
 restricted models, causality measures) is derived from ``(A, Sigma)``, so
 this module also provides the exact autocovariance sequence of a stable
 model, obtained from the companion-form discrete Lyapunov equation.
+Every stability gate is :func:`require_stable`, and every simulation with
+feedback, surrogate batches included, runs :func:`simulate_var`.
 """
 
 from __future__ import annotations
@@ -71,22 +73,14 @@ class BivariateVarModel:
         """Innovation variance of the target equation."""
         return float(self.sigma[1, 1])
 
-    def companion(self) -> np.ndarray:
-        """Companion matrix, shape ``(2p, 2p)``."""
-        return companion_matrix(self.coeffs)
-
     def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.companion())).max())
+        return spectral_radius(self.coeffs)
 
     def is_stable(self) -> bool:
         return self.spectral_radius() < 1.0
 
     def require_stable(self) -> None:
-        rho = self.spectral_radius()
-        if rho >= 1.0:
-            raise UnstableModelError(
-                f"model is unstable: companion spectral radius {rho:.6g} >= 1"
-            )
+        require_stable(self.coeffs, "model")
 
     def residual_correlation(self) -> float:
         """Correlation implied by the off-diagonal of ``sigma``."""
@@ -123,6 +117,41 @@ def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
     if p > 1:
         comp[m:, : m * (p - 1)] = np.eye(m * (p - 1))
     return comp
+
+
+def spectral_radius(coeffs: np.ndarray) -> float:
+    """Largest eigenvalue modulus of the companion matrix of ``(m, k, k)`` lags."""
+    return float(np.abs(np.linalg.eigvals(companion_matrix(coeffs))).max())
+
+
+def require_stable(coeffs: np.ndarray, what: str) -> None:
+    """Raise :class:`UnstableModelError` naming ``what`` unless the lags are stable."""
+    rho = spectral_radius(coeffs)
+    if rho >= 1.0:
+        raise UnstableModelError(
+            f"{what} is unstable: companion spectral radius {rho:.6g} >= 1"
+        )
+
+
+def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Run ``s_t = sum_{k=1..m} A_k s_{t-k} + drive_t`` from zero initial conditions.
+
+    ``coeffs`` is ``(m, k, k)``, ``drive`` and the result ``(..., T, k)``;
+    all leading axes advance together. Each step sums elementwise products
+    over the lag window rather than a matrix product, so a row's rounding
+    does not depend on the batch size.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    drive = np.asarray(drive, dtype=float)
+    m, k, _ = coeffs.shape
+    batch, total = drive.shape[:-2], drive.shape[-2]
+    # the window holds s_{t-m} .. s_{t-1}, oldest first
+    weights = coeffs[::-1].transpose(1, 0, 2).reshape(k, m * k)
+    s = np.zeros((*batch, m + total, k))
+    for t in range(total):
+        window = s[..., t : t + m, :].reshape(*batch, 1, m * k)
+        s[..., t + m, :] = (window * weights).sum(axis=-1) + drive[..., t, :]
+    return s[..., m:, :]
 
 
 def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:
@@ -257,7 +286,7 @@ def compute_autocovariance(model: BivariateVarModel, q: int) -> AutocovarianceSe
         raise ValueError(f"lag bound must be >= 0, got {q}")
     model.require_stable()
     p = model.p
-    comp = model.companion()
+    comp = companion_matrix(model.coeffs)
     xi = np.zeros_like(comp)
     xi[:2, :2] = model.sigma
     psi = scipy.linalg.solve_discrete_lyapunov(comp, xi)

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference models and a randomized stable-model factory."""
+"""Shared fixtures: reference models, a randomized stable-model factory and a
+per-sample VAR recursion used as the reference for the vectorised one."""
 import numpy as np
 import pytest
 
@@ -37,3 +38,18 @@ def make_random_stable_model(rng, p=None, radius=None):
 @pytest.fixture
 def random_model_factory():
     return make_random_stable_model
+
+
+def var_loop(coeffs, drive):
+    """``s_t = sum_k A_k s_{t-k} + drive_t`` one sample and one lag at a time."""
+    s = np.zeros_like(drive)
+    for t in range(drive.shape[0]):
+        s[t] = drive[t]
+        for k in range(1, min(coeffs.shape[0], t) + 1):
+            s[t] += coeffs[k - 1] @ s[t - k]
+    return s
+
+
+@pytest.fixture(scope="session")
+def var_loop_reference():
+    return var_loop

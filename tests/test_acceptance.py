@@ -8,8 +8,6 @@ averaged confounded study, surrogate calibration, and the four-setting
 benchmark matrix. Known numerical gaps are pinned by strict xfail tests
 right next to the guarantee they qualify.
 """
-import time
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,7 +41,6 @@ def _exact_measures(model, q, grid=GRID):
 def test_acceptance_01_pointwise_spectral_identities(random_model_factory):
     # share sum, causality-coherence link, and the PSD split, each within
     # 1e-10 at every grid point on ten randomized stable models
-    start = time.perf_counter()
     rng = np.random.default_rng(101)
     for _ in range(10):
         model = random_model_factory(rng)
@@ -57,13 +54,11 @@ def test_acceptance_01_pointwise_spectral_identities(random_model_factory):
         assert np.abs(gc.values + np.log1p(-dc_yx.values)).max() < 1e-10
         split_gap = np.abs(psd_y.values - causal - internal) / psd_y.values
         assert split_gap.max() < 1e-10
-    assert time.perf_counter() - start < 5.0
 
 
 def test_acceptance_02_integrals_match_time_domain(random_model_factory):
     # twice the one-sided integral of each spectral measure reproduces its
     # time-domain value; the shape term integrates to zero
-    start = time.perf_counter()
     rng = np.random.default_rng(202)
     models = [_reference_model()] + [random_model_factory(rng) for _ in range(10)]
     for model in models:
@@ -74,7 +69,6 @@ def test_acceptance_02_integrals_match_time_domain(random_model_factory):
         assert gc_gap < 1e-3
         assert ga_gap < 1e-3
         assert abs(full_band_integral(shape)) < 5e-3
-    assert time.perf_counter() - start < 10.0
 
 
 def test_acceptance_03_autonomy_vanishes_without_self_dynamics():
@@ -91,7 +85,6 @@ def oracle_rows():
     # least squares on one million samples each
     from gica.surrogates import fit_restricted_direct
 
-    start = time.perf_counter()
     rows = []
     for b in (0.0, 0.5, 1.0):
         for c in (0.0, 0.5, 1.0):
@@ -119,11 +112,11 @@ def oracle_rows():
                         "t_stat": delta @ (design.T @ design) @ delta / resid.var(),
                     }
                 )
-    return {"rows": rows, "elapsed": time.perf_counter() - start}
+    return rows
 
 
 def test_acceptance_04_projection_matches_least_squares_oracle(oracle_rows):
-    rows = oracle_rows["rows"]
+    rows = oracle_rows
     assert max(r["var_rel"] for r in rows) < 0.01
     ar = [r for r in rows if r["kind"] == "ar_on_y"]
     xo = [r for r in rows if r["kind"] == "x_on_y"]
@@ -133,7 +126,6 @@ def test_acceptance_04_projection_matches_least_squares_oracle(oracle_rows):
     envelope = chi2(20).ppf(0.999)
     assert max(r["t_stat"] for r in rows) < envelope
     assert max(r["coeff_rel"] for r in xo) < 0.025
-    assert oracle_rows["elapsed"] < 60.0
 
 
 @pytest.mark.xfail(
@@ -142,12 +134,11 @@ def test_acceptance_04_projection_matches_least_squares_oracle(oracle_rows):
     "noise floor near 1.8% at one million samples, above the 1% bound",
 )
 def test_acceptance_04_strict_coefficient_tolerance(oracle_rows):
-    xo = [r for r in oracle_rows["rows"] if r["kind"] == "x_on_y"]
+    xo = [r for r in oracle_rows if r["kind"] == "x_on_y"]
     assert max(r["coeff_rel"] for r in xo) < 0.01
 
 
 def test_acceptance_05_open_loop_trend_reproduction():
-    start = time.perf_counter()
     values = [0.0, 0.25, 0.5, 0.75, 1.0]
     b_rows = []
     for b in values:
@@ -183,7 +174,6 @@ def test_acceptance_05_open_loop_trend_reproduction():
     assert ga_peak == pytest.approx(0.094482421875, abs=1e-12)
     assert abs(gc_peak - 0.3) < 0.01
     assert abs(ga_peak - 0.1) < 0.01
-    assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.xfail(
@@ -209,7 +199,6 @@ def test_acceptance_05_autonomy_peak_grid_alignment():
 
 
 def test_acceptance_06_feedback_lowers_autonomy():
-    start = time.perf_counter()
     with_feedback = build_true_model(
         SimSpec(system="closed_loop", n=10, b=1.0, c=0.5, d=1.0)
     )
@@ -228,21 +217,19 @@ def test_acceptance_06_feedback_lowers_autonomy():
     local_max = GRID.values[1:-1][interior]
     assert any(0.25 <= f <= 0.35 for f in local_max)
     assert ga[GRID.values > 0.35].min() < 0.0
-    assert time.perf_counter() - start < 5.0
 
 
 @pytest.fixture(scope="module")
 def confounded_studies():
-    start = time.perf_counter()
     out = {}
     for label, a, b in (("I", 0.0, 0.0), ("II", 0.0, 0.8), ("III", 0.8, 0.0)):
         profiles, failures = run_confounded_study(a, b, n_runs=100, n=500, seed=0)
         out[label] = (profiles, failures)
-    return {"studies": out, "elapsed": time.perf_counter() - start}
+    return out
 
 
 def test_acceptance_07_confounded_study_reproduction(confounded_studies):
-    studies = confounded_studies["studies"]
+    studies = confounded_studies
     for label, (profiles, failures) in studies.items():
         assert failures == 0
         gc = profiles["gc"].values
@@ -261,7 +248,6 @@ def test_acceptance_07_confounded_study_reproduction(confounded_studies):
     ga_iii = studies["III"][0]["ga"].values
     peak_iii = GRID.values[np.argmax(ga_iii)]
     assert 0.18 <= peak_iii <= 0.22
-    assert confounded_studies["elapsed"] < 300.0
 
 
 @pytest.mark.xfail(
@@ -270,7 +256,7 @@ def test_acceptance_07_confounded_study_reproduction(confounded_studies):
     "lands at 0.076, below the 0.10 +/- 0.02 window",
 )
 def test_acceptance_07_autonomy_peak_window_with_self_dynamics(confounded_studies):
-    ga = confounded_studies["studies"]["II"][0]["ga"].values
+    ga = confounded_studies["II"][0]["ga"].values
     peak = GRID.values[np.argmax(ga)]
     assert 0.08 <= peak <= 0.12
 
@@ -278,7 +264,6 @@ def test_acceptance_07_autonomy_peak_window_with_self_dynamics(confounded_studie
 def test_acceptance_08_surrogate_calibration():
     # false-positive rate inside the exact binomial band at alpha = 0.05,
     # and near-certain detection under solid coupling
-    start = time.perf_counter()
 
     def gc_time(pair):
         model = fit_var(pair.x, pair.y, 2).diagonalized()
@@ -304,22 +289,20 @@ def test_acceptance_08_surrogate_calibration():
         for r in range(100)
     )
     assert power_hits >= 90
-    assert time.perf_counter() - start < 600.0
 
 
 @pytest.fixture(scope="module")
 def benchmark_matrix():
-    start = time.perf_counter()
     config = AnalysisConfig(order=2, detrend_cutoff=None)
     out = {}
     for k, setting in enumerate(("i", "ii", "iii", "iv")):
         pair = simulate(SimSpec(system="benchmark", n=500, seed=(0, k), setting=setting))
         out[setting] = analyze_pair(pair, config)
-    return {"results": out, "elapsed": time.perf_counter() - start}
+    return out
 
 
 def test_acceptance_09_four_setting_benchmark_matrix(benchmark_matrix):
-    results = benchmark_matrix["results"]
+    results = benchmark_matrix
 
     def peak(setting, name):
         values = results[setting].profiles[name].values
@@ -352,7 +335,6 @@ def test_acceptance_09_four_setting_benchmark_matrix(benchmark_matrix):
         assert gi.min() < 0.1
     for setting in ("i", "ii"):
         assert results[setting].profiles["gi"].values.min() > 1.0, setting
-    assert benchmark_matrix["elapsed"] < 30.0
 
 
 @pytest.mark.xfail(
@@ -362,7 +344,7 @@ def test_acceptance_09_four_setting_benchmark_matrix(benchmark_matrix):
     "absence shows in amplitude, not location",
 )
 def test_acceptance_09_causality_silent_without_coupling(benchmark_matrix):
-    results = benchmark_matrix["results"]
+    results = benchmark_matrix
     for setting in ("i", "ii"):
         values = results[setting].profiles["gc"].values
         freq = GRID.values[np.argmax(values)]

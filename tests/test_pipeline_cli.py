@@ -10,6 +10,7 @@ from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
 from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, build_true_model, simulate
 from gica.timeseries import TimeSeriesPair
+from gica.varmodel import UnstableModelError
 
 PROFILE_NAMES = (
     "dc_yx",
@@ -27,6 +28,16 @@ PROFILE_NAMES = (
 @pytest.fixture(scope="module")
 def sim_pair():
     return simulate(SimSpec(system="open_loop", n=600, seed=3, b=1.0, c=0.5))
+
+
+def explosive_pair():
+    # driver x_t = 1.05 x_{t-1} + u_t; an order-1 fit lands at radius 1.0494
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(200)
+    x = np.zeros(200)
+    for t in range(1, 200):
+        x[t] = 1.05 * x[t - 1] + u[t]
+    return TimeSeriesPair(x, rng.standard_normal(200), 1.0)
 
 
 def test_config_validation():
@@ -133,6 +144,12 @@ def test_report_serialization_keys(sim_pair):
     assert set(report) == {"schema", "F_xy", "F_y", "A_y", "bands", "warnings"}
     assert report["schema"] == 1
     assert set(report["bands"]) == {"VLF", "LF"}
+
+
+def test_analysis_rejects_unstable_fit():
+    config = AnalysisConfig(order=1, detrend_cutoff=None)
+    with pytest.raises(UnstableModelError, match="model is unstable"):
+        analyze_pair(explosive_pair(), config)
 
 
 def run_cli(args):
@@ -284,6 +301,16 @@ def test_cli_error_exits(tmp_path, capsys):
                   "--out", tmp_path / "q.csv"])
     assert rc == 1
     assert "benchmark requires setting" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_unstable_fit(tmp_path, capsys):
+    pair = explosive_pair()
+    csv = tmp_path / "explosive.csv"
+    np.savetxt(csv, np.column_stack([pair.x, pair.y]), delimiter=",", fmt="%.17g")
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--order", "1",
+                  "--detrend-cutoff", "off", "--out", tmp_path / "o"])
+    assert rc == 1
+    assert "error: model is unstable" in capsys.readouterr().err
 
 
 def test_cli_seed_from_environment(tmp_path, capsys, monkeypatch):

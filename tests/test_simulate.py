@@ -9,7 +9,6 @@ from gica.simulate import (
     BENCHMARK_SETTINGS,
     BURN_IN,
     SimSpec,
-    _simulate_loop,
     build_confounded_system,
     build_true_model,
     run_confounded_study,
@@ -184,14 +183,23 @@ def test_simulate_length_and_rate():
         assert np.isfinite(pair.x).all() and np.isfinite(pair.y).all()
 
 
-def test_filter_path_matches_direct_recursion():
-    # the filter-based generator and the generic recursion must agree
-    spec = SimSpec(system="open_loop", n=500, seed=7, b=1.0, c=0.5)
+def assert_matches_recursion(spec, var_loop):
     pair = simulate(spec)
-    noise = np.random.default_rng(7).standard_normal((BURN_IN + spec.n, 2))
-    x2, y2 = _simulate_loop(build_true_model(spec), noise)
+    noise = np.random.default_rng(spec.seed).standard_normal((BURN_IN + spec.n, 2))
+    x2, y2 = var_loop(build_true_model(spec).coeffs, noise).T
     assert_allclose(pair.x, x2[BURN_IN:], rtol=0, atol=1e-12)
     assert_allclose(pair.y, y2[BURN_IN:], rtol=0, atol=1e-12)
+
+
+def test_filter_path_matches_direct_recursion(var_loop_reference):
+    # the filter-based generator and the generic recursion must agree
+    spec = SimSpec(system="open_loop", n=500, seed=7, b=1.0, c=0.5)
+    assert_matches_recursion(spec, var_loop_reference)
+
+
+def test_closed_loop_matches_direct_recursion(var_loop_reference):
+    spec = SimSpec(system="closed_loop", n=500, seed=7, b=1.0, c=0.5, d=1.0)
+    assert_matches_recursion(spec, var_loop_reference)
 
 
 def test_closed_loop_realization_refits_to_true_model():

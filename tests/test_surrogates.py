@@ -9,6 +9,7 @@ from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
 from gica.surrogates import (
     H1,
     H2,
+    SURROGATE_BURN_IN,
     TAILS,
     SignificanceVerdict,
     SurrogateConfig,
@@ -120,6 +121,42 @@ def test_surrogate_streams_are_index_keyed(coupled_pair):
     )
     for a, b in zip(small, large[:3]):
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def loop_surrogates(pair, config, p, q):
+    """The documented H1/H2 generator equations, one sample at a time."""
+    a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, p)
+    kind = "ar_on_y" if config.hypothesis == H1 else "x_on_y"
+    b, v = fit_restricted_direct(pair.x, pair.y, kind, q)
+    total = SURROGATE_BURN_IN + pair.n
+    out = []
+    for i in range(config.n_surrogates):
+        rng = np.random.default_rng((config.seed, i))
+        u_perm = rng.permutation(u)
+        v_perm = rng.permutation(v)
+        x = np.zeros(total)
+        y = np.zeros(total)
+        source = y if config.hypothesis == H1 else x
+        for t in range(total):
+            j = t if t < SURROGATE_BURN_IN else t - SURROGATE_BURN_IN
+            x[t] = u_perm[j % u.size]
+            for k in range(1, min(p, t) + 1):
+                x[t] += a_xx[k - 1] * x[t - k] + a_xy[k - 1] * y[t - k]
+            y[t] = v_perm[j % v.size]
+            for k in range(1, min(q, t) + 1):
+                y[t] += b[k - 1] * source[t - k]
+        out.append((x[SURROGATE_BURN_IN:], y[SURROGATE_BURN_IN:]))
+    return out
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+@pytest.mark.parametrize("p", [2, 14])
+def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
+    config = SurrogateConfig(n_surrogates=3, seed=5, hypothesis=hypothesis)
+    batch = generate_surrogates(coupled_pair, config, p, 20)
+    for sur, (x, y) in zip(batch, loop_surrogates(coupled_pair, config, p, 20), strict=True):
+        assert_allclose(sur.x, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
 
 
 def test_h1_surrogates_break_coupling(coupled_pair):

@@ -1,6 +1,8 @@
 """Full-model identification, stability handling, and autocovariance."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gica.simulate import SimSpec, build_true_model, simulate
@@ -14,6 +16,8 @@ from gica.varmodel import (
     lagged_design,
     poles_to_ar_coeffs,
     select_order_aic,
+    simulate_var,
+    spectral_radius,
 )
 
 
@@ -51,8 +55,31 @@ def test_unstable_model_raises():
     coeffs = np.array([[[1.05, 0.0], [0.0, 0.2]]])
     model = BivariateVarModel(coeffs, np.eye(2))
     assert not model.is_stable()
-    with pytest.raises(UnstableModelError):
+    with pytest.raises(UnstableModelError, match="model is unstable: companion spectral radius 1.05 >= 1"):
         model.require_stable()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 20),
+    k=st.sampled_from([2, 3]),
+    batch=st.integers(1, 5),
+    length=st.integers(1, 80),
+)
+def test_simulate_var_rows_match_alone_and_loop(var_loop_reference, seed, m, k, batch, length):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(scale=0.3, size=(m, k, k))
+    # scaling A_j by s**j multiplies every companion eigenvalue by s
+    scale = rng.uniform(0.5, 0.95) / spectral_radius(coeffs)
+    coeffs *= scale ** np.arange(1, m + 1)[:, None, None]
+    drive = rng.standard_normal((batch, length, k))
+    together = simulate_var(coeffs, drive)
+    assert together.shape == drive.shape
+    for row, alone in zip(together, drive):
+        assert np.array_equal(row, simulate_var(coeffs, alone))
+        ref = var_loop_reference(coeffs, alone)
+        assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_diagonalized_zeroes_cross_covariance():
