@@ -12,10 +12,10 @@ past,
     coeffs = r @ inv(Sigma_past),      resid_var = Gamma_yy(0) - r @ coeffs.
 
 Direct least-squares refits on long realizations are used only as test
-oracles for this route. :func:`derive_restricted` is the entry point: it
-builds both models from a full model and checks the truncation at ``2q``;
-:func:`gica.spectral.assemble_profiles` then turns the three models into
-measures.
+oracles for this route. :func:`restricted_stack` identifies one kind for a
+stack, its ``(B, q, q)`` Toeplitz systems built by index and solved at once;
+:func:`derive_restricted` is its batch of one for both kinds plus a ``2q``
+truncation check, and :func:`gica.spectral.assemble_profiles` follows it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .varmodel import AutocovarianceSequence, BivariateVarModel, compute_autocovariance
 
@@ -87,41 +86,47 @@ class RestrictedModel:
         return cls(data["kind"], coeffs, float(data["resid_var"]))
 
 
-def _solve_projection(
-    past_cov_col: np.ndarray, cross: np.ndarray, var_y: float, kind: str
-) -> RestrictedModel:
-    past_cov = toeplitz(past_cov_col)
-    assert np.array_equal(past_cov, past_cov.T)
+def restricted_stack(gammas: np.ndarray, q: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(B, q)`` and residual variances ``(B,)`` of one restricted kind.
+
+    ``gammas`` stacks ``(B, Q + 1, 2, 2)`` autocovariances, ``Q >= q``; any
+    row's singular system or non-positive residual variance fails the stack.
+    """
+    past = 1 if kind == AR_ON_Y else 0  # channel whose past is regressed on
+    col = gammas[:, :q, past, past]
+    cross = gammas[:, 1 : q + 1, 1, past]
+    lags = np.arange(q)
     try:
-        coeffs = np.linalg.solve(past_cov, cross)
+        coeffs = np.linalg.solve(col[:, abs(lags[:, None] - lags)], cross[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ValueError(
             f"degenerate past covariance in {kind} identification (singular Toeplitz system)"
         ) from None
-    resid_var = var_y - float(cross @ coeffs)
-    if resid_var <= 0:
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coeffs contain non-finite values")
+    resid_var = gammas[:, 0, 1, 1] - (cross[:, None] @ coeffs[..., None])[:, 0, 0]
+    if not np.all(resid_var > 0):
         raise ValueError(
-            f"non-positive residual variance {resid_var:.6g} in {kind} identification"
+            f"non-positive residual variance {np.min(resid_var):.6g} in {kind} identification"
         )
-    return RestrictedModel(kind, coeffs, resid_var)
+    return coeffs, resid_var
+
+
+def _restricted(gammas: AutocovarianceSequence, q: int, kind: str) -> RestrictedModel:
+    if not 1 <= q <= gammas.q:
+        raise ValueError(f"q must lie in [1, {gammas.q}], got {q}")
+    coeffs, resid_var = restricted_stack(gammas.gammas[None], q, kind)
+    return RestrictedModel(kind, coeffs[0], resid_var[0])
 
 
 def restricted_ar(gammas: AutocovarianceSequence, q: int = 20) -> RestrictedModel:
     """Autoregression of the target on its own past, truncated at ``q`` lags."""
-    if not 1 <= q <= gammas.q:
-        raise ValueError(f"q must lie in [1, {gammas.q}], got {q}")
-    col = np.array([gammas.gamma_yy(k) for k in range(q)])
-    cross = np.array([gammas.gamma_yy(k) for k in range(1, q + 1)])
-    return _solve_projection(col, cross, gammas.gamma_yy(0), AR_ON_Y)
+    return _restricted(gammas, q, AR_ON_Y)
 
 
 def restricted_x(gammas: AutocovarianceSequence, q: int = 20) -> RestrictedModel:
     """Regression of the target on the driver's past, truncated at ``q`` lags."""
-    if not 1 <= q <= gammas.q:
-        raise ValueError(f"q must lie in [1, {gammas.q}], got {q}")
-    col = np.array([gammas.gamma_xx(k) for k in range(q)])
-    cross = np.array([gammas.gamma_yx(k) for k in range(1, q + 1)])
-    return _solve_projection(col, cross, gammas.gamma_yy(0), X_ON_Y)
+    return _restricted(gammas, q, X_ON_Y)
 
 
 def derive_restricted(
@@ -134,17 +139,15 @@ def derive_restricted(
     short for this model's memory.
     """
     gammas = compute_autocovariance(model, 2 * q)
-    rest_ar = restricted_ar(gammas, q)
-    rest_x = restricted_x(gammas, q)
-    if warnings is not None:
-        for short, kind in ((rest_ar, "self-past"), (rest_x, "driver-past")):
-            long = restricted_ar(gammas, 2 * q) if kind == "self-past" else restricted_x(
-                gammas, 2 * q
+    rest_ar, rest_x = _restricted(gammas, q, AR_ON_Y), _restricted(gammas, q, X_ON_Y)
+    if warnings is None:
+        return rest_ar, rest_x
+    for short, name in ((rest_ar, "self-past"), (rest_x, "driver-past")):
+        long = _restricted(gammas, 2 * q, short.kind)
+        shift = abs(long.resid_var - short.resid_var) / short.resid_var
+        if shift > TRUNCATION_SHIFT_WARN:
+            warnings.append(
+                f"{name} residual variance shifts by {shift:.2e} when the "
+                f"truncation is doubled from {q} to {2 * q} lags; consider a larger q"
             )
-            shift = abs(long.resid_var - short.resid_var) / short.resid_var
-            if shift > TRUNCATION_SHIFT_WARN:
-                warnings.append(
-                    f"{kind} residual variance shifts by {shift:.2e} when the "
-                    f"truncation is doubled from {q} to {2 * q} lags; consider a larger q"
-                )
     return rest_ar, rest_x

@@ -28,7 +28,7 @@ then :func:`gica.spectral.assemble_profiles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -233,17 +233,7 @@ def theoretical_sweep(
         raise ValueError(f"sweep parameter must be b, c, or d, got {param!r}")
     out = []
     for value in values:
-        spec = SimSpec(
-            system=base.system,
-            n=base.n,
-            seed=base.seed,
-            b=value if param == "b" else base.b,
-            c=value if param == "c" else base.c,
-            d=value if param == "d" else base.d,
-            a=base.a,
-            setting=base.setting,
-        )
-        profiles, report = theoretical_profiles(spec, grid, q, bands)
+        profiles, report = theoretical_profiles(replace(base, **{param: value}), grid, q, bands)
         out.append((value, profiles, report))
     return out
 

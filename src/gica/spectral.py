@@ -23,15 +23,18 @@ spectral measure integrates back to its time-domain counterpart,
 ``2 * integral over [0, 1/2]``, and the zero-mean shape
 ``abar(f) = a(f) - A_Y`` integrates to zero.
 
-:func:`assemble_profiles` is the one place a model becomes measures. Given
-the restricted models from :func:`gica.restricted.derive_restricted`, it
-calls :func:`full_transfer` and :func:`restricted_transfer_ga` once each
-and derives every profile, the time-domain values and the band table from
-those two transfers.
+The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
+model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
+/ |G_yy|^2 = |det F|^2 / |det E|^2``, so nothing is inverted.
+:func:`measure_stack` is the one place models become measures: one real FFT
+gives the lag polynomials of a whole stack, and each band mean is one
+cached weight vector per grid and band. :func:`assemble_profiles` is its
+batch of one, plus the display spectra and coherences from the same ``E``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,22 +103,29 @@ class SpectralProfile:
         object.__setattr__(self, "values", values)
 
 
-def _transfer(coeffs: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
-    """``[I - sum_k A_k e^(-2i pi f k)]^(-1)`` on the grid, shape ``(n, 2, 2)``.
+def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, 2, 2)`` by one real FFT, ``(B, n, 2, 2)``.
 
-    The grid frequencies are ``j / M`` with ``M = 2 (n - 1)``, so the lag
-    polynomials are one real FFT of length ``M`` (lags ``k >= M`` alias
-    onto ``k mod M``), and each 2x2 matrix is inverted in closed form.
+    The grid is ``j / M``, ``M = 2 (n - 1)``, so lags ``k >= M`` alias onto ``k mod M``.
     """
-    m = 2 * (grid.n_points - 1)
-    seq = np.zeros((m, 2, 2))
-    np.add.at(seq, np.arange(1, coeffs.shape[0] + 1) % m, coeffs)
-    e = np.eye(2) - np.fft.rfft(seq, axis=0)
-    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    size = 2 * (grid.n_points - 1)
+    seq = np.zeros((coeffs.shape[0], size, 2, 2))
+    np.add.at(seq, (slice(None), np.arange(1, coeffs.shape[1] + 1) % size), coeffs)
+    return np.eye(2) - np.fft.rfft(seq, axis=1)
+
+
+def _det(e: np.ndarray, what: str) -> np.ndarray:
+    det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
     if np.any(det == 0):
         raise UnstableModelError(f"{what} transfer is singular on the frequency grid")
+    return det
+
+
+def _transfer(coeffs: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
+    """``E(f)^(-1)`` of one model on the grid, inverted in closed form, ``(n, 2, 2)``."""
+    e = _lag_transform(coeffs[None], grid)[0]
     adj = np.stack([e[:, 1, 1], -e[:, 0, 1], -e[:, 1, 0], e[:, 0, 0]], axis=-1)
-    return adj.reshape(-1, 2, 2) / det[:, None, None]
+    return adj.reshape(-1, 2, 2) / _det(e, what)[:, None, None]
 
 
 def full_transfer(model: BivariateVarModel, grid: FrequencyGrid) -> np.ndarray:
@@ -125,11 +135,12 @@ def full_transfer(model: BivariateVarModel, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _mixed_coeffs(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
-    m = max(len(a_xx), len(a_xy), len(b_yx))
-    coeffs = np.zeros((m, 2, 2))
-    coeffs[: len(a_xx), 0, 0] = a_xx
-    coeffs[: len(a_xy), 0, 1] = a_xy
-    coeffs[: len(b_yx), 1, 0] = b_yx
+    """Lags ``(..., m, 2, 2)`` of the mixed model from lag vectors ``(..., k)``."""
+    m = max(a_xx.shape[-1], a_xy.shape[-1], b_yx.shape[-1])
+    coeffs = np.zeros((*b_yx.shape[:-1], m, 2, 2))
+    coeffs[..., : a_xx.shape[-1], 0, 0] = a_xx
+    coeffs[..., : a_xy.shape[-1], 0, 1] = a_xy
+    coeffs[..., : b_yx.shape[-1], 1, 0] = b_yx
     return coeffs
 
 
@@ -148,24 +159,44 @@ def restricted_transfer_ga(
     return _transfer(_mixed_coeffs(a_xx, a_xy, b_yx), grid, "mixed model")
 
 
-def _require_mixed_stable(model: BivariateVarModel, rest_x: RestrictedModel) -> None:
-    mixed = _mixed_coeffs(model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs)
-    require_stable(mixed, "mixed model for autonomy")
-
-
-def _nonnegative(value: float, name: str) -> float:
+def _nonnegative(value: np.ndarray, name: str) -> np.ndarray:
     # projection inequalities guarantee >= 0 up to roundoff
-    if value < -1e-9:
-        raise ValueError(f"{name} is negative ({value:.6g}); inconsistent models")
-    return max(value, 0.0)
+    if np.any(value < -1e-9):
+        raise ValueError(f"{name} is negative ({np.min(value):.6g}); inconsistent models")
+    return np.maximum(value, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_weights(grid: FrequencyGrid, lo: float, hi: float) -> np.ndarray:
+    """Weights ``w`` with ``w @ values`` the band integral over normalized ``[lo, hi]``."""
+    values = grid.values
+    nodes = np.concatenate([[lo], values[(values > lo) & (values < hi)], [hi]])
+    node_w = np.diff(nodes, prepend=lo) + np.diff(nodes, append=hi)  # 2 * trapezoid
+    j = np.clip(np.searchsorted(values, nodes, side="right") - 1, 0, grid.n_points - 2)
+    t = (nodes - values[j]) / (values[j + 1] - values[j])
+    weights = np.zeros(grid.n_points)
+    np.add.at(weights, j, node_w * (1 - t))
+    np.add.at(weights, j + 1, node_w * t)
+    return weights
+
+
+def _band_integrals(values: np.ndarray, grid: FrequencyGrid, f_lo_hz: float, f_hi_hz: float):
+    """Band integral and mean of each row of ``values`` ``(B, n)``, ``inf`` for any ``inf``."""
+    fs = grid.fs
+    if not 0 <= f_lo_hz < f_hi_hz <= fs / 2:
+        raise ValueError(
+            f"band [{f_lo_hz}, {f_hi_hz}] Hz must satisfy 0 <= lo < hi <= {fs / 2}"
+        )
+    lo, hi = f_lo_hz / fs, f_hi_hz / fs
+    isinf = np.isinf(values)
+    finite = (np.where(isinf, 0.0, values) * _band_weights(grid, lo, hi)).sum(axis=-1)
+    integral = np.where(isinf.any(axis=-1), np.inf, finite)
+    return integral, integral / (2.0 * (hi - lo))
 
 
 def full_band_integral(profile: SpectralProfile) -> float:
     """``2 * trapezoid integral`` over the whole normalized band [0, 1/2]."""
-    values = profile.values
-    if np.isinf(values).any():
-        return float("inf")
-    return float(2.0 * np.trapezoid(values, profile.grid.values))
+    return integrate_band(profile, 0.0, profile.grid.fs / 2)[0]
 
 
 def integrate_band(
@@ -177,21 +208,8 @@ def integrate_band(
     band edges included by linear interpolation; the mean divides by twice
     the normalized bandwidth, giving the average profile height in nats.
     """
-    fs = profile.grid.fs
-    if not 0 <= f_lo_hz < f_hi_hz <= fs / 2:
-        raise ValueError(
-            f"band [{f_lo_hz}, {f_hi_hz}] Hz must satisfy 0 <= lo < hi <= {fs / 2}"
-        )
-    lo, hi = f_lo_hz / fs, f_hi_hz / fs
-    values = profile.grid.values
-    inside = values[(values > lo) & (values < hi)]
-    nodes = np.concatenate([[lo], inside, [hi]])
-    band = np.interp(nodes, values, profile.values)
-    if np.isinf(band).any() or np.isinf(profile.values).any():
-        return float("inf"), float("inf")
-    integral = float(2.0 * np.trapezoid(band, nodes))
-    mean = integral / (2.0 * (hi - lo))
-    return integral, mean
+    integral, mean = _band_integrals(profile.values[None], profile.grid, f_lo_hz, f_hi_hz)
+    return float(integral[0]), float(mean[0])
 
 
 # default analysis bands in Hz: very-low- and low-frequency
@@ -209,13 +227,25 @@ def band_table(
     ``profiles`` must contain ``gc``, ``gi``, and ``ga`` entries; the result
     maps band name to measure name to ``{"integral", "mean"}``.
     """
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    for band, (lo, hi) in bands.items():
-        table[band] = {}
-        for measure in ("gc", "gi", "ga"):
-            integral, mean = integrate_band(profiles[measure], lo, hi)
-            table[band][measure] = {"integral": integral, "mean": mean}
-    return table
+    stack = {m: profiles[m].values[None] for m in ("gc", "gi", "ga")}
+    return _band_row(_band_stack(stack, profiles["gc"].grid, bands), 0)
+
+
+def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dict) -> dict:
+    return {
+        band: {
+            m: dict(zip(("integral", "mean"), _band_integrals(profiles[m], grid, lo, hi)))
+            for m in ("gc", "gi", "ga")
+        }
+        for band, (lo, hi) in bands.items()
+    }
+
+
+def _band_row(table: dict, i: int) -> dict[str, dict[str, dict[str, float]]]:
+    return {
+        band: {m: {k: float(v[i]) for k, v in pair.items()} for m, pair in cells.items()}
+        for band, cells in table.items()
+    }
 
 
 @dataclass
@@ -263,6 +293,43 @@ class MeasureReport:
         return out
 
 
+def measure_stack(
+    coeffs: np.ndarray, sigma: np.ndarray, ar_var: np.ndarray, x_coeffs: np.ndarray,
+    x_var: np.ndarray, grid: FrequencyGrid, bands: dict[str, tuple[float, float]],
+) -> tuple[np.ndarray, dict[str, np.ndarray], MeasureReport]:
+    """``E(f)``, the gc, gi and ga profiles ``(B, n)`` and the report of a stack of models.
+
+    The full models (``sigma``'s diagonal used) passed the gate of
+    :func:`gica.varmodel.autocovariance_stack`; ``ar_var`` is the self-past
+    residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
+    mixed models are gated here. The report holds ``(B,)`` arrays.
+    """
+    e = _lag_transform(coeffs, grid)
+    det_e = _det(e, "full model")
+    mixed = _mixed_coeffs(coeffs[:, :, 0, 0], coeffs[:, :, 0, 1], x_coeffs)
+    require_stable(mixed, "mixed model for autonomy")
+    det_f = _det(_lag_transform(mixed, grid), "mixed model")
+    s2_x, s2_y = sigma[:, 0, 0], sigma[:, 1, 1]
+    causal = s2_x[:, None] * np.abs(e[..., 1, 0]) ** 2
+    internal = s2_y[:, None] * np.abs(e[..., 0, 0]) ** 2
+    if np.any(causal + internal == 0):
+        raise ValueError(
+            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
+        )
+    with np.errstate(divide="ignore"):  # where one share is zero, the other measure is +inf
+        gc, gi = np.log1p(causal / internal), np.log1p(internal / causal)
+    ga_shape = 2.0 * np.log(np.abs(det_f / det_e))
+    a_y = np.log(x_var / s2_y)
+    profiles = {"gc": gc, "gi": gi, "ga_shape": ga_shape, "ga": a_y[:, None] + ga_shape}
+    for name, values in profiles.items():
+        if np.isnan(values).any():
+            raise ValueError(f"profile {name!r} contains NaN")
+    f_xy, f_y = np.log(ar_var / s2_y), _band_integrals(gi, grid, 0.0, grid.fs / 2)[0]
+    report = MeasureReport(_nonnegative(f_xy, "F_xy"), f_y, _nonnegative(a_y, "A_y"))
+    report.bands = _band_stack(profiles, grid, bands)
+    return e, profiles, report
+
+
 def assemble_profiles(
     model: BivariateVarModel,
     rest_ar: RestrictedModel,
@@ -273,58 +340,31 @@ def assemble_profiles(
 ) -> tuple[dict[str, SpectralProfile], MeasureReport]:
     """Every spectral profile and the measure report of one model.
 
-    One pass: ``H(f)`` and the mixed-model ``G(f)`` are each computed once.
-    The profiles are the power spectra ``psd_x``, ``psd_y`` (densities per
-    Hz under the diagonal-covariance convention) and ``psd_cross``; the
-    squared directed coherences ``dc_yx``, ``dc_yy``, the causal and
-    internal shares of ``P_Y`` that sum to one; ``gc = ln(P_Y / (s2_y
-    |H_yy|^2))``; ``gi = ln(P_Y / (s2_x |H_yx|^2))``, ``+inf`` where the
-    causal part vanishes; the autonomy shape ``ga_shape = ln(|H_yy|^2 /
-    |G_yy|^2)`` and ``ga = A_y + ga_shape``. The report holds ``F_xy =
-    ln(s2_yy / s2_y)``, ``A_y = ln(s2_yx / s2_y)``, ``F_y = 2 * int gi``
-    and the band integrals and means of gc, gi and ga over ``bands``.
+    :func:`measure_stack` of one model that passed the gate of
+    :func:`gica.restricted.derive_restricted`, plus, from the same ``E(f)``,
+    the power spectra ``psd_x``, ``psd_y`` (densities per Hz under the
+    diagonal-covariance convention) and ``psd_cross``, and the squared
+    directed coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
     """
     if rest_ar.kind != AR_ON_Y:
         raise ValueError(f"F_xy needs a self-past restricted model, got {rest_ar.kind!r}")
     if rest_x.kind != X_ON_Y:
         raise ValueError(f"autonomy needs a driver-only restricted model, got {rest_x.kind!r}")
-    h = full_transfer(model, grid)
-    _require_mixed_stable(model, rest_x)
-    g = restricted_transfer_ga(
-        model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs, grid
-    )
-    s2_x, s2_y = model.sigma_x, model.sigma_y
-    causal = s2_x * np.abs(h[:, 1, 0]) ** 2
-    internal = s2_y * np.abs(h[:, 1, 1]) ** 2
+    rest = np.array([rest_ar.resid_var]), rest_x.coeffs[None], np.array([rest_x.resid_var])
+    e, stack, stacked = measure_stack(model.coeffs[None], model.sigma[None], *rest, grid, bands)
+    e, s2_x, s2_y = e[0], model.sigma_x, model.sigma_y
+    causal, internal = s2_x * np.abs(e[:, 1, 0]) ** 2, s2_y * np.abs(e[:, 0, 0]) ** 2
     total = causal + internal
-    if np.any(total == 0):
-        raise ValueError(
-            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
-        )
-    gi = np.full_like(causal, np.inf)
-    nz = causal > 0
-    gi[nz] = np.log1p(internal[nz] / causal[nz])
-    ga_shape = np.log(np.abs(h[:, 1, 1]) ** 2) - np.log(np.abs(g[:, 1, 1]) ** 2)
-    a_y = float(np.log(rest_x.resid_var / s2_y))
-    scale = 1.0 / grid.fs
-    cross = s2_x * h[:, 1, 0] * h[:, 0, 0].conj() + s2_y * h[:, 1, 1] * h[:, 0, 1].conj()
+    scale = 1.0 / (grid.fs * np.abs(_det(e, "full model")) ** 2)
+    cross = s2_x * e[:, 1, 0] * e[:, 1, 1].conj() + s2_y * e[:, 0, 0] * e[:, 0, 1].conj()
     values = {
-        "psd_x": (s2_x * np.abs(h[:, 0, 0]) ** 2 + s2_y * np.abs(h[:, 0, 1]) ** 2) * scale,
+        "psd_x": (s2_x * np.abs(e[:, 1, 1]) ** 2 + s2_y * np.abs(e[:, 0, 1]) ** 2) * scale,
         "psd_y": total * scale,
         "psd_cross": np.abs(cross) * scale,
         "dc_yx": causal / total,
         "dc_yy": internal / total,
-        "gc": np.log1p(causal / internal),
-        "gi": gi,
-        "ga_shape": ga_shape,
-        "ga": a_y + ga_shape,
+        **{name: v[0] for name, v in stack.items()},
     }
     profiles = {name: SpectralProfile(grid, v, name) for name, v in values.items()}
-    report = MeasureReport(
-        f_xy=_nonnegative(np.log(rest_ar.resid_var / s2_y), "F_xy"),
-        f_y=full_band_integral(profiles["gi"]),
-        a_y=_nonnegative(a_y, "A_y"),
-        bands=band_table(profiles, bands),
-        warnings=list(warnings or []),
-    )
-    return profiles, report
+    times = (float(v[0]) for v in (stacked.f_xy, stacked.f_y, stacked.a_y))
+    return profiles, MeasureReport(*times, _band_row(stacked.bands, 0), list(warnings or []))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y
 from .timeseries import TimeSeriesPair
-from .varmodel import lagged_design, require_stable, simulate_var
+from .varmodel import gated_lstsq, lagged_design, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
 
@@ -84,13 +84,6 @@ class SignificanceVerdict:
         }
 
 
-def _lstsq_row(design: np.ndarray, target: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise ValueError(f"rank-deficient regression while fitting {what}")
-    return sol, target - design @ sol
-
-
 def fit_driver_row(
     x: np.ndarray, y: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +96,7 @@ def fit_driver_row(
     if x.size <= 3 * p:
         raise ValueError(f"series too short ({x.size}) for driver fit at order {p}")
     design = lagged_design([x, y], p)
-    sol, resid = _lstsq_row(design, x[p:], "the driver equation")
+    sol, resid = gated_lstsq(design, x[p:], "the driver equation")
     return sol[:p], sol[p:], resid
 
 
@@ -123,7 +116,7 @@ def fit_restricted_direct(
         raise ValueError(f"series too short ({y.size}) for restricted fit at {q} lags")
     source = y if kind == AR_ON_Y else x
     design = lagged_design([source], q)
-    coeffs, resid = _lstsq_row(design, y[q:], f"the {kind} regression")
+    coeffs, resid = gated_lstsq(design, y[q:], f"the {kind} regression")
     return coeffs, resid
 
 

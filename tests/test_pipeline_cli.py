@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.varmodel
 from gica.cli import main
 from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
 from gica.restricted import derive_restricted
@@ -72,6 +73,43 @@ def test_analyze_pair_selects_order(sim_pair):
     result = analyze_pair(sim_pair, config)
     assert result.order == 2
     assert result.report.warnings == []
+
+
+def test_aic_at_p_max_warns():
+    # an AR(3) driver: AIC keeps falling up to order 3, so a ceiling of 2 binds
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal(2100)
+    x = np.zeros(2100)
+    for t in range(3, 2100):
+        x[t] = 0.2 * x[t - 1] + 0.1 * x[t - 2] + 0.6 * x[t - 3] + u[t]
+    y = np.roll(x, 1) * 0.5 + rng.standard_normal(2100)
+    pair = TimeSeriesPair(x[100:], y[100:], 1.0)
+    config = AnalysisConfig(detrend_cutoff=None, order="aic", p_max=2, grid_points=257)
+    result = analyze_pair(pair, config)
+    assert result.order == 2
+    assert any("order 2 = p_max" in w for w in result.report.warnings)
+    unbounded = analyze_pair(pair, AnalysisConfig(detrend_cutoff=None, p_max=6, grid_points=257))
+    assert unbounded.order == 3
+    assert not any("p_max" in w for w in unbounded.report.warnings)
+
+
+def test_each_model_is_gated_once(sim_pair, monkeypatch):
+    # one analysis with 10 H1 surrogates: the fitted model and its mixed
+    # model, the surrogate generator, and each surrogate's model and mixed
+    # model pass the companion-eigenvalue gate exactly once
+    gated = []
+    radius = gica.varmodel.spectral_radius
+
+    def counting(coeffs):
+        gated.append(int(np.prod(np.shape(coeffs)[:-3])))
+        return radius(coeffs)
+
+    monkeypatch.setattr(gica.varmodel, "spectral_radius", counting)
+    config = AnalysisConfig(
+        detrend_cutoff=None, order=2, grid_points=257, n_surrogates=10, hypotheses=("h1",)
+    )
+    analyze_pair(sim_pair, config)
+    assert sum(gated) == 1 + 1 + 1 + 10 + 10
 
 
 def test_long_memory_model_warns_about_truncation(sim_pair):

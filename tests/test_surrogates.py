@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gica.pipeline import SURROGATE_BLOCK, surrogate_values
 from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, simulate
 from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
@@ -157,6 +158,67 @@ def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
     for sur, (x, y) in zip(batch, loop_surrogates(coupled_pair, config, p, 20), strict=True):
         assert_allclose(sur.x, x, rtol=0, atol=1e-12 * np.abs(x).max())
         assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
+
+
+BLOCK_GRID = FrequencyGrid(513)
+SCOPES = ("time", "VLF", "LF")
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+@pytest.mark.parametrize("p", [2, 14])
+def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
+    # a full block and a partial one, against fit_var -> derive_restricted ->
+    # assemble_profiles surrogate by surrogate
+    n = SURROGATE_BLOCK + 3
+    config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
+    pairs = generate_surrogates(coupled_pair, config, p, 20)
+    values = surrogate_values(pairs, p, 20, BLOCK_GRID, DEFAULT_BANDS)
+    for i, sur in enumerate(pairs):
+        model = fit_var(sur.x, sur.y, p).diagonalized()
+        rest_ar, rest_x = derive_restricted(model, 20)
+        _, report = assemble_profiles(model, rest_ar, rest_x, BLOCK_GRID, DEFAULT_BANDS)
+        for measure in ("gc", "gi", "ga"):
+            for scope in SCOPES:
+                assert_allclose(
+                    values[measure, scope][i], report.value(measure, scope), rtol=1e-10, atol=1e-12
+                )
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+def test_block_values_do_not_depend_on_block_size(coupled_pair, hypothesis):
+    # 7 surrogates are one partial block; in 23 the same ones share a full block
+    def values(n):
+        config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
+        pairs = generate_surrogates(coupled_pair, config, 2, 20)
+        return surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+
+    small, large = values(7), values(23)
+    for key, row in small.items():
+        assert row.shape == (7,) and large[key].shape == (23,)
+        assert np.array_equal(row, large[key][:7]), key
+
+
+def surrogate_block_with(coupled_pair, bad_x):
+    config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
+    pairs = generate_surrogates(coupled_pair, config, 2, 20)
+    pairs[2] = TimeSeriesPair(bad_x, pairs[2].y, pairs[2].fs)
+    return pairs
+
+
+def test_block_with_constant_row_is_rank_deficient(coupled_pair):
+    pairs = surrogate_block_with(coupled_pair, np.ones(coupled_pair.n))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+
+
+def test_block_with_explosive_row_is_unstable(coupled_pair):
+    rng = np.random.default_rng(2)
+    x = np.zeros(coupled_pair.n)
+    for t in range(1, x.size):
+        x[t] = 1.02 * x[t - 1] + rng.standard_normal()
+    pairs = surrogate_block_with(coupled_pair, x)
+    with pytest.raises(UnstableModelError, match="model is unstable"):
+        surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
 
 def test_h1_surrogates_break_coupling(coupled_pair):
