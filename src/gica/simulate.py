@@ -18,8 +18,8 @@ Systems
     The four-setting matrix (i: b=0,c=0; ii: b=1,c=0; iii: b=0,c=1;
     iv: b=1,c=1) used for estimator validation, as open-loop instances.
 
-Feedback-free systems run as ``lfilter`` cascades, a closed loop with
-feedback as :func:`gica.varmodel.simulate_var`.
+Two-process systems run as :func:`gica.varmodel.simulate_var` of their exact
+model, the three-process confounded system as a cascade of AR(2) filters.
 
 Theoretical profiles and the confounded study take the same path from a
 model to measures as an analysis: :func:`gica.restricted.derive_restricted`,
@@ -186,16 +186,7 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
         y = _ar2_filter(ay1, ay2, drive)
         return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
 
-    model = build_true_model(spec)
-    noise = rng.standard_normal((total, 2))
-    if spec.system == "closed_loop" and spec.d != 0.0:
-        x, y = simulate_var(model.coeffs, noise).T
-    else:
-        b, c = spec.effective_bc()
-        ax1, ax2 = poles_to_ar_coeffs(*DRIVER_POLE)
-        ay1, ay2 = _target_poles(b)
-        x = _ar2_filter(ax1, ax2, noise[:, 0])
-        y = _ar2_filter(ay1, ay2, -c * _shift1(x) + noise[:, 1])
+    x, y = simulate_var(build_true_model(spec).coeffs, rng.standard_normal((total, 2))).T
     return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
 
 

@@ -26,9 +26,9 @@ spectral measure integrates back to its time-domain counterpart,
 The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
 model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 / |G_yy|^2 = |det F|^2 / |det E|^2``, so nothing is inverted.
-:func:`measure_stack` is the one place models become measures: one real FFT
-gives the lag polynomials of a whole stack, and each band mean is one
-cached weight vector per grid and band. :func:`assemble_profiles` is its
+:func:`measure_stack` is the one place models become measures: real FFTs
+give ``E`` and the scalar ``det F`` of a whole stack, and each band mean is
+one cached weight vector per grid and band. :func:`assemble_profiles` is its
 batch of one, plus the display spectra and coherences from the same ``E``.
 """
 
@@ -104,18 +104,20 @@ class SpectralProfile:
 
 
 def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, 2, 2)`` by one real FFT, ``(B, n, 2, 2)``.
+    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, k, k)`` by one real FFT, ``(B, n, k, k)``.
 
     The grid is ``j / M``, ``M = 2 (n - 1)``, so lags ``k >= M`` alias onto ``k mod M``.
     """
     size = 2 * (grid.n_points - 1)
-    seq = np.zeros((coeffs.shape[0], size, 2, 2))
+    seq = np.zeros((coeffs.shape[0], size, *coeffs.shape[2:]))
     np.add.at(seq, (slice(None), np.arange(1, coeffs.shape[1] + 1) % size), coeffs)
-    return np.eye(2) - np.fft.rfft(seq, axis=1)
+    return np.eye(coeffs.shape[-1]) - np.fft.rfft(seq, axis=1)
 
 
 def _det(e: np.ndarray, what: str) -> np.ndarray:
-    det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
+    """Determinants of ``(..., k, k)`` matrices, ``k`` 1 or 2; a zero one raises."""
+    det = e[..., 0, 0] if e.shape[-1] == 1 else (
+        e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0])
     if np.any(det == 0):
         raise UnstableModelError(f"{what} transfer is singular on the frequency grid")
     return det
@@ -142,6 +144,15 @@ def _mixed_coeffs(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.nd
     coeffs[..., : a_xy.shape[-1], 0, 1] = a_xy
     coeffs[..., : b_yx.shape[-1], 1, 0] = b_yx
     return coeffs
+
+
+def _mixed_det_lags(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
+    """Lags ``(B, p+q)`` of the mixed model's ``det F(z) = 1 - A_xx(z) - A_xy(z) B_yx(z)``."""
+    lags = np.zeros((b_yx.shape[0], a_xx.shape[-1] + b_yx.shape[-1]))
+    lags[:, : a_xx.shape[-1]] = a_xx
+    for i, a in enumerate(a_xy.T):  # A_xy lag i+1 times B_yx lag j+1 lands on lag i+j+2
+        lags[:, i + 1 : i + 1 + b_yx.shape[-1]] += a[:, None] * b_yx
+    return lags
 
 
 def restricted_transfer_ga(
@@ -302,11 +313,12 @@ def measure_stack(
     The full models (``sigma``'s diagonal used) passed the gate of
     :func:`gica.varmodel.autocovariance_stack`; ``ar_var`` is the self-past
     residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
-    mixed models are gated here. The report holds ``(B,)`` arrays.
+    mixed models enter as ``det F(z)``, gated here on its ``p + q`` scalar
+    companion. The report holds ``(B,)`` arrays.
     """
     e = _lag_transform(coeffs, grid)
     det_e = _det(e, "full model")
-    mixed = _mixed_coeffs(coeffs[:, :, 0, 0], coeffs[:, :, 0, 1], x_coeffs)
+    mixed = _mixed_det_lags(coeffs[:, :, 0, 0], coeffs[:, :, 0, 1], x_coeffs)[..., None, None]
     require_stable(mixed, "mixed model for autonomy")
     det_f = _det(_lag_transform(mixed, grid), "mixed model")
     s2_x, s2_y = sigma[:, 0, 0], sigma[:, 1, 1]

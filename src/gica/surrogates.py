@@ -8,8 +8,8 @@ both cases the driver surrogate keeps its full fitted equation (own and
 target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
 initial conditions with a 100-sample burn-in. The generator is gated by
-:func:`gica.varmodel.require_stable`, and a whole batch runs through one
-call of :func:`gica.varmodel.simulate_var`.
+:func:`gica.varmodel.require_stable`; the whole batch's channel-major drive
+is filtered by one call of :func:`gica.varmodel.simulate_var`.
 
 Verdict rules on the surrogate distribution of each measure: causality is
 significant above the upper ``1 - alpha`` percentile, isolation below the
@@ -135,27 +135,21 @@ def generate_surrogates(
     target_kind = AR_ON_Y if config.hypothesis == H1 else X_ON_Y
     b, v = fit_restricted_direct(pair.x, pair.y, target_kind, q)
 
-    m = max(p, q)
-    coeffs = np.zeros((m, 2, 2))
-    coeffs[:p, 0, 0] = a_xx
-    coeffs[:p, 0, 1] = a_xy
-    if config.hypothesis == H1:
-        coeffs[:q, 1, 1] = b
-    else:
-        coeffs[:q, 1, 0] = b
+    coeffs = np.zeros((max(p, q), 2, 2))
+    coeffs[:p, 0, 0], coeffs[:p, 0, 1] = a_xx, a_xy
+    coeffs[:q, 1, 1 if config.hypothesis == H1 else 0] = b  # H1 self past, H2 driver past
     require_stable(coeffs, "fitted surrogate generator")
 
-    n = pair.n
-    drive = np.empty((config.n_surrogates, SURROGATE_BURN_IN + n, 2))
+    # burn-in reuses the permuted residuals cyclically, the retained
+    # stretch restarts them from the beginning
+    steps = np.concatenate([np.arange(SURROGATE_BURN_IN), np.arange(pair.n)])
+    cyclic = [steps % resid.size for resid in (u, v)]
+    drive = np.empty((2, config.n_surrogates, steps.size))  # channel-major: contiguous rows
     for i in range(config.n_surrogates):
         rng = np.random.default_rng((config.seed, i))
-        for channel, resid in enumerate((u, v)):
-            perm = rng.permutation(resid)
-            # burn-in reuses the permuted residuals cyclically, the retained
-            # stretch restarts them from the beginning
-            drive[i, :SURROGATE_BURN_IN, channel] = np.resize(perm, SURROGATE_BURN_IN)
-            drive[i, SURROGATE_BURN_IN:, channel] = np.resize(perm, n)
-    series = simulate_var(coeffs, drive)[:, SURROGATE_BURN_IN:]
+        for out, resid, index in zip(drive, (u, v), cyclic):
+            out[i] = rng.permutation(resid)[index]
+    series = simulate_var(coeffs, np.moveaxis(drive, 0, -1))[:, SURROGATE_BURN_IN:]
     return [TimeSeriesPair(s[:, 0], s[:, 1], pair.fs) for s in series]
 
 

@@ -8,8 +8,8 @@ with 2x2 coefficient matrices ``A_k``. Everything downstream (spectra,
 restricted models, causality measures) is derived from ``(A, Sigma)``, so
 this module also provides the exact autocovariance sequence of a stable
 model, obtained from the companion-form discrete Lyapunov equation.
-Every stability gate is :func:`require_stable`, and every simulation with
-feedback, surrogate batches included, runs :func:`simulate_var`.
+Every stability gate is :func:`require_stable`, and every two-process
+simulation, surrogate batches included, runs :func:`simulate_var`.
 
 Fitting and autocovariance take stacks: :func:`fit_var_stack` builds a
 block's lagged designs once and keeps one ``lstsq`` per row, whose SVD rank
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.signal import lfilter
 
 
 class UnstableModelError(ValueError):
@@ -147,22 +148,24 @@ def require_stable(coeffs: np.ndarray, what: str) -> None:
 def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """Run ``s_t = sum_{k=1..m} A_k s_{t-k} + drive_t`` from zero initial conditions.
 
-    ``coeffs`` is ``(m, k, k)``, ``drive`` and the result ``(..., T, k)``;
-    all leading axes advance together. Each step sums elementwise products
-    over the lag window rather than a matrix product, so a row's rounding
-    does not depend on the batch size.
+    ``coeffs`` is ``(m, 2, 2)``, ``drive`` and the result ``(..., T, 2)``. With
+    ``E(z) = I - sum_k A_k z^k``, ``S(z) = adj E(z) U(z) / det E(z)``: each
+    channel is ``lfilter`` by ``det E``, whose roots are the nonzero companion
+    eigenvalues, of the drive's ``(..., T)`` rows one by one, so each row is
+    bit-identical at any batch size. Zero trailing taps (exact 0s) are trimmed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    drive = np.asarray(drive, dtype=float)
-    m, k, _ = coeffs.shape
-    batch, total = drive.shape[:-2], drive.shape[-2]
-    # the window holds s_{t-m} .. s_{t-1}, oldest first
-    weights = coeffs[::-1].transpose(1, 0, 2).reshape(k, m * k)
-    s = np.zeros((*batch, m + total, k))
-    for t in range(total):
-        window = s[..., t : t + m, :].reshape(*batch, 1, m * k)
-        s[..., t + m, :] = (window * weights).sum(axis=-1) + drive[..., t, :]
-    return s[..., m:, :]
+    if coeffs.ndim != 3 or coeffs.shape[1:] != (2, 2) or np.shape(drive)[-1:] != (2,):
+        raise ValueError(f"bivariate only: lags {coeffs.shape}, drive {np.shape(drive)}")
+    e = np.concatenate([np.eye(2)[None], -coeffs]).transpose(1, 2, 0)  # taps of E_ij(z)
+    det = np.trim_zeros(np.convolve(e[0, 0], e[1, 1]) - np.convolve(e[0, 1], e[1, 0]), "b")
+    drive = np.moveaxis(np.asarray(drive, dtype=float), -1, 0)  # (2, ..., T)
+    s = np.zeros(drive.shape)
+    for out, adj_row in zip(s, ((e[1, 1], -e[0, 1]), (-e[1, 0], e[0, 0]))):
+        for taps, channel in zip(adj_row, drive):
+            if taps.any():
+                out += lfilter(np.trim_zeros(taps, "b"), det, channel)
+    return np.moveaxis(s, 0, -1)
 
 
 def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:

@@ -17,7 +17,13 @@ from gica.spectral import (
     integrate_band,
     restricted_transfer_ga,
 )
-from gica.varmodel import BivariateVarModel, UnstableModelError, compute_autocovariance
+from gica.spectral import _lag_transform, _mixed_coeffs, _mixed_det_lags
+from gica.varmodel import (
+    BivariateVarModel,
+    UnstableModelError,
+    compute_autocovariance,
+    spectral_radius,
+)
 
 GRID = FrequencyGrid(2049)
 
@@ -141,6 +147,28 @@ def test_transfers_match_direct_inverse(random_model_factory):
             assert_allclose(g, direct_transfer(mixed, grid), rtol=0, atol=1e-12)
 
 
+def test_mixed_determinant_matches_block_model(random_model_factory):
+    # det F(z) as one scalar lag polynomial of degree p + q: its companion
+    # radius is that of the block companion, its transform det G(f)^(-1)
+    rng = np.random.default_rng(34)
+    models = [random_model_factory(rng) for _ in range(4)]
+    models += [random_model_factory(rng, p=14) for _ in range(2)]
+    for model in models:
+        _, rest_x = derive_restricted(model, 20)
+        a_xx, a_xy = model.coeffs[:, 0, 0], model.coeffs[:, 0, 1]
+        lags = _mixed_det_lags(a_xx[None], a_xy[None], rest_x.coeffs[None])
+        assert lags.shape == (1, model.p + 20)
+        assert_allclose(
+            spectral_radius(lags[..., None, None])[0],
+            spectral_radius(_mixed_coeffs(a_xx, a_xy, rest_x.coeffs)),
+            rtol=0, atol=1e-10,
+        )
+        for grid in (FrequencyGrid(513), FrequencyGrid(3)):
+            det_f = _lag_transform(lags[..., None, None], grid)[0, :, 0, 0]
+            g = restricted_transfer_ga(a_xx, a_xy, rest_x.coeffs, grid)
+            assert_allclose(det_f, np.linalg.det(np.linalg.inv(g)), rtol=1e-12, atol=0)
+
+
 def test_open_loop_restricted_transfer_is_flat(reference_model):
     # without a feedback entry in the driver row, G_yy is identically one
     _, rest = derive_restricted(reference_model, 20)
@@ -170,7 +198,7 @@ def test_autonomy_rejects_unstable_mixed_model():
     model = build_true_model(SimSpec(system="closed_loop", n=10, seed=0, b=1.0, c=0.5, d=1.0))
     rest_ar, _ = derive_restricted(model, 20)
     runaway = RestrictedModel(X_ON_Y, np.array([5.0]), 1.0)
-    with pytest.raises(UnstableModelError):
+    with pytest.raises(UnstableModelError, match="mixed model for autonomy is unstable"):
         assemble_profiles(model, rest_ar, runaway, GRID, DEFAULT_BANDS)
 
 

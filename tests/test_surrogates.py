@@ -160,6 +160,28 @@ def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
         assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
 
 
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+def test_short_record_drive_wraps_residuals(var_loop_reference, hypothesis):
+    # n = 60 is shorter than the burn-in, so both stretches wrap the residuals
+    pair = simulate(SimSpec(system="open_loop", n=60, seed=4, b=1.0, c=0.5))
+    config = SurrogateConfig(n_surrogates=3, seed=2, hypothesis=hypothesis)
+    a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, 2)
+    b, v = fit_restricted_direct(pair.x, pair.y, "ar_on_y" if hypothesis == H1 else "x_on_y", 5)
+    coeffs = np.zeros((5, 2, 2))
+    coeffs[:2, 0, 0], coeffs[:2, 0, 1] = a_xx, a_xy
+    coeffs[:, 1, 1 if hypothesis == H1 else 0] = b
+    for i, sur in enumerate(generate_surrogates(pair, config, 2, 5)):
+        rng = np.random.default_rng((config.seed, i))
+        perms = [rng.permutation(u), rng.permutation(v)]
+        drive = np.stack(
+            [np.concatenate([np.resize(r, SURROGATE_BURN_IN), np.resize(r, pair.n)]) for r in perms],
+            axis=-1,
+        )
+        x, y = var_loop_reference(coeffs, drive)[SURROGATE_BURN_IN:].T
+        assert_allclose(sur.x, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
+
+
 BLOCK_GRID = FrequencyGrid(513)
 SCOPES = ("time", "VLF", "LF")
 
