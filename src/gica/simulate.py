@@ -19,7 +19,8 @@ Systems
     iv: b=1,c=1) used for estimator validation, as open-loop instances.
 
 Two-process systems run as :func:`gica.varmodel.simulate_var` of their exact
-model, the three-process confounded system as a cascade of AR(2) filters.
+model, the three-process confounded system as a cascade of ``lfilter`` calls
+on the coefficients :func:`build_confounded_system` returns.
 
 Theoretical profiles and the confounded study take the same path from a
 model to measures as an analysis: :func:`gica.restricted.derive_restricted`,
@@ -159,9 +160,9 @@ def _shift1(series: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], series[:-1]))
 
 
-def _ar2_filter(a1: float, a2: float, drive: np.ndarray) -> np.ndarray:
-    # s_n = a1 s_{n-1} + a2 s_{n-2} + drive_n, zero initial conditions
-    return lfilter([1.0], [1.0, -a1, -a2], drive)
+def _ar_filter(lags: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    # s_n = sum_k lags[k-1] s_{n-k} + drive_n, zero initial conditions
+    return lfilter([1.0], np.concatenate(([1.0], -lags)), drive)
 
 
 def simulate(spec: SimSpec) -> TimeSeriesPair:
@@ -173,17 +174,12 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
     total = BURN_IN + spec.n
     rng = np.random.default_rng(spec.seed)
     if spec.system == "confounded":
-        build_confounded_system(spec.a, spec.b)  # stability gate
+        coeffs, _ = build_confounded_system(spec.a, spec.b)
         noise = rng.standard_normal((total, 3))
-        ax1, ax2 = poles_to_ar_coeffs(*DRIVER_POLE)
-        ay1, ay2 = _target_poles(spec.b)
-        az1, az2 = poles_to_ar_coeffs(*CONFOUNDER_POLE)
-        x = _ar2_filter(ax1, ax2, noise[:, 0])
-        z = _ar2_filter(az1, az2, noise[:, 2])
-        drive = (
-            -CONFOUNDED_XY_COUPLING * _shift1(x) - spec.a * _shift1(z) + noise[:, 1]
-        )
-        y = _ar2_filter(ay1, ay2, drive)
+        # X and Z run on their own lags; Y adds their lag-1 terms to its drive
+        x, z = (_ar_filter(coeffs[:, i, i], noise[:, i]) for i in (0, 2))
+        drive = coeffs[0, 1, 0] * _shift1(x) + coeffs[0, 1, 2] * _shift1(z) + noise[:, 1]
+        y = _ar_filter(coeffs[:, 1, 1], drive)
         return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
 
     x, y = simulate_var(build_true_model(spec).coeffs, rng.standard_normal((total, 2))).T

@@ -314,7 +314,8 @@ def measure_stack(
     :func:`gica.varmodel.autocovariance_stack`; ``ar_var`` is the self-past
     residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
     mixed models enter as ``det F(z)``, gated here on its ``p + q`` scalar
-    companion. The report holds ``(B,)`` arrays.
+    companion. A row whose ``A_yx`` lags are all exactly 0 takes ``ar_var =
+    sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
     """
     e = _lag_transform(coeffs, grid)
     det_e = _det(e, "full model")
@@ -336,6 +337,8 @@ def measure_stack(
     for name, values in profiles.items():
         if np.isnan(values).any():
             raise ValueError(f"profile {name!r} contains NaN")
+    # with no X -> Y lag, Y's own past predicts it with error sigma_yy by theory
+    ar_var = np.where((coeffs[:, :, 1, 0] == 0).all(axis=1), s2_y, ar_var)
     f_xy, f_y = np.log(ar_var / s2_y), _band_integrals(gi, grid, 0.0, grid.fs / 2)[0]
     report = MeasureReport(_nonnegative(f_xy, "F_xy"), f_y, _nonnegative(a_y, "A_y"))
     report.bands = _band_stack(profiles, grid, bands)

@@ -16,6 +16,11 @@ block's lagged designs once and keeps one ``lstsq`` per row, whose SVD rank
 gate normal equations would lose; :func:`autocovariance_stack` gates, solves
 and recurses a whole block at once. :func:`fit_var` and
 :func:`compute_autocovariance` are their batch of one.
+
+Order selection fits no model per order: :func:`aic_curve` gets every
+order's residual covariance, each on its own sample and through the same
+gates as :func:`fit_var`, from one QR factorisation of the lag-ordered data
+plus one small QR per order; :func:`select_order_aic` takes its minimum.
 """
 
 from __future__ import annotations
@@ -240,27 +245,58 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
     return coeffs, sigma
 
 
-def select_order_aic(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> int:
-    """Pick the model order minimizing AIC over ``p = 1 .. p_max``.
+def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
+    """``AIC(p) = N ln det(Sigma_p) + 2 (4 p)`` for ``p = 1 .. p_max``, N the pair length.
 
-    AIC(p) = N ln det(Sigma_p) + 2 (4 p), with N the pair length. Ties go
-    to the smaller order.
+    ``Sigma_p`` is :func:`fit_var`'s innovation covariance, each order on its
+    own sample ``p+1 .. N``, from one QR factorisation instead of a fit per
+    order. With ``Z = [S_{n-1} .. S_{n-P}, S_n]`` (lag-major, zero before the
+    start), ``R0 = qr(Z[P:])`` covers the rows all orders share; order p's
+    columns of ``R0`` stacked over its extra rows ``Z[p:P]`` take one small QR
+    to the R factor of its own design and targets. The leading ``2p x 2p``
+    block has the design's singular values, gated with ``lstsq``'s rank
+    threshold; the trailing ``2 x 2`` block ``R22`` gives ``Sigma_p =
+    R22^T R22 / (N - p)``. As :func:`fit_var` would, the scan stops at the
+    first order with ``N <= 4p + 2``, a rank-deficient design, non-finite
+    values or a ``Sigma_p`` that is not positive definite; that order and all
+    larger ones get ``inf``, as does one whose ``det Sigma_p`` is not positive.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
-    n = x.size
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be one-dimensional series of equal length")
+    n, s = x.size, np.stack([x, y], axis=-1)
+    top = max(0, min(p_max, (n - 3) // 4))  # largest order with n > 4p + 2
+    z = np.zeros((n, top + 1, 2))
+    z[:, top] = s
+    for k in range(1, top + 1):
+        z[k:, k - 1] = s[:-k]
+    z = z.reshape(n, 2 * top + 2)
+    r0 = np.linalg.qr(z[top:], mode="r")
+    sigmas = []
+    for p in range(1, top + 1):
+        cols = np.r_[: 2 * p, -2, -1]
+        r = np.linalg.qr(np.vstack([r0[:, cols], z[p:top, cols]]), mode="r")
+        if not np.isfinite(r).all():
+            break
+        sv = np.linalg.svd(r[: 2 * p, : 2 * p], compute_uv=False)
+        if sv[-1] <= np.finfo(float).eps * max(n - p, 2 * p) * sv[0]:
+            break  # lstsq would find the design rank-deficient
+        r22 = r[2 * p :, 2 * p :]
+        sigmas.append(r22.T @ r22 / (n - p))
+    sigma = np.reshape(sigmas, (-1, 2, 2))
+    # orders up to the first Sigma_p that is not positive definite
+    fitted = int(np.cumprod(np.linalg.eigvalsh(sigma).min(axis=-1) > 0).sum())
+    sign, logdet = np.linalg.slogdet(sigma[:fitted])
     aics = np.full(p_max, np.inf)
-    for p in range(1, p_max + 1):
-        try:
-            model = fit_var(x, y, p)
-        except ValueError:
-            break  # not enough samples for this and larger orders
-        sign, logdet = np.linalg.slogdet(model.sigma)
-        if sign <= 0:
-            continue
-        aics[p - 1] = n * logdet + 2 * (4 * p)
+    aics[:fitted] = np.where(sign > 0, n * logdet + 2 * (4 * np.arange(1, fitted + 1)), np.inf)
+    return aics
+
+
+def select_order_aic(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> int:
+    """The order ``1 .. p_max`` minimizing :func:`aic_curve`; ties go to the smaller order."""
+    aics = aic_curve(x, y, p_max)
     if not np.isfinite(aics).any():
         raise ValueError("no order could be fitted; series too short or degenerate")
     return int(np.argmin(aics)) + 1

@@ -1,10 +1,11 @@
-"""Shared fixtures: reference models, a randomized stable-model factory and a
-per-sample VAR recursion used as the reference for the vectorised one."""
+"""Shared fixtures: reference models, a randomized stable-model factory, a
+per-sample VAR recursion used as the reference for the vectorised one, and a
+per-order AIC scan used as the reference for the one-QR scan."""
 import numpy as np
 import pytest
 
 from gica.simulate import SimSpec, build_true_model
-from gica.varmodel import BivariateVarModel, companion_matrix
+from gica.varmodel import BivariateVarModel, companion_matrix, fit_var
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,26 @@ def var_loop(coeffs, drive):
 @pytest.fixture(scope="session")
 def var_loop_reference():
     return var_loop
+
+
+def aic_loop(x, y, p_max=14):
+    """AIC curve from one :func:`fit_var` per order, stopping at the first that fails."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    aics = np.full(p_max, np.inf)
+    for p in range(1, p_max + 1):
+        try:
+            model = fit_var(x, y, p)
+        except ValueError:
+            break  # not enough samples for this and larger orders
+        sign, logdet = np.linalg.slogdet(model.sigma)
+        if sign <= 0:
+            continue
+        aics[p - 1] = n * logdet + 2 * (4 * p)
+    return aics
+
+
+@pytest.fixture(scope="session")
+def aic_loop_reference():
+    return aic_loop

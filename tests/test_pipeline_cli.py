@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.pipeline
 import gica.varmodel
 from gica.cli import main
 from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
@@ -73,6 +74,22 @@ def test_analyze_pair_selects_order(sim_pair):
     result = analyze_pair(sim_pair, config)
     assert result.order == 2
     assert result.report.warnings == []
+
+
+def test_analyze_pair_fits_one_model(sim_pair, monkeypatch):
+    # the AIC scan fits nothing; only the chosen order is fitted
+    fitted = []
+    fit_var = gica.varmodel.fit_var
+
+    def counting(x, y, p):
+        fitted.append(p)
+        return fit_var(x, y, p)
+
+    monkeypatch.setattr(gica.varmodel, "fit_var", counting)
+    monkeypatch.setattr(gica.pipeline, "fit_var", counting)
+    config = AnalysisConfig(detrend_cutoff=0.0156, order="aic", p_max=14, grid_points=257)
+    result = analyze_pair(sim_pair, config)
+    assert fitted == [result.order]
 
 
 def test_aic_at_p_max_warns():

@@ -202,6 +202,19 @@ def test_closed_loop_matches_direct_recursion(var_loop_reference):
     assert_matches_recursion(spec, var_loop_reference)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.8, 0.0), (0.5, 1.0)])
+def test_confounded_matches_three_process_recursion(var_loop_reference, a, b):
+    # the cascade must simulate exactly the system build_confounded_system gates
+    spec = SimSpec(system="confounded", n=400, seed=7, a=a, b=b)
+    pair = simulate(spec)
+    noise = np.random.default_rng(spec.seed).standard_normal((BURN_IN + spec.n, 3))
+    coeffs, sigma = build_confounded_system(a, b)
+    assert np.array_equal(sigma, np.eye(3))
+    x3, y3, _ = var_loop_reference(coeffs, noise).T
+    assert_allclose(pair.x, x3[BURN_IN:], rtol=0, atol=1e-12)
+    assert_allclose(pair.y, y3[BURN_IN:], rtol=0, atol=1e-12)
+
+
 def test_closed_loop_realization_refits_to_true_model():
     spec = SimSpec(system="closed_loop", n=30000, seed=11, b=1.0, c=0.5, d=1.0)
     pair = simulate(spec)

@@ -225,6 +225,15 @@ def test_isolation_time_value_is_infinite_without_coupling():
     assert report.a_y > 1.0
 
 
+@pytest.mark.parametrize("q", [3, 5, 20, 200])
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0])
+def test_uncoupled_model_has_exactly_zero_causality(b, q):
+    # exact by structure: at b=1, q=3 the Toeplitz self-past variance is 1 ulp above sigma_y
+    model = build_true_model(SimSpec(system="open_loop", n=10, seed=0, b=b, c=0.0))
+    _, report = measures(model, q=q)
+    assert report.f_xy == 0.0
+
+
 def test_band_integral_of_constant_profile():
     profile = SpectralProfile(GRID, np.full(GRID.n_points, 0.7), "gc")
     integral, mean = integrate_band(profile, 0.07, 0.2)

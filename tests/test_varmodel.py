@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import gica.varmodel
 from gica.simulate import SimSpec, build_true_model, simulate
+from gica.timeseries import preprocess
 from gica.varmodel import (
     AutocovarianceSequence,
     BivariateVarModel,
     UnstableModelError,
+    aic_curve,
     companion_matrix,
     compute_autocovariance,
     fit_var,
@@ -179,6 +182,72 @@ def test_order_selection_tie_goes_to_smaller():
     rng = np.random.default_rng(0)
     p = select_order_aic(rng.normal(size=4000), rng.normal(size=4000), p_max=6)
     assert p == 1
+
+
+SCAN_SYSTEMS = [
+    {"system": "open_loop", "b": 1.0, "c": 0.5},
+    {"system": "open_loop", "b": 0.0, "c": 1.0},
+    {"system": "closed_loop", "b": 1.0, "c": 0.5, "d": 0.5},
+    {"system": "closed_loop", "b": 0.0, "c": 0.5, "d": 1.0},
+    {"system": "confounded", "a": 0.8, "b": 0.0},
+    {"system": "confounded", "a": 0.5, "b": 1.0},
+]
+
+
+def assert_same_scan(x, y, p_max, aic_loop_reference):
+    ref = aic_loop_reference(x, y, p_max)
+    if not np.isfinite(ref).any():
+        with pytest.raises(ValueError, match="no order could be fitted"):
+            select_order_aic(x, y, p_max)
+        return
+    assert select_order_aic(x, y, p_max) == np.argmin(ref) + 1
+    assert_allclose(aic_curve(x, y, p_max), ref, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    system=st.sampled_from(SCAN_SYSTEMS),
+    n=st.sampled_from([40, 41, 150, 500, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+    cutoff=st.sampled_from([None, 0.0156]),
+    p_max=st.integers(1, 14),
+)
+def test_aic_scan_matches_per_order_fits(aic_loop_reference, system, n, seed, cutoff, p_max):
+    pair = preprocess(simulate(SimSpec(n=n, seed=seed, **system)), cutoff)
+    assert_same_scan(pair.x, pair.y, p_max, aic_loop_reference)
+
+
+@pytest.mark.parametrize("system", SCAN_SYSTEMS[::2], ids=lambda s: s["system"])
+def test_aic_scan_stops_at_sample_bound(aic_loop_reference, system):
+    # n = 40 fits orders 1..9 only (n > 4p + 2)
+    pair = simulate(SimSpec(n=40, seed=4, **system))
+    assert np.isfinite(aic_curve(pair.x, pair.y, 14)).sum() == 9
+    assert_same_scan(pair.x, pair.y, 14, aic_loop_reference)
+
+
+@pytest.mark.parametrize("target", ["collinear", "constant"])
+def test_aic_scan_rank_deficient_pair(aic_loop_reference, target):
+    # y = 2x fails every order; a constant y fits order 1 with a rounding-level
+    # residual, so only the orders that fit and the pick are compared
+    x = np.random.default_rng(5).normal(size=300)
+    y = 2 * x if target == "collinear" else np.full(300, 3.0)
+    ref = aic_loop_reference(x, y, 14)
+    assert np.array_equal(np.isinf(aic_curve(x, y, 14)), np.isinf(ref))
+    if np.isfinite(ref).any():
+        assert select_order_aic(x, y, 14) == np.argmin(ref) + 1
+    else:
+        with pytest.raises(ValueError, match="no order could be fitted"):
+            select_order_aic(x, y, 14)
+
+
+def test_aic_scan_fits_no_model(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the AIC scan must not fit a model per order")
+
+    for name in ("fit_var", "fit_var_stack", "gated_lstsq"):
+        monkeypatch.setattr(gica.varmodel, name, forbidden)
+    pair = simulate(SimSpec(system="open_loop", n=500, seed=2, b=1.0, c=0.5))
+    assert select_order_aic(pair.x, pair.y, 14) >= 1
 
 
 def test_lyapunov_scalar_closed_form():
