@@ -5,11 +5,12 @@ AIC), derives the restricted models analytically from the fitted model's
 autocovariance (:func:`gica.restricted.derive_restricted`, whose first
 step is the model's stability gate), computes all spectral profiles and
 band summaries in one pass (:func:`gica.spectral.assemble_profiles`), and
-optionally attaches surrogate significance verdicts. Surrogates are refit
-in blocks of ``SURROGATE_BLOCK``, each one batched pass through the stacked
-forms of those steps (:func:`surrogate_values`); the single-model calls are
-their batch of one. The fitted innovation covariance is generally not
-diagonal; all derived quantities use the strictly causal convention
+optionally attaches surrogate significance verdicts, whose settings are
+checked when :class:`AnalysisConfig` is built. The analysed model is a stack
+of one; surrogates take the same calls in blocks of ``SURROGATE_BLOCK`` rows
+of the array :func:`gica.surrogates.generate_surrogates` returns
+(:func:`surrogate_values`). The fitted innovation covariance is generally
+not diagonal; all derived quantities use the strictly causal convention
 (off-diagonal dropped), and a warning is attached when the implied
 residual correlation exceeds 0.2 or when AIC picks ``p_max``.
 """
@@ -20,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted, restricted_stack
+from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .spectral import assemble_profiles, measure_stack
 from .surrogates import H1, H2, TAILS, SurrogateConfig, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
-from .varmodel import BivariateVarModel, autocovariance_stack, fit_var, fit_var_stack
-from .varmodel import select_order_aic
+from .varmodel import BivariateVarModel, fit_var, fit_var_stack, select_order_aic
 
 RESIDUAL_CORRELATION_WARN = 0.2
 SURROGATE_BLOCK = 10  # near the speed of larger blocks, at a tenth of their memory
@@ -62,6 +62,11 @@ class AnalysisConfig:
         for hyp in self.hypotheses:
             if hyp not in (H1, H2):
                 raise ValueError(f"unknown hypothesis {hyp!r}")
+            if self.n_surrogates > 0:
+                self.surrogate_config(hyp)  # its checks now, not after the fit
+
+    def surrogate_config(self, hypothesis: str) -> SurrogateConfig:
+        return SurrogateConfig(self.n_surrogates, self.alpha, self.seed, hypothesis)
 
 
 @dataclass
@@ -96,43 +101,37 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
             "may be distorted"
         )
     model = fitted.diagonalized()
-    rest_ar, rest_x = derive_restricted(model, config.q, warnings)
+    ar_coeffs, ar_var, x_coeffs, x_var = derive_restricted(
+        model.coeffs[None], model.sigma[None], config.q, warnings
+    )
     grid = FrequencyGrid(config.grid_points, pair.fs)
     profiles, report = assemble_profiles(
-        model, rest_ar, rest_x, grid, config.bands, warnings
+        model, ar_var, x_coeffs, x_var, grid, config.bands, warnings
     )
-    result = AnalysisResult(
-        pair=clean,
-        order=order,
-        model=model,
-        rest_ar=rest_ar,
-        rest_x=rest_x,
-        profiles=profiles,
-        report=report,
-    )
+    rest_ar = RestrictedModel(AR_ON_Y, ar_coeffs[0], ar_var[0])
+    rest_x = RestrictedModel(X_ON_Y, x_coeffs[0], x_var[0])
+    result = AnalysisResult(clean, order, model, rest_ar, rest_x, profiles, report)
     if config.n_surrogates > 0:
         report.significance = _significance(result, config, grid)
     return result
 
 
 def surrogate_values(
-    pairs: list[TimeSeriesPair], order: int, q: int, grid: FrequencyGrid, bands: dict
+    series: np.ndarray, order: int, q: int, grid: FrequencyGrid, bands: dict
 ) -> dict[tuple[str, str], np.ndarray]:
-    """gc, gi and ga of every pair, keyed by ``(measure, scope)``.
+    """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
-    Each block of ``SURROGATE_BLOCK`` pairs is one batched pass: fit, gate,
-    autocovariance, restricted models, measures. Any gate fails the block.
+    Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a
+    copy, is one batched pass: fit, gate, autocovariance, restricted models,
+    measures. Any gate fails the block.
     """
     reports = []
-    for start in range(0, len(pairs), SURROGATE_BLOCK):
-        block = pairs[start : start + SURROGATE_BLOCK]
-        x, y = np.stack([pair.x for pair in block]), np.stack([pair.y for pair in block])
+    for start in range(0, series.shape[1], SURROGATE_BLOCK):
+        x, y = series[:, start : start + SURROGATE_BLOCK]
         coeffs, sigma = fit_var_stack(x, y, order)
         sigma = sigma * np.eye(2)  # strictly causal convention, as diagonalized()
-        gammas = autocovariance_stack(coeffs, sigma, q)
-        _, ar_var = restricted_stack(gammas, q, AR_ON_Y)
-        x_coeffs, x_var = restricted_stack(gammas, q, X_ON_Y)
-        reports.append(measure_stack(coeffs, sigma, ar_var, x_coeffs, x_var, grid, bands)[2])
+        _, *rest = derive_restricted(coeffs, sigma, q)
+        reports.append(measure_stack(coeffs, sigma, *rest, grid, bands)[2])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS
@@ -146,9 +145,9 @@ def _significance(
     """Surrogate verdicts for every requested hypothesis, measure, and scope."""
     out: dict = {"n_surrogates": config.n_surrogates, "alpha": config.alpha, "seed": config.seed}
     for hyp in config.hypotheses:
-        sur_config = SurrogateConfig(config.n_surrogates, config.alpha, config.seed, hyp)
-        surrogate_pairs = generate_surrogates(result.pair, sur_config, result.order, config.q)
-        values = surrogate_values(surrogate_pairs, result.order, config.q, grid, config.bands)
+        sur_config = config.surrogate_config(hyp)
+        series = generate_surrogates(result.pair, sur_config, result.order, config.q)
+        values = surrogate_values(series, result.order, config.q, grid, config.bands)
         out[hyp] = {
             measure: {
                 scope: significance_test(

@@ -13,9 +13,11 @@ past,
 
 Direct least-squares refits on long realizations are used only as test
 oracles for this route. :func:`restricted_stack` identifies one kind for a
-stack, its ``(B, q, q)`` Toeplitz systems built by index and solved at once;
-:func:`derive_restricted` is its batch of one for both kinds plus a ``2q``
-truncation check, and :func:`gica.spectral.assemble_profiles` follows it.
+stack, its ``(B, q, q)`` Toeplitz systems built by index and solved at once.
+:func:`derive_restricted` is the only entry from full models: it takes
+stacks ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, for
+an analysis and a surrogate block alike, with an optional ``2q`` truncation
+check. :class:`RestrictedModel` is the record an analysis writes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .varmodel import AutocovarianceSequence, BivariateVarModel, compute_autocovariance
+from .varmodel import autocovariance_stack
 
 AR_ON_Y = "ar_on_y"
 X_ON_Y = "x_on_y"
@@ -76,15 +78,6 @@ class RestrictedModel:
             "resid_var": self.resid_var,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RestrictedModel":
-        coeffs = np.asarray(data["coeffs"], dtype=float)
-        if coeffs.size != int(data["q"]):
-            raise ValueError(
-                f"declared lag count {data['q']} does not match {coeffs.size} coefficients"
-            )
-        return cls(data["kind"], coeffs, float(data["resid_var"]))
-
 
 def restricted_stack(gammas: np.ndarray, q: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(B, q)`` and residual variances ``(B,)`` of one restricted kind.
@@ -112,42 +105,30 @@ def restricted_stack(gammas: np.ndarray, q: int, kind: str) -> tuple[np.ndarray,
     return coeffs, resid_var
 
 
-def _restricted(gammas: AutocovarianceSequence, q: int, kind: str) -> RestrictedModel:
-    if not 1 <= q <= gammas.q:
-        raise ValueError(f"q must lie in [1, {gammas.q}], got {q}")
-    coeffs, resid_var = restricted_stack(gammas.gammas[None], q, kind)
-    return RestrictedModel(kind, coeffs[0], resid_var[0])
-
-
-def restricted_ar(gammas: AutocovarianceSequence, q: int = 20) -> RestrictedModel:
-    """Autoregression of the target on its own past, truncated at ``q`` lags."""
-    return _restricted(gammas, q, AR_ON_Y)
-
-
-def restricted_x(gammas: AutocovarianceSequence, q: int = 20) -> RestrictedModel:
-    """Regression of the target on the driver's past, truncated at ``q`` lags."""
-    return _restricted(gammas, q, X_ON_Y)
-
-
 def derive_restricted(
-    model: BivariateVarModel, q: int, warnings: list[str] | None = None
-) -> tuple[RestrictedModel, RestrictedModel]:
-    """Restricted models at ``q`` lags with a truncation self-check at ``2q``.
+    coeffs: np.ndarray, sigma: np.ndarray, q: int, warnings: list[str] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(ar_coeffs, ar_var, x_coeffs, x_var)``: both restricted models of a stack.
 
-    If doubling the truncation shifts either residual variance by more than
-    ``1e-4`` relative, a warning is appended: the default lag count is too
-    short for this model's memory.
+    ``coeffs`` ``(B, p, 2, 2)`` and ``sigma`` ``(B, 2, 2)`` pass the gate of
+    :func:`gica.varmodel.autocovariance_stack`; each kind has ``(B, q)``
+    coefficients and ``(B,)`` residual variances. Given a ``warnings`` list,
+    the autocovariance runs to ``2q`` lags, and a warning is appended if
+    doubling the truncation shifts either residual variance by more than
+    ``1e-4`` relative: ``q`` is too short for the model's memory.
     """
-    gammas = compute_autocovariance(model, 2 * q)
-    rest_ar, rest_x = _restricted(gammas, q, AR_ON_Y), _restricted(gammas, q, X_ON_Y)
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    gammas = autocovariance_stack(coeffs, sigma, q if warnings is None else 2 * q)
+    ar_coeffs, ar_var = restricted_stack(gammas, q, AR_ON_Y)
+    x_coeffs, x_var = restricted_stack(gammas, q, X_ON_Y)
     if warnings is None:
-        return rest_ar, rest_x
-    for short, name in ((rest_ar, "self-past"), (rest_x, "driver-past")):
-        long = _restricted(gammas, 2 * q, short.kind)
-        shift = abs(long.resid_var - short.resid_var) / short.resid_var
+        return ar_coeffs, ar_var, x_coeffs, x_var
+    for short, kind, name in ((ar_var, AR_ON_Y, "self-past"), (x_var, X_ON_Y, "driver-past")):
+        shift = np.max(np.abs(restricted_stack(gammas, 2 * q, kind)[1] - short) / short)
         if shift > TRUNCATION_SHIFT_WARN:
             warnings.append(
                 f"{name} residual variance shifts by {shift:.2e} when the "
                 f"truncation is doubled from {q} to {2 * q} lags; consider a larger q"
             )
-    return rest_ar, rest_x
+    return ar_coeffs, ar_var, x_coeffs, x_var

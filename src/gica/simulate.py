@@ -35,22 +35,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .restricted import derive_restricted
-from .spectral import (
-    DEFAULT_BANDS,
-    FrequencyGrid,
-    MeasureReport,
-    SpectralProfile,
-    assemble_profiles,
-)
+from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
+from .spectral import assemble_profiles
 from .timeseries import TimeSeriesPair
-from .varmodel import (
-    BivariateVarModel,
-    fit_var,
-    poles_to_ar_coeffs,
-    require_stable,
-    select_order_aic,
-    simulate_var,
-)
+from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable
+from .varmodel import select_order_aic, simulate_var
 
 BURN_IN = 1000
 
@@ -134,7 +123,7 @@ def build_true_model(spec: SimSpec) -> BivariateVarModel:
     a1 = np.array([[ax1, -spec.d], [-c, ay1]])
     a2 = np.array([[ax2, 0.0], [0.0, ay2]])
     model = BivariateVarModel(np.stack([a1, a2]), np.eye(2))
-    model.require_stable()
+    require_stable(model.coeffs, "model")
     return model
 
 
@@ -203,8 +192,8 @@ def theoretical_profiles(
         bands = DEFAULT_BANDS
     model = build_true_model(spec)
     warnings: list[str] = []
-    rest_ar, rest_x = derive_restricted(model, q, warnings)
-    return assemble_profiles(model, rest_ar, rest_x, grid, bands, warnings)
+    _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q, warnings)
+    return assemble_profiles(model, *rest, grid, bands, warnings)
 
 
 def theoretical_sweep(
@@ -254,8 +243,8 @@ def run_confounded_study(
         try:
             order = select_order_aic(pair.x, pair.y, p_max)
             model = fit_var(pair.x, pair.y, order).diagonalized()
-            rest_ar, rest_x = derive_restricted(model, q)
-            profiles, _ = assemble_profiles(model, rest_ar, rest_x, grid, {})
+            _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q)
+            profiles, _ = assemble_profiles(model, *rest, grid, {})
         except ValueError:
             failures += 1
             continue

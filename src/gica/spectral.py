@@ -25,10 +25,11 @@ spectral measure integrates back to its time-domain counterpart,
 
 The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
 model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
-/ |G_yy|^2 = |det F|^2 / |det E|^2``, so nothing is inverted.
-:func:`measure_stack` is the one place models become measures: real FFTs
-give ``E`` and the scalar ``det F`` of a whole stack, and each band mean is
-one cached weight vector per grid and band. :func:`assemble_profiles` is its
+/ |G_yy|^2 = |det F|^2 / |det E|^2``, so no transfer matrix is formed.
+:func:`measure_stack` is the one place models become measures: it takes the
+stacked arrays of :func:`gica.restricted.derive_restricted`, real FFTs give
+``E`` and the scalar ``det F`` of a whole stack, and each band mean is one
+cached weight vector per grid and band. :func:`assemble_profiles` is its
 batch of one, plus the display spectra and coherences from the same ``E``.
 """
 
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel
 from .varmodel import BivariateVarModel, UnstableModelError, require_stable
 
 
@@ -123,29 +123,6 @@ def _det(e: np.ndarray, what: str) -> np.ndarray:
     return det
 
 
-def _transfer(coeffs: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
-    """``E(f)^(-1)`` of one model on the grid, inverted in closed form, ``(n, 2, 2)``."""
-    e = _lag_transform(coeffs[None], grid)[0]
-    adj = np.stack([e[:, 1, 1], -e[:, 0, 1], -e[:, 1, 0], e[:, 0, 0]], axis=-1)
-    return adj.reshape(-1, 2, 2) / _det(e, what)[:, None, None]
-
-
-def full_transfer(model: BivariateVarModel, grid: FrequencyGrid) -> np.ndarray:
-    """Transfer matrix ``H(f)`` of the full model, shape ``(n, 2, 2)``."""
-    model.require_stable()
-    return _transfer(model.coeffs, grid, "full model")
-
-
-def _mixed_coeffs(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
-    """Lags ``(..., m, 2, 2)`` of the mixed model from lag vectors ``(..., k)``."""
-    m = max(a_xx.shape[-1], a_xy.shape[-1], b_yx.shape[-1])
-    coeffs = np.zeros((*b_yx.shape[:-1], m, 2, 2))
-    coeffs[..., : a_xx.shape[-1], 0, 0] = a_xx
-    coeffs[..., : a_xy.shape[-1], 0, 1] = a_xy
-    coeffs[..., : b_yx.shape[-1], 1, 0] = b_yx
-    return coeffs
-
-
 def _mixed_det_lags(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
     """Lags ``(B, p+q)`` of the mixed model's ``det F(z) = 1 - A_xx(z) - A_xy(z) B_yx(z)``."""
     lags = np.zeros((b_yx.shape[0], a_xx.shape[-1] + b_yx.shape[-1]))
@@ -153,21 +130,6 @@ def _mixed_det_lags(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.
     for i, a in enumerate(a_xy.T):  # A_xy lag i+1 times B_yx lag j+1 lands on lag i+j+2
         lags[:, i + 1 : i + 1 + b_yx.shape[-1]] += a[:, None] * b_yx
     return lags
-
-
-def restricted_transfer_ga(
-    a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray, grid: FrequencyGrid
-) -> np.ndarray:
-    """Transfer matrix ``G(f)`` of the mixed model used by autonomy.
-
-    The mixed model keeps the full driver equation (lag polynomials
-    ``a_xx``, ``a_xy``) and replaces the target equation with the
-    driver-only regression ``b_yx``; its transfer is the inverse of
-
-        [[1 - A_xx(f), -A_xy(f)],
-         [  -B_yx(f),      1   ]].
-    """
-    return _transfer(_mixed_coeffs(a_xx, a_xy, b_yx), grid, "mixed model")
 
 
 def _nonnegative(value: np.ndarray, name: str) -> np.ndarray:
@@ -311,7 +273,7 @@ def measure_stack(
     """``E(f)``, the gc, gi and ga profiles ``(B, n)`` and the report of a stack of models.
 
     The full models (``sigma``'s diagonal used) passed the gate of
-    :func:`gica.varmodel.autocovariance_stack`; ``ar_var`` is the self-past
+    :func:`gica.restricted.derive_restricted`, whose ``ar_var`` is the self-past
     residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
     mixed models enter as ``det F(z)``, gated here on its ``p + q`` scalar
     companion. A row whose ``A_yx`` lags are all exactly 0 takes ``ar_var =
@@ -346,27 +308,20 @@ def measure_stack(
 
 
 def assemble_profiles(
-    model: BivariateVarModel,
-    rest_ar: RestrictedModel,
-    rest_x: RestrictedModel,
-    grid: FrequencyGrid,
-    bands: dict[str, tuple[float, float]],
-    warnings: list[str] | None = None,
+    model: BivariateVarModel, ar_var: np.ndarray, x_coeffs: np.ndarray, x_var: np.ndarray,
+    grid: FrequencyGrid, bands: dict[str, tuple[float, float]], warnings: list[str] | None = None,
 ) -> tuple[dict[str, SpectralProfile], MeasureReport]:
     """Every spectral profile and the measure report of one model.
 
-    :func:`measure_stack` of one model that passed the gate of
-    :func:`gica.restricted.derive_restricted`, plus, from the same ``E(f)``,
-    the power spectra ``psd_x``, ``psd_y`` (densities per Hz under the
-    diagonal-covariance convention) and ``psd_cross``, and the squared
-    directed coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
+    :func:`measure_stack` of one model and its restricted arrays ``(1,)``,
+    ``(1, q)``, ``(1,)`` from :func:`gica.restricted.derive_restricted`, plus,
+    from the same ``E(f)``, the power spectra ``psd_x``, ``psd_y`` (densities
+    per Hz under the diagonal-covariance convention) and ``psd_cross``, and
+    the squared directed coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
     """
-    if rest_ar.kind != AR_ON_Y:
-        raise ValueError(f"F_xy needs a self-past restricted model, got {rest_ar.kind!r}")
-    if rest_x.kind != X_ON_Y:
-        raise ValueError(f"autonomy needs a driver-only restricted model, got {rest_x.kind!r}")
-    rest = np.array([rest_ar.resid_var]), rest_x.coeffs[None], np.array([rest_x.resid_var])
-    e, stack, stacked = measure_stack(model.coeffs[None], model.sigma[None], *rest, grid, bands)
+    e, stack, stacked = measure_stack(
+        model.coeffs[None], model.sigma[None], ar_var, x_coeffs, x_var, grid, bands
+    )
     e, s2_x, s2_y = e[0], model.sigma_x, model.sigma_y
     causal, internal = s2_x * np.abs(e[:, 1, 0]) ** 2, s2_y * np.abs(e[:, 0, 0]) ** 2
     total = causal + internal

@@ -9,7 +9,9 @@ target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
 initial conditions with a 100-sample burn-in. The generator is gated by
 :func:`gica.varmodel.require_stable`; the whole batch's channel-major drive
-is filtered by one call of :func:`gica.varmodel.simulate_var`.
+is filtered by one call of :func:`gica.varmodel.simulate_var`, and the
+batch is returned as that channel-major ``(2, B, n)`` array, which
+:func:`gica.pipeline.surrogate_values` slices into blocks without a copy.
 
 Verdict rules on the surrogate distribution of each measure: causality is
 significant above the upper ``1 - alpha`` percentile, isolation below the
@@ -122,14 +124,14 @@ def fit_restricted_direct(
 
 def generate_surrogates(
     pair: TimeSeriesPair, config: SurrogateConfig, p: int, q: int = 20
-) -> list[TimeSeriesPair]:
-    """Surrogate pairs consistent with the configured null hypothesis.
+) -> np.ndarray:
+    """Surrogate pairs consistent with the configured null hypothesis, ``(2, B, n)``.
 
     The driver equation is fitted at order ``p`` and the null target
     equation at ``q`` lags; each surrogate permutes both residual series
     (independently, without replacement) and regenerates the pair jointly.
-    Surrogate ``i`` draws from the RNG stream keyed by ``(seed, i)``, so
-    results are reproducible and order-independent.
+    Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream
+    keyed by ``(seed, i)``, so results are reproducible and order-independent.
     """
     a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, p)
     target_kind = AR_ON_Y if config.hypothesis == H1 else X_ON_Y
@@ -149,8 +151,8 @@ def generate_surrogates(
         rng = np.random.default_rng((config.seed, i))
         for out, resid, index in zip(drive, (u, v), cyclic):
             out[i] = rng.permutation(resid)[index]
-    series = simulate_var(coeffs, np.moveaxis(drive, 0, -1))[:, SURROGATE_BURN_IN:]
-    return [TimeSeriesPair(s[:, 0], s[:, 1], pair.fs) for s in series]
+    series = np.moveaxis(simulate_var(coeffs, np.moveaxis(drive, 0, -1)), -1, 0)
+    return series[..., SURROGATE_BURN_IN:]
 
 
 def significance_test(

@@ -14,8 +14,8 @@ simulation, surrogate batches included, runs :func:`simulate_var`.
 Fitting and autocovariance take stacks: :func:`fit_var_stack` builds a
 block's lagged designs once and keeps one ``lstsq`` per row, whose SVD rank
 gate normal equations would lose; :func:`autocovariance_stack` gates, solves
-and recurses a whole block at once. :func:`fit_var` and
-:func:`compute_autocovariance` are their batch of one.
+and recurses a whole block at once. :func:`fit_var` is the fit's batch of
+one. An equation whose residual is rounding, not innovation, fails a fit.
 
 Order selection fits no model per order: :func:`aic_curve` gets every
 order's residual covariance, each on its own sample and through the same
@@ -25,7 +25,7 @@ plus one small QR per order; :func:`select_order_aic` takes its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -80,15 +80,6 @@ class BivariateVarModel:
         """Innovation variance of the target equation."""
         return float(self.sigma[1, 1])
 
-    def spectral_radius(self) -> float:
-        return spectral_radius(self.coeffs)
-
-    def is_stable(self) -> bool:
-        return self.spectral_radius() < 1.0
-
-    def require_stable(self) -> None:
-        require_stable(self.coeffs, "model")
-
     def residual_correlation(self) -> float:
         """Correlation implied by the off-diagonal of ``sigma``."""
         return float(self.sigma[0, 1] / np.sqrt(self.sigma_x * self.sigma_y))
@@ -103,16 +94,6 @@ class BivariateVarModel:
             "A": self.coeffs.tolist(),
             "Sigma": self.sigma.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BivariateVarModel":
-        coeffs = np.asarray(data["A"], dtype=float)
-        if coeffs.shape[0] != int(data["p"]):
-            raise ValueError(
-                f"declared order {data['p']} does not match {coeffs.shape[0]} "
-                "coefficient matrices"
-            )
-        return cls(coeffs, np.asarray(data["Sigma"], dtype=float))
 
 
 def _check_parameters(coeffs: np.ndarray, sigma: np.ndarray) -> None:
@@ -241,8 +222,20 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
     sigma = np.swapaxes(resid, -1, -2) @ resid / (n - p)
     # sols rows: [x lags 1..p, y lags 1..p], columns: equations; map to (B, p, 2, 2)
     coeffs = sols.reshape(-1, 2, p, 2).transpose(0, 2, 3, 1)
+    exact = _exact_equations(sigma, (targets**2).mean(axis=-2)).any(axis=0)
+    if exact.any():
+        raise ValueError(
+            f"the {'target' if exact[1] else 'driver'} is an exact function of the past at "
+            f"order {p}: its residual variance is at rounding level of its mean square"
+        )
     _check_parameters(coeffs, sigma)
     return coeffs, sigma
+
+
+def _exact_equations(sigma: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Equations ``(..., 2)`` whose residual variance is rounding: ``<= eps`` times the
+    mean square ``power`` of their targets, so every log-ratio built on it is noise."""
+    return np.diagonal(sigma, axis1=-2, axis2=-1) <= np.finfo(float).eps * power
 
 
 def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
@@ -260,6 +253,8 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
     first order with ``N <= 4p + 2``, a rank-deficient design, non-finite
     values or a ``Sigma_p`` that is not positive definite; that order and all
     larger ones get ``inf``, as does one whose ``det Sigma_p`` is not positive.
+    An order with an exact equation (:func:`fit_var`'s rule, the targets' mean
+    square read off their columns of ``R``) gets ``-inf`` and ends the scan.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
@@ -274,7 +269,7 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
         z[k:, k - 1] = s[:-k]
     z = z.reshape(n, 2 * top + 2)
     r0 = np.linalg.qr(z[top:], mode="r")
-    sigmas = []
+    sigmas, powers = [], []
     for p in range(1, top + 1):
         cols = np.r_[: 2 * p, -2, -1]
         r = np.linalg.qr(np.vstack([r0[:, cols], z[p:top, cols]]), mode="r")
@@ -285,59 +280,30 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
             break  # lstsq would find the design rank-deficient
         r22 = r[2 * p :, 2 * p :]
         sigmas.append(r22.T @ r22 / (n - p))
+        powers.append((r[:, 2 * p :] ** 2).sum(axis=0) / (n - p))  # targets' mean square
     sigma = np.reshape(sigmas, (-1, 2, 2))
-    # orders up to the first Sigma_p that is not positive definite
-    fitted = int(np.cumprod(np.linalg.eigvalsh(sigma).min(axis=-1) > 0).sum())
+    exact = _exact_equations(sigma, np.reshape(powers, (-1, 2))).any(axis=-1)
+    # orders up to the first Sigma_p that is exact or not positive definite
+    fitted = int(np.cumprod(~exact & (np.linalg.eigvalsh(sigma).min(axis=-1) > 0)).sum())
     sign, logdet = np.linalg.slogdet(sigma[:fitted])
     aics = np.full(p_max, np.inf)
     aics[:fitted] = np.where(sign > 0, n * logdet + 2 * (4 * np.arange(1, fitted + 1)), np.inf)
+    if fitted < exact.size and exact[fitted]:
+        aics[fitted] = -np.inf  # the limit of ln det Sigma_p: this order fits exactly
     return aics
 
 
 def select_order_aic(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> int:
     """The order ``1 .. p_max`` minimizing :func:`aic_curve`; ties go to the smaller order."""
     aics = aic_curve(x, y, p_max)
+    if np.isneginf(aics).any():  # a lower order would only misfit an exact relation
+        raise ValueError(
+            f"no order could be fitted: at order {np.argmin(aics) + 1} a channel is an "
+            "exact function of the past, its residual variance at rounding level"
+        )
     if not np.isfinite(aics).any():
         raise ValueError("no order could be fitted; series too short or degenerate")
     return int(np.argmin(aics)) + 1
-
-
-@dataclass(frozen=True)
-class AutocovarianceSequence:
-    """Exact lagged covariances ``Gamma_k = E[S_n S_{n-k}^T]`` of a model.
-
-    ``gammas[k]`` is the 2x2 matrix for lag ``k``, ``k = 0 .. q``.
-    """
-
-    gammas: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        gammas = np.asarray(self.gammas, dtype=float)
-        if gammas.ndim != 3 or gammas.shape[1:] != (2, 2):
-            raise ValueError(f"gammas must have shape (q+1, 2, 2), got {gammas.shape}")
-        gammas.setflags(write=False)
-        object.__setattr__(self, "gammas", gammas)
-
-    @property
-    def q(self) -> int:
-        return int(self.gammas.shape[0]) - 1
-
-    def gamma_xx(self, k: int) -> float:
-        return float(self.gammas[abs(k), 0, 0])
-
-    def gamma_yy(self, k: int) -> float:
-        return float(self.gammas[abs(k), 1, 1])
-
-    def gamma_yx(self, k: int) -> float:
-        """``E[Y_n X_{n-k}]`` for ``k >= 0``."""
-        if k < 0:
-            raise ValueError("use gamma_xy for negative lags")
-        return float(self.gammas[k, 1, 0])
-
-
-def compute_autocovariance(model: BivariateVarModel, q: int) -> AutocovarianceSequence:
-    """Autocovariance sequence of a stable model up to lag ``q``."""
-    return AutocovarianceSequence(autocovariance_stack(model.coeffs[None], model.sigma[None], q)[0])
 
 
 def autocovariance_stack(coeffs: np.ndarray, sigma: np.ndarray, q: int) -> np.ndarray:

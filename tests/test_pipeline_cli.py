@@ -55,6 +55,50 @@ def test_config_validation():
         AnalysisConfig(hypotheses=("h1", "h9"))
 
 
+def test_config_checks_surrogate_settings():
+    # the surrogate settings fail when the config is built, not after the fit
+    with pytest.raises(ValueError, match="at least 2 surrogates"):
+        AnalysisConfig(n_surrogates=1)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        AnalysisConfig(n_surrogates=5, alpha=2.0)
+    AnalysisConfig(n_surrogates=0, alpha=2.0)  # no surrogates, nothing to check
+
+
+def ar1(seed):
+    # an AR(1) of coefficient 0.5, 1001 samples
+    e = np.random.default_rng(seed).standard_normal(1001)
+    x = np.zeros(1001)
+    for t in range(1, 1001):
+        x[t] = 0.5 * x[t - 1] + e[t]
+    return x
+
+
+@pytest.mark.parametrize(
+    "seed, target", [(0, "zero-led"), (1, "zero-led"), (0, "shifted")]
+)
+def test_lagged_copy_target_raises_before_restricted_models(monkeypatch, seed, target):
+    # y_n = x_{n-1}: after mean removal order 1 leaves the means' difference
+    # as residual, and order 2 fits exactly, with a rounding-level residual
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a restricted model was formed")
+
+    monkeypatch.setattr(gica.pipeline, "derive_restricted", forbidden)
+    x = ar1(seed)
+    y = np.r_[0.0, x[1:-1]] if target == "zero-led" else x[:-1]
+    with pytest.raises(ValueError, match="at order 2 a channel is an exact function of the past"):
+        analyze_pair(TimeSeriesPair(x[1:], y, 1.0), AnalysisConfig(detrend_cutoff=None))
+
+
+def test_exact_order_one_target_names_the_cause():
+    # a cyclic shift keeps the mean, so order 1 already fits y_n = x_{n-1} exactly
+    x = ar1(0)
+    pair = TimeSeriesPair(x, np.roll(x, 1), 1.0)
+    with pytest.raises(ValueError, match="target is an exact function of the past at order 1"):
+        analyze_pair(pair, AnalysisConfig(detrend_cutoff=None, order=1))
+    with pytest.raises(ValueError, match="at order 1 a channel is an exact function"):
+        analyze_pair(pair, AnalysisConfig(detrend_cutoff=None))
+
+
 def test_analyze_pair_returns_full_result(sim_pair):
     config = AnalysisConfig(detrend_cutoff=None, order=2, grid_points=257)
     result = analyze_pair(sim_pair, config)
@@ -152,12 +196,13 @@ def test_correlated_innovations_warn():
 
 def test_truncation_check_flags_short_lag_budget():
     model = build_true_model(SimSpec(system="open_loop", n=10, b=1.0, c=0.5))
+    coeffs, sigma = model.coeffs[None], model.sigma[None]
     warnings: list[str] = []
-    derive_restricted(model, 3, warnings)
+    derive_restricted(coeffs, sigma, 3, warnings)
     assert len(warnings) == 2
     assert all("consider a larger q" in w for w in warnings)
     clean: list[str] = []
-    derive_restricted(model, 30, clean)
+    derive_restricted(coeffs, sigma, 30, clean)
     assert clean == []
 
 
@@ -356,6 +401,21 @@ def test_cli_error_exits(tmp_path, capsys):
                   "--out", tmp_path / "q.csv"])
     assert rc == 1
     assert "benchmark requires setting" in capsys.readouterr().err
+
+
+def test_cli_rejects_one_surrogate_before_fitting(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_var ran before the surrogate settings were checked")
+
+    monkeypatch.setattr(gica.pipeline, "fit_var", forbidden)
+    monkeypatch.setattr(gica.varmodel, "fit_var", forbidden)
+    csv = tmp_path / "pair.csv"
+    assert run_cli(["simulate", "--system", "open_loop", "--b", "1", "--c", "0.5",
+                    "--n", "300", "--seed", "3", "--out", csv]) == 0
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--surrogates", "1",
+                  "--out", tmp_path / "o"])
+    assert rc == 1
+    assert "error: need at least 2 surrogates, got 1" in capsys.readouterr().err
 
 
 def test_cli_analyze_rejects_unstable_fit(tmp_path, capsys):

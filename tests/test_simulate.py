@@ -23,8 +23,8 @@ from gica.spectral import (
     assemble_profiles,
     full_band_integral,
 )
-from gica.restricted import derive_restricted, restricted_ar, restricted_x
-from gica.varmodel import compute_autocovariance, fit_var
+from gica.restricted import derive_restricted
+from gica.varmodel import autocovariance_stack, fit_var
 
 PROFILE_NAMES = {
     "psd_x",
@@ -227,7 +227,8 @@ def test_closed_loop_realization_refits_to_true_model():
 def test_sample_variance_matches_model_variance():
     spec = SimSpec(system="open_loop", n=100000, seed=13, b=1.0, c=0.5)
     pair = simulate(spec)
-    gamma0 = compute_autocovariance(build_true_model(spec), 0).gammas[0]
+    model = build_true_model(spec)
+    gamma0 = autocovariance_stack(model.coeffs[None], model.sigma[None], 0)[0, 0]
     assert abs(pair.x.var() - gamma0[0, 0]) / gamma0[0, 0] < 0.05
     assert abs(pair.y.var() - gamma0[1, 1]) / gamma0[1, 1] < 0.05
 
@@ -249,9 +250,9 @@ def test_theoretical_profiles_contents():
     assert set(report.bands) == {"VLF", "LF"}
     assert report.warnings == []
     model = build_true_model(spec)
-    gammas = compute_autocovariance(model, 20)
-    f_xy = np.log(restricted_ar(gammas, 20).resid_var / model.sigma_y)
-    a_y = np.log(restricted_x(gammas, 20).resid_var / model.sigma_y)
+    _, ar_var, _, x_var = derive_restricted(model.coeffs[None], model.sigma[None], 20)
+    f_xy = np.log(ar_var[0] / model.sigma_y)
+    a_y = np.log(x_var[0] / model.sigma_y)
     assert_allclose(report.f_xy, f_xy, rtol=0, atol=1e-12)
     assert_allclose(report.f_y, full_band_integral(profiles["gi"]), rtol=0, atol=1e-12)
     assert_allclose(report.a_y, a_y, rtol=0, atol=1e-12)
@@ -315,8 +316,8 @@ def test_estimated_profiles_approach_theory():
     grid = FrequencyGrid(513)
 
     def measures(model):
-        rest_ar, rest_x = derive_restricted(model, 20)
-        return assemble_profiles(model, rest_ar, rest_x, grid, DEFAULT_BANDS)
+        _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], 20)
+        return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)
 
     true_profiles, true_report = measures(
         build_true_model(SimSpec(system="open_loop", n=10, b=1.0, c=0.5))

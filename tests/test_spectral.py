@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gica.restricted import X_ON_Y, RestrictedModel, derive_restricted
+from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, build_true_model
 from gica.spectral import (
     DEFAULT_BANDS,
@@ -13,15 +13,13 @@ from gica.spectral import (
     assemble_profiles,
     band_table,
     full_band_integral,
-    full_transfer,
     integrate_band,
-    restricted_transfer_ga,
 )
-from gica.spectral import _lag_transform, _mixed_coeffs, _mixed_det_lags
+from gica.spectral import _lag_transform, _mixed_det_lags
 from gica.varmodel import (
     BivariateVarModel,
     UnstableModelError,
-    compute_autocovariance,
+    autocovariance_stack,
     spectral_radius,
 )
 
@@ -32,9 +30,14 @@ def ar1_model(a=0.5):
     return BivariateVarModel(np.array([[[0.0, 0.0], [0.0, a]]]), np.eye(2))
 
 
+def restricted(model, q=20):
+    """``(ar_coeffs, ar_var, x_coeffs, x_var)`` of one model, each a stack of one."""
+    return derive_restricted(model.coeffs[None], model.sigma[None], q)
+
+
 def measures(model, grid=GRID, q=20):
-    rest_ar, rest_x = derive_restricted(model, q)
-    return assemble_profiles(model, rest_ar, rest_x, grid, DEFAULT_BANDS)
+    _, *rest = restricted(model, q)
+    return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)
 
 
 def direct_transfer(coeffs, grid):
@@ -43,6 +46,15 @@ def direct_transfer(coeffs, grid):
     for k in range(1, coeffs.shape[0] + 1):
         e -= np.exp(-2j * np.pi * grid.values * k)[:, None, None] * coeffs[k - 1]
     return np.linalg.inv(e)
+
+
+def mixed_coeffs(a_xx, a_xy, b_yx):
+    """Reference: lags ``(m, 2, 2)`` of the mixed model, the full driver row over ``B_yx``."""
+    coeffs = np.zeros((max(a_xx.size, b_yx.size), 2, 2))
+    coeffs[: a_xx.size, 0, 0] = a_xx
+    coeffs[: a_xy.size, 0, 1] = a_xy
+    coeffs[: b_yx.size, 1, 0] = b_yx
+    return coeffs
 
 
 def test_grid_endpoints_and_step():
@@ -87,8 +99,8 @@ def test_ar1_psd_integrates_to_variance():
 
 def test_reference_psd_integrates_to_variance(reference_model):
     profiles, _ = measures(reference_model)
-    gammas = compute_autocovariance(reference_model, 0)
-    assert_allclose(full_band_integral(profiles["psd_y"]), gammas.gamma_yy(0), rtol=1e-10, atol=0)
+    gammas = autocovariance_stack(reference_model.coeffs[None], reference_model.sigma[None], 0)
+    assert_allclose(full_band_integral(profiles["psd_y"]), gammas[0, 0, 1, 1], rtol=1e-10, atol=0)
 
 
 def test_psd_scales_with_sampling_rate(reference_model):
@@ -128,22 +140,18 @@ def test_uncoupled_target_has_zero_causality_and_infinite_isolation():
 
 
 def test_transfers_match_direct_inverse(random_model_factory):
-    # the FFT lag polynomials and closed-form inverses against a direct
-    # build; FrequencyGrid(3) has fewer points than lags, so lags alias
+    # the FFT lag polynomials of the full and the mixed model against a
+    # direct build; FrequencyGrid(3) has fewer points than lags, so lags alias
     rng = np.random.default_rng(33)
     models = [random_model_factory(rng) for _ in range(4)]
     models += [random_model_factory(rng, p=14) for _ in range(2)]
     for grid in (FrequencyGrid(513), FrequencyGrid(3)):
         for model in models:
-            h = full_transfer(model, grid)
+            h = np.linalg.inv(_lag_transform(model.coeffs[None], grid)[0])
             assert_allclose(h, direct_transfer(model.coeffs, grid), rtol=0, atol=1e-12)
-            _, rest_x = derive_restricted(model, 20)
-            mixed = np.zeros((20, 2, 2))
-            mixed[: model.p, 0, :] = model.coeffs[:, 0, :]
-            mixed[:, 1, 0] = rest_x.coeffs
-            g = restricted_transfer_ga(
-                model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], rest_x.coeffs, grid
-            )
+            x_coeffs = restricted(model)[2][0]
+            mixed = mixed_coeffs(model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], x_coeffs)
+            g = np.linalg.inv(_lag_transform(mixed[None], grid)[0])
             assert_allclose(g, direct_transfer(mixed, grid), rtol=0, atol=1e-12)
 
 
@@ -154,28 +162,28 @@ def test_mixed_determinant_matches_block_model(random_model_factory):
     models = [random_model_factory(rng) for _ in range(4)]
     models += [random_model_factory(rng, p=14) for _ in range(2)]
     for model in models:
-        _, rest_x = derive_restricted(model, 20)
+        x_coeffs = restricted(model)[2][0]
         a_xx, a_xy = model.coeffs[:, 0, 0], model.coeffs[:, 0, 1]
-        lags = _mixed_det_lags(a_xx[None], a_xy[None], rest_x.coeffs[None])
+        lags = _mixed_det_lags(a_xx[None], a_xy[None], x_coeffs[None])
         assert lags.shape == (1, model.p + 20)
+        mixed = mixed_coeffs(a_xx, a_xy, x_coeffs)
         assert_allclose(
-            spectral_radius(lags[..., None, None])[0],
-            spectral_radius(_mixed_coeffs(a_xx, a_xy, rest_x.coeffs)),
-            rtol=0, atol=1e-10,
+            spectral_radius(lags[..., None, None])[0], spectral_radius(mixed), rtol=0, atol=1e-10
         )
         for grid in (FrequencyGrid(513), FrequencyGrid(3)):
             det_f = _lag_transform(lags[..., None, None], grid)[0, :, 0, 0]
-            g = restricted_transfer_ga(a_xx, a_xy, rest_x.coeffs, grid)
+            g = direct_transfer(mixed, grid)
             assert_allclose(det_f, np.linalg.det(np.linalg.inv(g)), rtol=1e-12, atol=0)
 
 
 def test_open_loop_restricted_transfer_is_flat(reference_model):
-    # without a feedback entry in the driver row, G_yy is identically one
-    _, rest = derive_restricted(reference_model, 20)
-    g = restricted_transfer_ga(
-        reference_model.coeffs[:, 0, 0], reference_model.coeffs[:, 0, 1], rest.coeffs, GRID
-    )
-    assert_allclose(np.abs(g[:, 1, 1]), 1.0, rtol=0, atol=1e-12)
+    # without a feedback entry in the driver row, G_yy = (1 - A_xx) / det F is
+    # identically one: det F reduces to the driver's own lag polynomial
+    coeffs, x_coeffs = reference_model.coeffs, restricted(reference_model)[2]
+    lags = _mixed_det_lags(coeffs[None, :, 0, 0], coeffs[None, :, 0, 1], x_coeffs)
+    det_f = _lag_transform(lags[..., None, None], GRID)[0, :, 0, 0]
+    e_xx = _lag_transform(coeffs[None], GRID)[0, :, 0, 0]
+    assert_allclose(np.abs(e_xx / det_f), 1.0, rtol=0, atol=1e-12)
 
 
 def test_autonomy_shape_integrates_to_zero(reference_model):
@@ -186,20 +194,14 @@ def test_autonomy_shape_integrates_to_zero(reference_model):
     assert_allclose(a.values - abar.values, report.a_y, rtol=0, atol=1e-12)
 
 
-def test_autonomy_requires_driver_only_model(reference_model):
-    rest_ar, _ = derive_restricted(reference_model, 20)
-    with pytest.raises(ValueError, match="driver-only"):
-        assemble_profiles(reference_model, rest_ar, rest_ar, GRID, DEFAULT_BANDS)
-
-
 def test_autonomy_rejects_unstable_mixed_model():
     # with a feedback entry in the driver row, an absurd driver-only
     # coefficient closes an explosive loop in the mixed system
     model = build_true_model(SimSpec(system="closed_loop", n=10, seed=0, b=1.0, c=0.5, d=1.0))
-    rest_ar, _ = derive_restricted(model, 20)
-    runaway = RestrictedModel(X_ON_Y, np.array([5.0]), 1.0)
+    ar_var = restricted(model)[1]
+    runaway = np.array([[5.0]]), np.array([1.0])
     with pytest.raises(UnstableModelError, match="mixed model for autonomy is unstable"):
-        assemble_profiles(model, rest_ar, runaway, GRID, DEFAULT_BANDS)
+        assemble_profiles(model, ar_var, *runaway, GRID, DEFAULT_BANDS)
 
 
 def test_time_domain_measures_frozen_reference(reference_model):
@@ -207,14 +209,6 @@ def test_time_domain_measures_frozen_reference(reference_model):
     assert_allclose(report.f_xy, 0.398429944914943, rtol=0, atol=1e-9)
     assert_allclose(report.f_y, 1.78472079094876, rtol=0, atol=1e-9)
     assert_allclose(report.a_y, 1.50239542377179, rtol=0, atol=1e-9)
-
-
-def test_time_domain_measures_validate_kinds(reference_model):
-    rest_ar, rest_x = derive_restricted(reference_model, 20)
-    with pytest.raises(ValueError):
-        assemble_profiles(reference_model, rest_x, rest_x, GRID, DEFAULT_BANDS)
-    with pytest.raises(ValueError):
-        assemble_profiles(reference_model, rest_ar, rest_ar, GRID, DEFAULT_BANDS)
 
 
 def test_isolation_time_value_is_infinite_without_coupling():

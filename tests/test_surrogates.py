@@ -23,14 +23,18 @@ from gica.timeseries import TimeSeriesPair
 from gica.varmodel import UnstableModelError, fit_var
 
 
-def lag1_xcorr(pair):
-    return np.corrcoef(pair.x[:-1], pair.y[1:])[0, 1]
+def lag1_xcorr(x, y):
+    return np.corrcoef(x[:-1], y[1:])[0, 1]
 
 
-def fitted_measures(pair, order=2, q=20):
-    model = fit_var(pair.x, pair.y, order).diagonalized()
-    rest_ar, rest_x = derive_restricted(model, q)
-    _, report = assemble_profiles(model, rest_ar, rest_x, FrequencyGrid(513), DEFAULT_BANDS)
+def single_report(x, y, order, q, grid):
+    model = fit_var(x, y, order).diagonalized()
+    _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q)
+    return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)[1]
+
+
+def fitted_measures(x, y, order=2, q=20):
+    report = single_report(x, y, order, q, FrequencyGrid(513))
     return report.f_xy, report.f_y, report.a_y
 
 
@@ -101,15 +105,11 @@ def test_direct_restricted_fit_validation():
 def test_surrogates_shape_and_determinism(coupled_pair):
     config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
     surr = generate_surrogates(coupled_pair, config, 2, 20)
-    assert len(surr) == 4
-    for s in surr:
-        assert s.n == coupled_pair.n
-        assert s.fs == coupled_pair.fs
-        assert np.isfinite(s.x).all() and np.isfinite(s.y).all()
+    assert surr.shape == (2, 4, coupled_pair.n)  # channel-major: x, y = surr[:, i]
+    assert np.isfinite(surr).all()
     again = generate_surrogates(coupled_pair, config, 2, 20)
-    for a, b in zip(surr, again):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    assert not np.array_equal(surr[0].y, surr[1].y)
+    assert np.array_equal(surr, again)
+    assert not np.array_equal(surr[1, 0], surr[1, 1])
 
 
 def test_surrogate_streams_are_index_keyed(coupled_pair):
@@ -120,8 +120,8 @@ def test_surrogate_streams_are_index_keyed(coupled_pair):
     large = generate_surrogates(
         coupled_pair, SurrogateConfig(n_surrogates=6, seed=5, hypothesis=H1), 2, 20
     )
-    for a, b in zip(small, large[:3]):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    for (ax, ay), (bx, by) in zip(zip(*small), zip(*large[:, :3])):
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
 
 def loop_surrogates(pair, config, p, q):
@@ -155,9 +155,10 @@ def loop_surrogates(pair, config, p, q):
 def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
     config = SurrogateConfig(n_surrogates=3, seed=5, hypothesis=hypothesis)
     batch = generate_surrogates(coupled_pair, config, p, 20)
-    for sur, (x, y) in zip(batch, loop_surrogates(coupled_pair, config, p, 20), strict=True):
-        assert_allclose(sur.x, x, rtol=0, atol=1e-12 * np.abs(x).max())
-        assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
+    loop = loop_surrogates(coupled_pair, config, p, 20)
+    for (sx, sy), (x, y) in zip(zip(*batch), loop, strict=True):
+        assert_allclose(sx, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        assert_allclose(sy, y, rtol=0, atol=1e-12 * np.abs(y).max())
 
 
 @pytest.mark.parametrize("hypothesis", [H1, H2])
@@ -170,7 +171,7 @@ def test_short_record_drive_wraps_residuals(var_loop_reference, hypothesis):
     coeffs = np.zeros((5, 2, 2))
     coeffs[:2, 0, 0], coeffs[:2, 0, 1] = a_xx, a_xy
     coeffs[:, 1, 1 if hypothesis == H1 else 0] = b
-    for i, sur in enumerate(generate_surrogates(pair, config, 2, 5)):
+    for i, (sx, sy) in enumerate(zip(*generate_surrogates(pair, config, 2, 5))):
         rng = np.random.default_rng((config.seed, i))
         perms = [rng.permutation(u), rng.permutation(v)]
         drive = np.stack(
@@ -178,8 +179,8 @@ def test_short_record_drive_wraps_residuals(var_loop_reference, hypothesis):
             axis=-1,
         )
         x, y = var_loop_reference(coeffs, drive)[SURROGATE_BURN_IN:].T
-        assert_allclose(sur.x, x, rtol=0, atol=1e-12 * np.abs(x).max())
-        assert_allclose(sur.y, y, rtol=0, atol=1e-12 * np.abs(y).max())
+        assert_allclose(sx, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        assert_allclose(sy, y, rtol=0, atol=1e-12 * np.abs(y).max())
 
 
 BLOCK_GRID = FrequencyGrid(513)
@@ -193,12 +194,10 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
     # assemble_profiles surrogate by surrogate
     n = SURROGATE_BLOCK + 3
     config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
-    pairs = generate_surrogates(coupled_pair, config, p, 20)
-    values = surrogate_values(pairs, p, 20, BLOCK_GRID, DEFAULT_BANDS)
-    for i, sur in enumerate(pairs):
-        model = fit_var(sur.x, sur.y, p).diagonalized()
-        rest_ar, rest_x = derive_restricted(model, 20)
-        _, report = assemble_profiles(model, rest_ar, rest_x, BLOCK_GRID, DEFAULT_BANDS)
+    series = generate_surrogates(coupled_pair, config, p, 20)
+    values = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS)
+    for i, (x, y) in enumerate(zip(*series)):
+        report = single_report(x, y, p, 20, BLOCK_GRID)
         for measure in ("gc", "gi", "ga"):
             for scope in SCOPES:
                 assert_allclose(
@@ -211,8 +210,8 @@ def test_block_values_do_not_depend_on_block_size(coupled_pair, hypothesis):
     # 7 surrogates are one partial block; in 23 the same ones share a full block
     def values(n):
         config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
-        pairs = generate_surrogates(coupled_pair, config, 2, 20)
-        return surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+        series = generate_surrogates(coupled_pair, config, 2, 20)
+        return surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
     small, large = values(7), values(23)
     for key, row in small.items():
@@ -222,15 +221,15 @@ def test_block_values_do_not_depend_on_block_size(coupled_pair, hypothesis):
 
 def surrogate_block_with(coupled_pair, bad_x):
     config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
-    pairs = generate_surrogates(coupled_pair, config, 2, 20)
-    pairs[2] = TimeSeriesPair(bad_x, pairs[2].y, pairs[2].fs)
-    return pairs
+    series = generate_surrogates(coupled_pair, config, 2, 20)
+    series[0, 2] = bad_x
+    return series
 
 
 def test_block_with_constant_row_is_rank_deficient(coupled_pair):
-    pairs = surrogate_block_with(coupled_pair, np.ones(coupled_pair.n))
+    series = surrogate_block_with(coupled_pair, np.ones(coupled_pair.n))
     with pytest.raises(ValueError, match="rank-deficient"):
-        surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+        surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
 
 def test_block_with_explosive_row_is_unstable(coupled_pair):
@@ -238,26 +237,26 @@ def test_block_with_explosive_row_is_unstable(coupled_pair):
     x = np.zeros(coupled_pair.n)
     for t in range(1, x.size):
         x[t] = 1.02 * x[t - 1] + rng.standard_normal()
-    pairs = surrogate_block_with(coupled_pair, x)
+    series = surrogate_block_with(coupled_pair, x)
     with pytest.raises(UnstableModelError, match="model is unstable"):
-        surrogate_values(pairs, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+        surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
 
 def test_h1_surrogates_break_coupling(coupled_pair):
-    orig = abs(lag1_xcorr(coupled_pair))
+    orig = abs(lag1_xcorr(coupled_pair.x, coupled_pair.y))
     surr = generate_surrogates(
         coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H1), 2, 20
     )
-    rs = np.array([lag1_xcorr(s) for s in surr])
+    rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.mean(np.abs(rs)) < orig / 2
 
 
 def test_h2_surrogates_keep_coupling(coupled_pair):
-    orig = lag1_xcorr(coupled_pair)
+    orig = lag1_xcorr(coupled_pair.x, coupled_pair.y)
     surr = generate_surrogates(
         coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H2), 2, 20
     )
-    rs = np.array([lag1_xcorr(s) for s in surr])
+    rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.all(np.sign(rs) == np.sign(orig))
     assert np.mean(np.abs(rs)) > abs(orig) / 2
 
@@ -274,10 +273,10 @@ def test_explosive_generator_is_rejected():
 
 
 def test_causality_significant_on_coupled_data(coupled_pair):
-    f_xy, _, _ = fitted_measures(coupled_pair)
+    f_xy, _, _ = fitted_measures(coupled_pair.x, coupled_pair.y)
     config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H1)
     surr = generate_surrogates(coupled_pair, config, 2, 20)
-    values = np.array([fitted_measures(s)[0] for s in surr])
+    values = np.array([fitted_measures(*s)[0] for s in zip(*surr)])
     verdict = significance_test("gc", "time", f_xy, values, config)
     assert verdict.significant
     assert verdict.tail == "upper"
@@ -286,10 +285,10 @@ def test_causality_significant_on_coupled_data(coupled_pair):
 
 
 def test_autonomy_significant_on_coupled_data(coupled_pair):
-    _, _, a_y = fitted_measures(coupled_pair)
+    _, _, a_y = fitted_measures(coupled_pair.x, coupled_pair.y)
     config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H2)
     surr = generate_surrogates(coupled_pair, config, 2, 20)
-    values = np.array([fitted_measures(s)[2] for s in surr])
+    values = np.array([fitted_measures(*s)[2] for s in zip(*surr)])
     verdict = significance_test("ga", "time", a_y, values, config)
     assert verdict.significant
     assert verdict.tail == "two-sided"

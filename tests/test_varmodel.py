@@ -9,19 +9,24 @@ import gica.varmodel
 from gica.simulate import SimSpec, build_true_model, simulate
 from gica.timeseries import preprocess
 from gica.varmodel import (
-    AutocovarianceSequence,
     BivariateVarModel,
     UnstableModelError,
     aic_curve,
+    autocovariance_stack,
     companion_matrix,
-    compute_autocovariance,
     fit_var,
     lagged_design,
     poles_to_ar_coeffs,
+    require_stable,
     select_order_aic,
     simulate_var,
     spectral_radius,
 )
+
+
+def gammas_of(model, lags):
+    """Autocovariances ``(lags + 1, 2, 2)`` of one model."""
+    return autocovariance_stack(model.coeffs[None], model.sigma[None], lags)[0]
 
 
 def test_pole_placement_coefficients():
@@ -50,16 +55,16 @@ def test_companion_eigenvalues_are_the_placed_poles():
 
 def test_reference_model_radius(reference_model):
     # driver poles at modulus 0.9 dominate the target poles at 0.8
-    assert_allclose(reference_model.spectral_radius(), 0.9, rtol=0, atol=1e-12)
-    assert reference_model.is_stable()
+    assert_allclose(spectral_radius(reference_model.coeffs), 0.9, rtol=0, atol=1e-12)
+    require_stable(reference_model.coeffs, "model")
 
 
 def test_unstable_model_raises():
     coeffs = np.array([[[1.05, 0.0], [0.0, 0.2]]])
     model = BivariateVarModel(coeffs, np.eye(2))
-    assert not model.is_stable()
+    assert spectral_radius(model.coeffs) >= 1.0
     with pytest.raises(UnstableModelError, match="model is unstable: companion spectral radius 1.05 >= 1"):
-        model.require_stable()
+        require_stable(model.coeffs, "model")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -117,15 +122,12 @@ def test_diagonalized_zeroes_cross_covariance():
 
 
 def test_model_dict_round_trip(reference_model):
-    back = BivariateVarModel.from_dict(reference_model.to_dict())
+    # model.json's record rebuilds the model it was written from
+    data = reference_model.to_dict()
+    assert data["p"] == 2
+    back = BivariateVarModel(np.array(data["A"]), np.array(data["Sigma"]))
     assert_allclose(back.coeffs, reference_model.coeffs, rtol=0, atol=0)
     assert_allclose(back.sigma, reference_model.sigma, rtol=0, atol=0)
-
-
-def test_model_dict_order_mismatch():
-    data = {"p": 3, "A": np.zeros((1, 2, 2)).tolist(), "Sigma": np.eye(2).tolist()}
-    with pytest.raises(ValueError, match="order"):
-        BivariateVarModel.from_dict(data)
 
 
 def test_lagged_design_layout():
@@ -161,6 +163,33 @@ def test_fit_var_rejects_bad_order():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="order"):
         fit_var(rng.normal(size=50), rng.normal(size=50), 0)
+
+
+def ar1_with_lagged_copy(seed, noise=0.0):
+    """An AR(1) driver of coefficient 0.5 and a target that is its lag-1 copy plus ``noise``."""
+    rng = np.random.default_rng(seed)
+    x = simulate_var(np.array([[[0.5, 0.0], [0.0, 0.0]]]), rng.standard_normal((1001, 2)))[:, 0]
+    return x[1:], x[:-1] + noise * rng.standard_normal(1000)
+
+
+def test_exact_target_is_named_and_ends_the_scan():
+    # y_n = x_{n-1}: the target equation's residual is rounding, not innovation
+    x, y = ar1_with_lagged_copy(0)
+    with pytest.raises(ValueError, match="target is an exact function of the past at order 1"):
+        fit_var(x, y, 1)
+    aics = aic_curve(x, y, 14)
+    assert aics[0] == -np.inf and np.all(aics[1:] == np.inf)
+    with pytest.raises(ValueError, match="at order 1 a channel is an exact function"):
+        select_order_aic(x, y, 14)
+
+
+def test_near_exact_target_still_fits(aic_loop_reference):
+    # a real residual of 1e-6 of the target's variance is far above rounding
+    x, y = ar1_with_lagged_copy(0, noise=1e-3)
+    model = fit_var(x, y, 1)
+    assert 3e-7 < model.sigma_y / y.var() < 3e-6
+    assert_allclose(model.coeffs[0, 1, 0], 1.0, rtol=0, atol=1e-3)
+    assert_same_scan(x, y, 14, aic_loop_reference)
 
 
 def test_order_selection_mostly_finds_true_order():
@@ -257,15 +286,15 @@ def test_lyapunov_scalar_closed_form():
     for p in (1, 5):
         coeffs = np.zeros((p, 2, 2))
         coeffs[0, 1, 1] = 0.5
-        gammas = compute_autocovariance(BivariateVarModel(coeffs, np.eye(2)), 0)
-        assert_allclose(gammas.gammas[0], [[1.0, 0.0], [0.0, 4.0 / 3.0]], rtol=0, atol=1e-14)
+        gammas = gammas_of(BivariateVarModel(coeffs, np.eye(2)), 0)
+        assert_allclose(gammas[0], [[1.0, 0.0], [0.0, 4.0 / 3.0]], rtol=0, atol=1e-14)
 
 
 def test_lyapunov_rejects_unstable():
     # spectral radius exactly one: no stationary solution
     coeffs = np.array([[[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(UnstableModelError):
-        compute_autocovariance(BivariateVarModel(coeffs, np.eye(2)), 0)
+        gammas_of(BivariateVarModel(coeffs, np.eye(2)), 0)
 
 
 def test_autocovariance_embedded_ar1_closed_form():
@@ -273,47 +302,40 @@ def test_autocovariance_embedded_ar1_closed_form():
     # Gamma_yy(k) = (4/3) * 0.5**k, all cross terms zero
     coeffs = np.array([[[0.0, 0.0], [0.0, 0.5]]])
     model = BivariateVarModel(coeffs, np.eye(2))
-    gammas = compute_autocovariance(model, 8)
+    gammas = gammas_of(model, 8)
     for k in range(9):
-        assert_allclose(gammas.gamma_yy(k), (4.0 / 3.0) * 0.5**k, rtol=0, atol=1e-12)
-        assert_allclose(gammas.gamma_yx(k), 0.0, rtol=0, atol=1e-14)
-    assert_allclose(gammas.gamma_xx(0), 1.0, rtol=0, atol=1e-12)
-    assert_allclose(gammas.gamma_xx(3), 0.0, rtol=0, atol=1e-14)
+        assert_allclose(gammas[k, 1, 1], (4.0 / 3.0) * 0.5**k, rtol=0, atol=1e-12)
+        assert_allclose(gammas[k, 1, 0], 0.0, rtol=0, atol=1e-14)
+    assert_allclose(gammas[0, 0, 0], 1.0, rtol=0, atol=1e-12)
+    assert_allclose(gammas[3, 0, 0], 0.0, rtol=0, atol=1e-14)
 
 
 def test_autocovariance_prefix_consistency(reference_model):
-    short = compute_autocovariance(reference_model, 5)
-    long = compute_autocovariance(reference_model, 40)
-    assert_allclose(short.gammas, long.gammas[:6], rtol=0, atol=1e-12)
-    assert short.q == 5
-    assert long.q == 40
+    short = gammas_of(reference_model, 5)
+    long = gammas_of(reference_model, 40)
+    assert_allclose(short, long[:6], rtol=0, atol=1e-12)
+    assert short.shape == (6, 2, 2)
+    assert long.shape == (41, 2, 2)
 
 
 def test_autocovariance_decays(reference_model):
-    gammas = compute_autocovariance(reference_model, 20)
-    assert np.linalg.norm(gammas.gammas[20]) < np.linalg.norm(gammas.gammas[0])
+    gammas = gammas_of(reference_model, 20)
+    assert np.linalg.norm(gammas[20]) < np.linalg.norm(gammas[0])
 
 
 def test_autocovariance_matches_sample_estimate(reference_model):
     pair = simulate(SimSpec(system="open_loop", n=1_000_000, seed=7, b=1.0, c=0.5))
     s = np.column_stack([pair.x, pair.y])
     s = s - s.mean(axis=0)
-    gammas = compute_autocovariance(reference_model, 2)
+    gammas = gammas_of(reference_model, 2)
     n = s.shape[0]
     for k in range(3):
         sample = s[k:].T @ s[: n - k] / n
-        rel = np.linalg.norm(sample - gammas.gammas[k]) / np.linalg.norm(gammas.gammas[0])
+        rel = np.linalg.norm(sample - gammas[k]) / np.linalg.norm(gammas[0])
         assert rel < 0.02
 
 
 def test_autocovariance_rejects_unstable():
     coeffs = np.array([[[1.01, 0.0], [0.0, 0.0]]])
     with pytest.raises(UnstableModelError):
-        compute_autocovariance(BivariateVarModel(coeffs, np.eye(2)), 5)
-
-
-def test_autocovariance_sequence_lag_conventions():
-    gammas = AutocovarianceSequence(np.zeros((3, 2, 2)))
-    assert gammas.q == 2
-    with pytest.raises(ValueError, match="negative"):
-        gammas.gamma_yx(-1)
+        gammas_of(BivariateVarModel(coeffs, np.eye(2)), 5)
