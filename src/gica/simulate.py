@@ -22,9 +22,9 @@ Two-process systems run as :func:`gica.varmodel.simulate_var` of their exact
 model, the three-process confounded system as a cascade of ``lfilter`` calls
 on the coefficients :func:`build_confounded_system` returns.
 
-Theoretical profiles and the confounded study take the same path from a
-model to measures as an analysis: :func:`gica.restricted.derive_restricted`,
-then :func:`gica.spectral.assemble_profiles`.
+Theoretical profiles take an analysis's path from a model to measures,
+:func:`gica.restricted.derive_restricted` then ``assemble_profiles``; each
+confounded-study run takes a surrogate block's, ending in ``measure_stack``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from scipy.signal import lfilter
 
 from .restricted import derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles
+from .spectral import assemble_profiles, measure_stack
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable
+from .varmodel import BivariateVarModel, fit_var_stack, poles_to_ar_coeffs, require_stable
 from .varmodel import select_order_aic, simulate_var
 
 BURN_IN = 1000
@@ -242,14 +242,15 @@ def run_confounded_study(
         pair = simulate(spec)
         try:
             order = select_order_aic(pair.x, pair.y, p_max)
-            model = fit_var(pair.x, pair.y, order).diagonalized()
-            _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q)
-            profiles, _ = assemble_profiles(model, *rest, grid, {})
+            coeffs, sigma = fit_var_stack(pair.x[None], pair.y[None], order)
+            sigma = sigma * np.eye(2)  # strictly causal convention, as diagonalized()
+            _, *rest = derive_restricted(coeffs, sigma, q)
+            profiles = measure_stack(coeffs, sigma, *rest, grid, {})[1]
         except ValueError:
             failures += 1
             continue
         for name in sums:
-            sums[name] += profiles[name].values
+            sums[name] += profiles[name][0]
     if failures > 0.05 * n_runs:
         raise RuntimeError(
             f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates"

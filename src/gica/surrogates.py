@@ -7,7 +7,9 @@ autonomy): the target surrogate is driven by the driver's past alone. In
 both cases the driver surrogate keeps its full fitted equation (own and
 target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
-initial conditions with a 100-sample burn-in. The generator is gated by
+initial conditions with a 100-sample burn-in. Both equations are fitted
+by :func:`gica.varmodel.gated_lstsq` on columns of its ``lag_matrix``, as
+the full model is. The generator is gated by
 :func:`gica.varmodel.require_stable`; the whole batch's channel-major drive
 is filtered by one call of :func:`gica.varmodel.simulate_var`, and the
 batch is returned as that channel-major ``(2, B, n)`` array, which
@@ -28,7 +30,7 @@ import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y
 from .timeseries import TimeSeriesPair
-from .varmodel import gated_lstsq, lagged_design, require_stable, simulate_var
+from .varmodel import gated_lstsq, lag_matrix, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
 
@@ -93,13 +95,11 @@ def fit_driver_row(
 
     Returns ``(a_xx, a_xy, residuals)`` with ``p`` lags each.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size <= 3 * p:
-        raise ValueError(f"series too short ({x.size}) for driver fit at order {p}")
-    design = lagged_design([x, y], p)
-    sol, resid = gated_lstsq(design, x[p:], "the driver equation")
-    return sol[:p], sol[p:], resid
+    if np.size(x) <= 3 * p:
+        raise ValueError(f"series too short ({np.size(x)}) for driver fit at order {p}")
+    z = lag_matrix(x, y, p)[p:, :-1]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n]
+    sol, resid = gated_lstsq(z, 2 * p, "the driver equation")
+    return sol[0::2, 0], sol[1::2, 0], resid[:, 0]
 
 
 def fit_restricted_direct(
@@ -110,16 +110,14 @@ def fit_restricted_direct(
     ``kind`` selects the regressor past: ``"ar_on_y"`` uses the target's own
     past, ``"x_on_y"`` the driver's past. Returns ``(coeffs, residuals)``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if kind not in (AR_ON_Y, X_ON_Y):
         raise ValueError(f"unknown restricted model kind {kind!r}")
-    if y.size <= 2 * q:
-        raise ValueError(f"series too short ({y.size}) for restricted fit at {q} lags")
-    source = y if kind == AR_ON_Y else x
-    design = lagged_design([source], q)
-    coeffs, resid = gated_lstsq(design, y[q:], f"the {kind} regression")
-    return coeffs, resid
+    if np.size(y) <= 2 * q:
+        raise ValueError(f"series too short ({np.size(y)}) for restricted fit at {q} lags")
+    # the source's lags 1..q, then Y_n
+    z = lag_matrix(x, y, q)[q:, np.r_[int(kind == AR_ON_Y) : 2 * q : 2, -1]]
+    coeffs, resid = gated_lstsq(z, q, f"the {kind} regression")
+    return coeffs[:, 0], resid[:, 0]
 
 
 def generate_surrogates(

@@ -11,16 +11,13 @@ model, obtained from the companion-form discrete Lyapunov equation.
 Every stability gate is :func:`require_stable`, and every two-process
 simulation, surrogate batches included, runs :func:`simulate_var`.
 
-Fitting and autocovariance take stacks: :func:`fit_var_stack` builds a
-block's lagged designs once and keeps one ``lstsq`` per row, whose SVD rank
-gate normal equations would lose; :func:`autocovariance_stack` gates, solves
-and recurses a whole block at once. :func:`fit_var` is the fit's batch of
-one. An equation whose residual is rounding, not innovation, fails a fit.
-
-Order selection fits no model per order: :func:`aic_curve` gets every
-order's residual covariance, each on its own sample and through the same
-gates as :func:`fit_var`, from one QR factorisation of the lag-ordered data
-plus one small QR per order; :func:`select_order_aic` takes its minimum.
+Every least-squares fit is one QR of ``[design | targets]`` from the
+lag-major :func:`lag_matrix`, ``lstsq``'s rank rule on its ``R11`` and a
+triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack` (one batched
+QR per block; :func:`fit_var` is its batch of one) and :func:`aic_curve`
+(one QR plus one small QR per order) read rank, ``Sigma`` and exact
+equations off R through one per-order gate. :func:`autocovariance_stack`
+gates, solves and recurses a whole block at once.
 """
 
 from __future__ import annotations
@@ -168,43 +165,66 @@ def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:
     return 2 * rho * np.cos(2 * np.pi * f_norm), -(rho**2)
 
 
-def lagged_design(series: list[np.ndarray], lags: int) -> np.ndarray:
-    """Regressor matrix with columns ``s[n-1] .. s[n-lags]`` per series.
+def lag_matrix(x: np.ndarray, y: np.ndarray, lags: int) -> np.ndarray:
+    """``[S_{n-1} .. S_{n-lags}, S_n]`` at each ``n``, lag-major, zero before the start.
 
-    Rows correspond to times ``n = lags .. N-1`` (0-based); the caller pairs
-    them with targets ``s[lags:]``. Series of shape ``(..., N)`` give
-    designs of shape ``(..., N - lags, columns)``.
+    Series ``(..., N)`` give ``(..., N, 2 lags + 2)``. Rows ``p ..`` of the
+    first ``2p`` and the last two columns are the design and the targets of
+    an order-``p`` fit on samples ``p+1 .. N``, for any ``p <= lags``.
     """
-    cols = []
-    for s in series:
-        for k in range(1, lags + 1):
-            cols.append(s[..., lags - k : s.shape[-1] - k])
-    return np.stack(cols, axis=-1)
+    s = np.stack([x, y], axis=-2)  # (..., 2, N)
+    z = np.zeros((*s.shape[:-2], lags + 1, 2, s.shape[-1]))  # column-major: a lag is one copy
+    z[..., lags, :, :] = s
+    for k in range(1, lags + 1):
+        z[..., k - 1, :, k:] = s[..., :-k]
+    return np.swapaxes(z.reshape(*s.shape[:-2], 2 * lags + 2, s.shape[-1]), -1, -2)
 
 
-def gated_lstsq(a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``lstsq`` solution and residuals; a design its SVD finds rank-deficient raises."""
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < a.shape[1]:
-        raise ValueError(f"rank-deficient regression while fitting {what} (rank {rank})")
-    return sol, b - a @ sol
+def _rank(r11: np.ndarray, rows: int) -> np.ndarray:
+    """Ranks of designs of ``rows`` rows from their QR's ``R11`` ``(..., k, k)``, by ``lstsq``'s
+    rule: singular values up to ``eps * max(rows, k)`` times the largest count as zero."""
+    sv = np.linalg.svd(r11, compute_uv=False)
+    return (sv > np.finfo(float).eps * max(rows, r11.shape[-1]) * sv[..., :1]).sum(axis=-1)
+
+
+def _solve(r: np.ndarray, k: int, rank: np.ndarray, what: str) -> np.ndarray:
+    """``R11^-1 R12`` of full-rank designs; the LU of a triangular ``R11`` takes no pivot."""
+    if np.min(rank) < k:
+        raise ValueError(f"rank-deficient regression while fitting {what} (rank {np.min(rank)})")
+    return np.linalg.solve(r[..., :k, :k], r[..., :k, k:])
+
+
+def gated_lstsq(z: np.ndarray, k: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of the last columns of ``z`` ``(..., M, k + t)`` on its first ``k``: one QR,
+    the rank gate, a triangular solve. Returns solutions ``(..., k, t)`` and residuals."""
+    r = np.linalg.qr(z, mode="r")
+    sol = _solve(r, k, _rank(r[..., :k, :k], z.shape[-2]), what)
+    return sol, z[..., k:] - z[..., :k] @ sol
+
+
+def _order_gate(r: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design rank, ``Sigma_p = R22^T R22 / rows`` and exact-equation flags ``(..., 2)`` from R
+    factors of ``[design | targets]``; an equation is exact when its residual variance is at
+    most ``eps`` times its target's mean square: every log-ratio built on it is noise."""
+    k = r.shape[-1] - 2
+    sigma = np.swapaxes(r[..., k:, k:], -1, -2) @ r[..., k:, k:] / rows
+    power = (r[..., k:] ** 2).sum(axis=-2) / rows
+    exact = np.diagonal(sigma, axis1=-2, axis2=-1) <= np.finfo(float).eps * power
+    return _rank(r[..., :k, :k], rows), sigma, exact
 
 
 def fit_var(x: np.ndarray, y: np.ndarray, p: int) -> BivariateVarModel:
     """Least-squares fit of a bivariate AR(p) model: :func:`fit_var_stack` of one pair."""
-    x, y = np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None]
-    coeffs, sigma = fit_var_stack(x, y, p)
+    coeffs, sigma = fit_var_stack(np.asarray(x, float)[None], np.asarray(y, float)[None], p)
     return BivariateVarModel(coeffs[0], sigma[0])
 
 
 def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of bivariate AR(p) models to a stack of pairs ``(B, N)``.
 
-    Both equations are regressed on the joint past ``(X_{n-1..n-p},
-    Y_{n-1..n-p})`` over samples ``p+1 .. N``. The innovation covariance is
-    the residual covariance with divisor ``N - p``. One ``lstsq`` per row
-    keeps each row's coefficients those of its pair alone. Returns ``coeffs``
-    ``(B, p, 2, 2)`` and ``sigma`` ``(B, 2, 2)``, through the model's gates.
+    One batched QR of rows ``p ..`` of :func:`lag_matrix` (samples ``p+1 .. N``), the per-order
+    gate of :func:`aic_curve`, then ``R11^-1 R12``. Returns ``coeffs`` ``(B, p, 2, 2)`` and the
+    residual covariances ``sigma`` ``(B, 2, 2)`` (divisor ``N - p``), through the model's gates.
     """
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("x and y must be equal-shape stacks of one-dimensional series")
@@ -213,16 +233,11 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
         raise ValueError(f"order must be >= 1, got {p}")
     if n <= 4 * p + 2:
         raise ValueError(f"need more than {4 * p + 2} samples to fit order {p}, got {n}")
-    design = lagged_design([x, y], p)
-    targets = np.stack([x[:, p:], y[:, p:]], axis=-1)
-    sols = np.empty((x.shape[0], 2 * p, 2))
-    resid = np.empty_like(targets)
-    for i in range(x.shape[0]):
-        sols[i], resid[i] = gated_lstsq(design[i], targets[i], "the full model")
-    sigma = np.swapaxes(resid, -1, -2) @ resid / (n - p)
-    # sols rows: [x lags 1..p, y lags 1..p], columns: equations; map to (B, p, 2, 2)
-    coeffs = sols.reshape(-1, 2, p, 2).transpose(0, 2, 3, 1)
-    exact = _exact_equations(sigma, (targets**2).mean(axis=-2)).any(axis=0)
+    r = np.linalg.qr(lag_matrix(x, y, p)[:, p:], mode="r")
+    rank, sigma, exact = _order_gate(r, n - p)
+    # solution rows: (X, Y) at lags 1..p; columns: equations
+    coeffs = _solve(r, 2 * p, rank, "the full model").reshape(-1, p, 2, 2).swapaxes(-1, -2)
+    exact = exact.any(axis=0)
     if exact.any():
         raise ValueError(
             f"the {'target' if exact[1] else 'driver'} is an exact function of the past at "
@@ -232,57 +247,41 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
     return coeffs, sigma
 
 
-def _exact_equations(sigma: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Equations ``(..., 2)`` whose residual variance is rounding: ``<= eps`` times the
-    mean square ``power`` of their targets, so every log-ratio built on it is noise."""
-    return np.diagonal(sigma, axis1=-2, axis2=-1) <= np.finfo(float).eps * power
-
-
 def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
     """``AIC(p) = N ln det(Sigma_p) + 2 (4 p)`` for ``p = 1 .. p_max``, N the pair length.
 
-    ``Sigma_p`` is :func:`fit_var`'s innovation covariance, each order on its
-    own sample ``p+1 .. N``, from one QR factorisation instead of a fit per
-    order. With ``Z = [S_{n-1} .. S_{n-P}, S_n]`` (lag-major, zero before the
-    start), ``R0 = qr(Z[P:])`` covers the rows all orders share; order p's
-    columns of ``R0`` stacked over its extra rows ``Z[p:P]`` take one small QR
-    to the R factor of its own design and targets. The leading ``2p x 2p``
-    block has the design's singular values, gated with ``lstsq``'s rank
-    threshold; the trailing ``2 x 2`` block ``R22`` gives ``Sigma_p =
-    R22^T R22 / (N - p)``. As :func:`fit_var` would, the scan stops at the
-    first order with ``N <= 4p + 2``, a rank-deficient design, non-finite
-    values or a ``Sigma_p`` that is not positive definite; that order and all
-    larger ones get ``inf``, as does one whose ``det Sigma_p`` is not positive.
-    An order with an exact equation (:func:`fit_var`'s rule, the targets' mean
-    square read off their columns of ``R``) gets ``-inf`` and ends the scan.
+    ``Sigma_p`` is :func:`fit_var`'s, each order on its own sample ``p+1 ..
+    N``, from one QR instead of a fit per order. With ``Z`` the
+    :func:`lag_matrix` of ``P`` lags, ``R0 = qr(Z[P:])`` covers the rows all
+    orders share; order p's columns of ``R0`` over its extra rows ``Z[p:P]``
+    take one small QR to its R factor, read by :func:`fit_var_stack`'s gate.
+    The scan stops at the first order with ``N <= 4p + 2``, non-finite
+    values, a rank-deficient design or a ``Sigma_p`` that is not positive
+    definite: it and all larger orders get ``inf``, as does one whose ``det
+    Sigma_p`` is not positive. An exact order gets ``-inf`` and ends the scan.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be one-dimensional series of equal length")
-    n, s = x.size, np.stack([x, y], axis=-1)
+    n = x.size
     top = max(0, min(p_max, (n - 3) // 4))  # largest order with n > 4p + 2
-    z = np.zeros((n, top + 1, 2))
-    z[:, top] = s
-    for k in range(1, top + 1):
-        z[k:, k - 1] = s[:-k]
-    z = z.reshape(n, 2 * top + 2)
+    z = lag_matrix(x, y, top)
     r0 = np.linalg.qr(z[top:], mode="r")
-    sigmas, powers = [], []
+    sigmas, exacts = [], []
     for p in range(1, top + 1):
         cols = np.r_[: 2 * p, -2, -1]
         r = np.linalg.qr(np.vstack([r0[:, cols], z[p:top, cols]]), mode="r")
         if not np.isfinite(r).all():
             break
-        sv = np.linalg.svd(r[: 2 * p, : 2 * p], compute_uv=False)
-        if sv[-1] <= np.finfo(float).eps * max(n - p, 2 * p) * sv[0]:
-            break  # lstsq would find the design rank-deficient
-        r22 = r[2 * p :, 2 * p :]
-        sigmas.append(r22.T @ r22 / (n - p))
-        powers.append((r[:, 2 * p :] ** 2).sum(axis=0) / (n - p))  # targets' mean square
+        rank, sigma, exact = _order_gate(r, n - p)
+        if rank < 2 * p:
+            break
+        sigmas.append(sigma)
+        exacts.append(exact)
     sigma = np.reshape(sigmas, (-1, 2, 2))
-    exact = _exact_equations(sigma, np.reshape(powers, (-1, 2))).any(axis=-1)
+    exact = np.reshape(exacts, (-1, 2)).any(axis=-1)
     # orders up to the first Sigma_p that is exact or not positive definite
     fitted = int(np.cumprod(~exact & (np.linalg.eigvalsh(sigma).min(axis=-1) > 0)).sum())
     sign, logdet = np.linalg.slogdet(sigma[:fitted])

@@ -24,7 +24,7 @@ from gica.spectral import (
     full_band_integral,
 )
 from gica.surrogates import SurrogateConfig, generate_surrogates, significance_test
-from gica.varmodel import lagged_design
+from gica.varmodel import lag_matrix
 
 GRID = FrequencyGrid(2049)
 
@@ -99,8 +99,8 @@ def oracle_rows():
                 coeffs, resid = fit_restricted_direct(pair.x, pair.y, kind, 20)
                 exact_coeffs, exact_var = (v[0] for v in theory[kind])
                 delta = coeffs - exact_coeffs
-                source = pair.y if kind == "ar_on_y" else pair.x
-                design = lagged_design([source], 20)
+                # the source's lags 1..20: every other of the first 40 columns
+                design = lag_matrix(pair.x, pair.y, 20)[20:, int(kind == "ar_on_y") : 40 : 2]
                 rows.append(
                     {
                         "kind": kind,

@@ -24,7 +24,7 @@ from gica.spectral import (
     full_band_integral,
 )
 from gica.restricted import derive_restricted
-from gica.varmodel import autocovariance_stack, fit_var
+from gica.varmodel import autocovariance_stack, fit_var, select_order_aic
 
 PROFILE_NAMES = {
     "psd_x",
@@ -304,6 +304,25 @@ def test_confounded_study_deterministic_and_clean():
     again, _ = run_confounded_study(0.8, 0.0, n_runs=3, n=400, seed=5, grid=grid, p_max=8)
     for name in profiles:
         assert np.array_equal(profiles[name].values, again[name].values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_confounded_study_matches_assemble_profiles_path(seed):
+    # the study's stacked path gives bit-identical profiles to one analysis
+    # model at a time through assemble_profiles
+    grid = FrequencyGrid(257)
+    profiles, failures = run_confounded_study(0.8, 0.0, n_runs=3, n=500, seed=seed, grid=grid)
+    assert failures == 0
+    sums = dict.fromkeys(profiles, 0.0)
+    for run in range(3):
+        pair = simulate(SimSpec(system="confounded", n=500, seed=(seed, run), a=0.8))
+        model = fit_var(pair.x, pair.y, select_order_aic(pair.x, pair.y, 14)).diagonalized()
+        _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], 20)
+        reference, _ = assemble_profiles(model, *rest, grid, {})
+        for name in sums:
+            sums[name] = sums[name] + reference[name].values
+    for name in sums:
+        assert np.array_equal(profiles[name].values, sums[name] / 3)
 
 
 def test_confounded_study_rejects_empty_run_count():

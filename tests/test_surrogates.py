@@ -82,6 +82,29 @@ def test_driver_row_rejects_degenerate_design():
         fit_driver_row(np.ones(50), rng.standard_normal(50), 2)
 
 
+def lstsq_on_lags(sources, target, lags):
+    """``np.linalg.lstsq`` of ``target[lags:]`` on lags ``1..lags`` of each source, in turn."""
+    n = target.size
+    design = np.column_stack([s[lags - k : n - k] for s in sources for k in range(1, lags + 1)])
+    sol = np.linalg.lstsq(design, target[lags:], rcond=None)[0]
+    return sol, target[lags:] - design @ sol
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_surrogate_regressions_match_lstsq(order):
+    pair = simulate(SimSpec(system="closed_loop", n=1000, seed=8, b=1.0, c=0.5, d=0.5))
+    x, y = pair.x, pair.y
+    a_xx, a_xy, resid = fit_driver_row(x, y, order)
+    sol, ref = lstsq_on_lags([x, y], x, order)
+    assert_allclose(np.r_[a_xx, a_xy], sol, rtol=0, atol=1e-12 * np.abs(sol).max())
+    assert_allclose(resid, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    for kind, source in (("ar_on_y", y), ("x_on_y", x)):
+        coeffs, resid = fit_restricted_direct(x, y, kind, 4 * order)
+        sol, ref = lstsq_on_lags([source], y, 4 * order)
+        assert_allclose(coeffs, sol, rtol=0, atol=1e-12 * np.abs(sol).max())
+        assert_allclose(resid, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def test_direct_restricted_fits_match_projection_values():
     # long-sample least squares approaches the exact projections
     pair = simulate(SimSpec(system="open_loop", n=5000, seed=1, b=1.0, c=0.5))

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import gica.varmodel
 from gica.simulate import SimSpec, build_true_model, simulate
-from gica.timeseries import preprocess
+from gica.timeseries import TimeSeriesPair, preprocess
 from gica.varmodel import (
     BivariateVarModel,
     UnstableModelError,
@@ -15,7 +15,9 @@ from gica.varmodel import (
     autocovariance_stack,
     companion_matrix,
     fit_var,
-    lagged_design,
+    fit_var_stack,
+    gated_lstsq,
+    lag_matrix,
     poles_to_ar_coeffs,
     require_stable,
     select_order_aic,
@@ -130,12 +132,74 @@ def test_model_dict_round_trip(reference_model):
     assert_allclose(back.sigma, reference_model.sigma, rtol=0, atol=0)
 
 
-def test_lagged_design_layout():
-    s = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
-    design = lagged_design([s], 2)
-    # rows are times n = 2, 3, 4; columns are s[n-1], s[n-2]
-    expected = np.array([[11.0, 10.0], [12.0, 11.0], [13.0, 12.0]])
-    assert_allclose(design, expected, rtol=0, atol=0)
+def test_lag_matrix_layout():
+    x = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
+    z = lag_matrix(x, -x, 2)
+    # row n: X_{n-1}, Y_{n-1}, X_{n-2}, Y_{n-2}, X_n, Y_n, zero before the start
+    expected = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 10.0, -10.0],
+            [10.0, -10.0, 0.0, 0.0, 11.0, -11.0],
+            [11.0, -11.0, 10.0, -10.0, 12.0, -12.0],
+            [12.0, -12.0, 11.0, -11.0, 13.0, -13.0],
+            [13.0, -13.0, 12.0, -12.0, 14.0, -14.0],
+        ]
+    )
+    assert_allclose(z, expected, rtol=0, atol=0)
+    stacked = lag_matrix(np.stack([x, 2 * x]), np.stack([-x, -2 * x]), 2)
+    assert np.array_equal(stacked, np.stack([expected, 2 * expected]))
+
+
+def lstsq_fit(x, y, p):
+    """One pair's AR(p) fit from ``np.linalg.lstsq`` on the series-major design."""
+    n = x.size
+    design = np.column_stack([s[p - k : n - k] for s in (x, y) for k in range(1, p + 1)])
+    targets = np.column_stack([x[p:], y[p:]])
+    sol, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    resid = targets - design @ sol
+    # sol rows: [x lags 1..p, y lags 1..p], columns: equations
+    return sol.reshape(2, p, 2).transpose(1, 2, 0), resid.T @ resid / (n - p), rank
+
+
+@pytest.mark.parametrize("cutoff", [None, 0.0156])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 14])
+def test_fit_var_stack_matches_lstsq_per_row(random_model_factory, p, cutoff):
+    rng = np.random.default_rng(70 + p)
+    rows = []
+    for _ in range(3):
+        model = random_model_factory(rng, p=p, radius=0.9)
+        drive = rng.standard_normal((1500, 2)) * np.sqrt(np.diag(model.sigma))
+        x, y = simulate_var(model.coeffs, drive)[1000:].T
+        rows.append(preprocess(TimeSeriesPair(x, y, 1.0), cutoff))
+    coeffs, sigma = fit_var_stack(np.stack([r.x for r in rows]), np.stack([r.y for r in rows]), p)
+    for row, c, s in zip(rows, coeffs, sigma):
+        ref_c, ref_s, _ = lstsq_fit(row.x, row.y, p)
+        assert np.abs(c - ref_c).max() <= 1e-10 * np.abs(ref_c).max()
+        assert np.abs(s - ref_s).max() <= 1e-10 * np.abs(ref_s).max()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-15, 1e-14, 1e-12, 1e-11, 1e-8])
+def test_rank_gate_agrees_with_lstsq(delta):
+    # y = 2x + delta * noise is rank-deficient at order 1 until delta clears
+    # lstsq's threshold, about 3e-13 here
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(300)
+    y = 2 * x + delta * rng.standard_normal(300)
+    rank = lstsq_fit(x, y, 1)[2]
+    z = lag_matrix(x, y, 1)[1:]
+    if rank < 2:
+        with pytest.raises(ValueError, match=f"fitting probe \\(rank {rank}\\)"):
+            gated_lstsq(z, 2, "probe")
+    else:
+        gated_lstsq(z, 2, "probe")
+    # a full-rank design may still fail a later gate: its innovations are collinear too
+    try:
+        fit_var(x, y, 1)
+    except ValueError as err:
+        assert ("rank-deficient" in str(err)) == (rank < 2)
+    else:
+        assert rank == 2
+    assert (rank < 2) == (delta < 1e-13)
 
 
 def test_fit_var_recovers_simulated_coefficients():
