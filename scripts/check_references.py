@@ -3,17 +3,16 @@
 
 Run from anywhere in a gica checkout:
 
-    python3 scripts/check_references.py [workload ...]
+    python3 scripts/check_references.py
 
-Each key of each workload's input pool (all three workloads by default)
-goes once through that workload's own ``prepare``, ``op`` and ``outputs``
-from ``perfbench/workloads.py``, and is compared with
-``perfbench/reference/<workload>.json`` by its ``mismatches``: orders,
-verdicts and exit codes exactly, real numbers to 1e-6 relative. The
-benchmark itself checks only the keys its seed draws and reports a failed
-check without failing, so this is the gate for "every record matches".
-It prints one line per workload, lists every mismatch or error and exits 1
-if there is any. BLAS runs on one thread, as in the benchmark.
+Each key of each workload's input pool goes once through that workload's
+own ``prepare``, ``op`` and ``outputs`` from ``perfbench/workloads.py``, and
+is compared with ``perfbench/reference/<workload>.json`` by its
+``mismatches``: orders, verdicts and exit codes exactly, real numbers to
+1e-6 relative. The benchmark itself checks only the keys its seed draws and
+reports a failed check without failing, so this is the gate for "every
+record matches". It prints one line per workload, lists every mismatch or
+error and exits 1 if there is any. BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ def check(name: str) -> tuple[int, dict[str, list[str]]]:
     return len(keys), failed
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     failures = 0
-    for name in names or list(WORKLOADS):
+    for name in WORKLOADS:
         start = time.perf_counter()
         keys, failed = check(name)
         print(f"{name}: {keys - len(failed)} of {keys} records match "
@@ -61,4 +60,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

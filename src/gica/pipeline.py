@@ -23,10 +23,10 @@ import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, measure_stack
+from .spectral import assemble_profiles, fitted_measures
 from .surrogates import H1, H2, TAILS, SurrogateConfig, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
-from .varmodel import BivariateVarModel, fit_var, fit_var_stack, select_order_aic
+from .varmodel import BivariateVarModel, fit_var, select_order_aic
 
 RESIDUAL_CORRELATION_WARN = 0.2
 SURROGATE_BLOCK = 10  # near the speed of larger blocks, at a tenth of their memory
@@ -122,16 +122,13 @@ def surrogate_values(
     """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a
-    copy, is one batched pass: fit, gate, autocovariance, restricted models,
-    measures. Any gate fails the block.
+    copy, is one :func:`gica.spectral.fitted_measures` pass: fit, gate,
+    autocovariance, restricted models, measures. Any gate fails the block.
     """
     reports = []
     for start in range(0, series.shape[1], SURROGATE_BLOCK):
         x, y = series[:, start : start + SURROGATE_BLOCK]
-        coeffs, sigma = fit_var_stack(x, y, order)
-        sigma = sigma * np.eye(2)  # strictly causal convention, as diagonalized()
-        _, *rest = derive_restricted(coeffs, sigma, q)
-        reports.append(measure_stack(coeffs, sigma, *rest, grid, bands)[2])
+        reports.append(fitted_measures(x, y, order, q, grid, bands)[2])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS

@@ -24,7 +24,7 @@ on the coefficients :func:`build_confounded_system` returns.
 
 Theoretical profiles take an analysis's path from a model to measures,
 :func:`gica.restricted.derive_restricted` then ``assemble_profiles``; each
-confounded-study run takes a surrogate block's, ending in ``measure_stack``.
+confounded-study run takes a surrogate block's, :func:`gica.spectral.fitted_measures`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from scipy.signal import lfilter
 
 from .restricted import derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, measure_stack
+from .spectral import assemble_profiles, fitted_measures
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, fit_var_stack, poles_to_ar_coeffs, require_stable
+from .varmodel import BivariateVarModel, poles_to_ar_coeffs, require_stable
 from .varmodel import select_order_aic, simulate_var
 
 BURN_IN = 1000
@@ -242,10 +242,7 @@ def run_confounded_study(
         pair = simulate(spec)
         try:
             order = select_order_aic(pair.x, pair.y, p_max)
-            coeffs, sigma = fit_var_stack(pair.x[None], pair.y[None], order)
-            sigma = sigma * np.eye(2)  # strictly causal convention, as diagonalized()
-            _, *rest = derive_restricted(coeffs, sigma, q)
-            profiles = measure_stack(coeffs, sigma, *rest, grid, {})[1]
+            profiles = fitted_measures(pair.x[None], pair.y[None], order, q, grid, {})[1]
         except ValueError:
             failures += 1
             continue

@@ -29,8 +29,8 @@ model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 :func:`measure_stack` is the one place models become measures: it takes the
 stacked arrays of :func:`gica.restricted.derive_restricted`, real FFTs give
 ``E`` and the scalar ``det F`` of a whole stack, and each band mean is one
-cached weight vector per grid and band. :func:`assemble_profiles` is its
-batch of one, plus the display spectra and coherences from the same ``E``.
+cached weight vector per grid and band. :func:`fitted_measures` fits its stack;
+:func:`assemble_profiles` is its batch of one, plus display spectra from ``E``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .varmodel import BivariateVarModel, UnstableModelError, require_stable
+from .restricted import derive_restricted
+from .varmodel import BivariateVarModel, UnstableModelError, fit_var_stack, require_stable
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,14 @@ def measure_stack(
     report = MeasureReport(_nonnegative(f_xy, "F_xy"), f_y, _nonnegative(a_y, "A_y"))
     report.bands = _band_stack(profiles, grid, bands)
     return e, profiles, report
+
+
+def fitted_measures(x, y, p: int, q: int, grid: FrequencyGrid, bands: dict) -> tuple:
+    """:func:`measure_stack` of the order-``p`` fits to pairs ``(B, N)``, ``sigma`` diagonalized
+    (the strictly causal convention) before :func:`gica.restricted.derive_restricted`."""
+    coeffs, sigma = fit_var_stack(x, y, p)
+    sigma *= np.eye(2)
+    return measure_stack(coeffs, sigma, *derive_restricted(coeffs, sigma, q)[1:], grid, bands)
 
 
 def assemble_profiles(

@@ -95,9 +95,7 @@ def fit_driver_row(
 
     Returns ``(a_xx, a_xy, residuals)`` with ``p`` lags each.
     """
-    if np.size(x) <= 3 * p:
-        raise ValueError(f"series too short ({np.size(x)}) for driver fit at order {p}")
-    z = lag_matrix(x, y, p)[p:, :-1]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n]
+    z = lag_matrix([x, y], p)[p:, :-1]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n]
     sol, resid = gated_lstsq(z, 2 * p, "the driver equation")
     return sol[0::2, 0], sol[1::2, 0], resid[:, 0]
 
@@ -112,10 +110,8 @@ def fit_restricted_direct(
     """
     if kind not in (AR_ON_Y, X_ON_Y):
         raise ValueError(f"unknown restricted model kind {kind!r}")
-    if np.size(y) <= 2 * q:
-        raise ValueError(f"series too short ({np.size(y)}) for restricted fit at {q} lags")
-    # the source's lags 1..q, then Y_n
-    z = lag_matrix(x, y, q)[q:, np.r_[int(kind == AR_ON_Y) : 2 * q : 2, -1]]
+    z = lag_matrix([y if kind == AR_ON_Y else x], q)[q:]  # the source's lags 1..q, then ..
+    z[:, -1] = y[q:]  # .. the target Y_n in place of the source's present
     coeffs, resid = gated_lstsq(z, q, f"the {kind} regression")
     return coeffs[:, 0], resid[:, 0]
 

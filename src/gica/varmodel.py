@@ -11,12 +11,12 @@ model, obtained from the companion-form discrete Lyapunov equation.
 Every stability gate is :func:`require_stable`, and every two-process
 simulation, surrogate batches included, runs :func:`simulate_var`.
 
-Every least-squares fit is one QR of ``[design | targets]`` from the
-lag-major :func:`lag_matrix`, ``lstsq``'s rank rule on its ``R11`` and a
-triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack` (one batched
-QR per block; :func:`fit_var` is its batch of one) and :func:`aic_curve`
-(one QR plus one small QR per order) read rank, ``Sigma`` and exact
-equations off R through one per-order gate. :func:`autocovariance_stack`
+Every least-squares fit is the R factor of ``[design | targets]`` from the
+lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
+its ``R11`` and a triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack`
+(one batched R per block; :func:`fit_var` is its batch of one) and
+:func:`aic_curve` (one R plus one small QR per order) read rank, ``Sigma`` and
+exact equations off R through one per-order gate. :func:`autocovariance_stack`
 gates, solves and recurses a whole block at once.
 """
 
@@ -165,19 +165,20 @@ def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:
     return 2 * rho * np.cos(2 * np.pi * f_norm), -(rho**2)
 
 
-def lag_matrix(x: np.ndarray, y: np.ndarray, lags: int) -> np.ndarray:
+def lag_matrix(s: np.ndarray, lags: int) -> np.ndarray:
     """``[S_{n-1} .. S_{n-lags}, S_n]`` at each ``n``, lag-major, zero before the start.
 
-    Series ``(..., N)`` give ``(..., N, 2 lags + 2)``. Rows ``p ..`` of the
-    first ``2p`` and the last two columns are the design and the targets of
-    an order-``p`` fit on samples ``p+1 .. N``, for any ``p <= lags``.
+    Channels ``(..., C, N)`` give ``(..., N, C (lags + 1))``. For ``(X, Y)``, rows ``p ..``
+    of the first ``2p`` and the last two columns are the design and the targets of an
+    order-``p`` fit on samples ``p+1 .. N``, for any ``p <= lags``.
     """
-    s = np.stack([x, y], axis=-2)  # (..., 2, N)
-    z = np.zeros((*s.shape[:-2], lags + 1, 2, s.shape[-1]))  # column-major: a lag is one copy
+    s = np.asarray(s, dtype=float)
+    *lead, c, n = s.shape
+    z = np.zeros((*lead, lags + 1, c, n))  # column-major: a lag is one copy
     z[..., lags, :, :] = s
     for k in range(1, lags + 1):
         z[..., k - 1, :, k:] = s[..., :-k]
-    return np.swapaxes(z.reshape(*s.shape[:-2], 2 * lags + 2, s.shape[-1]), -1, -2)
+    return np.swapaxes(z.reshape(*lead, (lags + 1) * c, n), -1, -2)
 
 
 def _rank(r11: np.ndarray, rows: int) -> np.ndarray:
@@ -188,16 +189,27 @@ def _rank(r11: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _solve(r: np.ndarray, k: int, rank: np.ndarray, what: str) -> np.ndarray:
-    """``R11^-1 R12`` of full-rank designs; the LU of a triangular ``R11`` takes no pivot."""
+    """``R11^-1 R12`` of full-rank designs by one batched LU, which on a triangular ``R11`` is
+    back substitution; ``scipy.linalg.solve_triangular`` would loop over a block in Python."""
     if np.min(rank) < k:
         raise ValueError(f"rank-deficient regression while fitting {what} (rank {np.min(rank)})")
     return np.linalg.solve(r[..., :k, :k], r[..., :k, k:])
 
 
+def _r_factor(z: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
+    """R of ``z`` ``(..., M, c)``, ``M >= c``: a QR per ``chunk`` rows under the running R."""
+    r = np.linalg.qr(z[..., :chunk, :], mode="r")
+    for start in range(chunk, z.shape[-2], chunk):
+        r = np.linalg.qr(np.concatenate([r, z[..., start : start + chunk, :]], -2), mode="r")
+    return r
+
+
 def gated_lstsq(z: np.ndarray, k: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of the last columns of ``z`` ``(..., M, k + t)`` on its first ``k``: one QR,
-    the rank gate, a triangular solve. Returns solutions ``(..., k, t)`` and residuals."""
-    r = np.linalg.qr(z, mode="r")
+    """Least squares of the last columns of ``z`` ``(..., M, k + t)`` on its first ``k``: one R
+    factor, the rank gate, a triangular solve. Returns solutions ``(..., k, t)`` and residuals."""
+    if z.shape[-2] <= k:
+        raise ValueError(f"series too short for {what}: {z.shape[-2]} rows, {k} regressors")
+    r = _r_factor(z)
     sol = _solve(r, k, _rank(r[..., :k, :k], z.shape[-2]), what)
     return sol, z[..., k:] - z[..., :k] @ sol
 
@@ -222,7 +234,7 @@ def fit_var(x: np.ndarray, y: np.ndarray, p: int) -> BivariateVarModel:
 def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of bivariate AR(p) models to a stack of pairs ``(B, N)``.
 
-    One batched QR of rows ``p ..`` of :func:`lag_matrix` (samples ``p+1 .. N``), the per-order
+    One batched R of rows ``p ..`` of :func:`lag_matrix` (samples ``p+1 .. N``), the per-order
     gate of :func:`aic_curve`, then ``R11^-1 R12``. Returns ``coeffs`` ``(B, p, 2, 2)`` and the
     residual covariances ``sigma`` ``(B, 2, 2)`` (divisor ``N - p``), through the model's gates.
     """
@@ -233,7 +245,7 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
         raise ValueError(f"order must be >= 1, got {p}")
     if n <= 4 * p + 2:
         raise ValueError(f"need more than {4 * p + 2} samples to fit order {p}, got {n}")
-    r = np.linalg.qr(lag_matrix(x, y, p)[:, p:], mode="r")
+    r = _r_factor(lag_matrix(np.stack([x, y], axis=-2), p)[:, p:])
     rank, sigma, exact = _order_gate(r, n - p)
     # solution rows: (X, Y) at lags 1..p; columns: equations
     coeffs = _solve(r, 2 * p, rank, "the full model").reshape(-1, p, 2, 2).swapaxes(-1, -2)
@@ -251,8 +263,8 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
     """``AIC(p) = N ln det(Sigma_p) + 2 (4 p)`` for ``p = 1 .. p_max``, N the pair length.
 
     ``Sigma_p`` is :func:`fit_var`'s, each order on its own sample ``p+1 ..
-    N``, from one QR instead of a fit per order. With ``Z`` the
-    :func:`lag_matrix` of ``P`` lags, ``R0 = qr(Z[P:])`` covers the rows all
+    N``, from one R factor instead of a fit per order. With ``Z`` the
+    :func:`lag_matrix` of ``P`` lags, ``R0`` of ``Z[P:]`` covers the rows all
     orders share; order p's columns of ``R0`` over its extra rows ``Z[p:P]``
     take one small QR to its R factor, read by :func:`fit_var_stack`'s gate.
     The scan stops at the first order with ``N <= 4p + 2``, non-finite
@@ -267,8 +279,8 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
         raise ValueError("x and y must be one-dimensional series of equal length")
     n = x.size
     top = max(0, min(p_max, (n - 3) // 4))  # largest order with n > 4p + 2
-    z = lag_matrix(x, y, top)
-    r0 = np.linalg.qr(z[top:], mode="r")
+    z = lag_matrix([x, y], top)
+    r0 = _r_factor(z[top:])
     sigmas, exacts = [], []
     for p in range(1, top + 1):
         cols = np.r_[: 2 * p, -2, -1]

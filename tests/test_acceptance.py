@@ -99,8 +99,9 @@ def oracle_rows():
                 coeffs, resid = fit_restricted_direct(pair.x, pair.y, kind, 20)
                 exact_coeffs, exact_var = (v[0] for v in theory[kind])
                 delta = coeffs - exact_coeffs
-                # the source's lags 1..20: every other of the first 40 columns
-                design = lag_matrix(pair.x, pair.y, 20)[20:, int(kind == "ar_on_y") : 40 : 2]
+                # the source's lags 1..20: the first 20 columns of its lag matrix
+                source = pair.y if kind == "ar_on_y" else pair.x
+                design = lag_matrix([source], 20)[20:, :20]
                 rows.append(
                     {
                         "kind": kind,

@@ -1,6 +1,7 @@
 """Full-model identification, stability handling, and autocovariance."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -134,7 +135,7 @@ def test_model_dict_round_trip(reference_model):
 
 def test_lag_matrix_layout():
     x = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
-    z = lag_matrix(x, -x, 2)
+    z = lag_matrix([x, -x], 2)
     # row n: X_{n-1}, Y_{n-1}, X_{n-2}, Y_{n-2}, X_n, Y_n, zero before the start
     expected = np.array(
         [
@@ -146,8 +147,10 @@ def test_lag_matrix_layout():
         ]
     )
     assert_allclose(z, expected, rtol=0, atol=0)
-    stacked = lag_matrix(np.stack([x, 2 * x]), np.stack([-x, -2 * x]), 2)
+    stacked = lag_matrix(np.stack([[x, -x], [2 * x, -2 * x]]), 2)
     assert np.array_equal(stacked, np.stack([expected, 2 * expected]))
+    # one channel: its own lags, then its present
+    assert np.array_equal(lag_matrix([x], 2), expected[:, 0::2])
 
 
 def lstsq_fit(x, y, p):
@@ -186,7 +189,7 @@ def test_rank_gate_agrees_with_lstsq(delta):
     x = rng.standard_normal(300)
     y = 2 * x + delta * rng.standard_normal(300)
     rank = lstsq_fit(x, y, 1)[2]
-    z = lag_matrix(x, y, 1)[1:]
+    z = lag_matrix([x, y], 1)[1:]
     if rank < 2:
         with pytest.raises(ValueError, match=f"fitting probe \\(rank {rank}\\)"):
             gated_lstsq(z, 2, "probe")
@@ -200,6 +203,28 @@ def test_rank_gate_agrees_with_lstsq(delta):
     else:
         assert rank == 2
     assert (rank < 2) == (delta < 1e-13)
+
+
+def test_row_chunked_r_factor_matches_lstsq(aic_loop_reference):
+    # 40000 samples take three chunks of rows, the last one ragged
+    pair = simulate(SimSpec(system="closed_loop", n=40_000, seed=6, b=1.0, c=0.5, d=0.5))
+    for p in (1, 3):
+        model = fit_var(pair.x, pair.y, p)
+        ref_c, ref_s, _ = lstsq_fit(pair.x, pair.y, p)
+        assert np.abs(model.coeffs - ref_c).max() <= 1e-10 * np.abs(ref_c).max()
+        assert np.abs(model.sigma - ref_s).max() <= 1e-10 * np.abs(ref_s).max()
+    assert_same_scan(pair.x, pair.y, 6, aic_loop_reference)
+    # R is unique up to the signs of its rows
+    z = lag_matrix([pair.x[:1000], pair.y[:1000]], 3)
+    chunked, whole = np.abs(gica.varmodel._r_factor(z, 64)), np.abs(np.linalg.qr(z, mode="r"))
+    assert_allclose(chunked, whole, rtol=0, atol=1e-12 * whole.max())
+
+
+def test_solve_on_r_factors_is_back_substitution():
+    # a batched LU of triangular R11 factors takes no pivot: it is the triangular solve
+    r = np.linalg.qr(np.random.default_rng(12).standard_normal((5, 200, 7)), mode="r")
+    ref = np.stack([scipy.linalg.solve_triangular(f[:5, :5], f[:5, 5:]) for f in r])
+    assert np.array_equal(gica.varmodel._solve(r, 5, np.full(5, 5), "probe"), ref)
 
 
 def test_fit_var_recovers_simulated_coefficients():
