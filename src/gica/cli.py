@@ -29,7 +29,7 @@ from .simulate import (
     theoretical_sweep,
 )
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .timeseries import load_pair, write_pair
+from .timeseries import delimited_text, format_column, load_pair, write_pair
 
 ENV_SEED = "GICA_SEED"
 
@@ -70,26 +70,21 @@ def _write_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_profile(profile: SpectralProfile, path: Path) -> None:
-    lines = ["frequency_hz,value"]
-    for f, v in zip(profile.grid.freqs_hz, profile.values):
-        lines.append(f"{f:.15g},{v:.15g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_profiles(profiles: dict[str, SpectralProfile], outdir: Path) -> None:
+    freqs: dict[FrequencyGrid, list[str]] = {}
     for name, profile in profiles.items():
-        _write_profile(profile, outdir / f"profile_{name}.csv")
+        if profile.grid not in freqs:
+            freqs[profile.grid] = format_column(profile.grid.freqs_hz)
+        columns = [freqs[profile.grid], format_column(profile.values)]
+        text = delimited_text(["frequency_hz", "value"], columns, ",")
+        (outdir / f"profile_{name}.csv").write_text(text)
 
 
 def _write_plot_data(profiles: dict[str, SpectralProfile], path: Path) -> None:
     names = sorted(profiles)
-    grid = profiles[names[0]].grid
-    lines = ["\t".join(["frequency_hz"] + names)]
-    for i, f in enumerate(grid.freqs_hz):
-        row = [f"{f:.15g}"] + [f"{profiles[n].values[i]:.15g}" for n in names]
-        lines.append("\t".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [format_column(profiles[names[0]].grid.freqs_hz)]
+    columns += [format_column(profiles[n].values) for n in names]
+    path.write_text(delimited_text(["frequency_hz", *names], columns, "\t"))
 
 
 def _print_summary(report: MeasureReport, order: int | None = None) -> None:

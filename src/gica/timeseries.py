@@ -1,9 +1,17 @@
-"""Loading, validation, and preprocessing of paired time series.
+"""Loading, validation, preprocessing and text output of paired time series.
 
 Input data are two simultaneously sampled scalar series (a driver ``x`` and a
 target ``y``). Preprocessing follows common practice for short physiological
 recordings: mean removal plus an optional zero-phase high-pass detrend with a
 very low cutoff so that slow drifts do not leak into the analysis bands.
+
+Text is read and written a column at a time. :func:`load_pair` parses each
+selected column with one list comprehension and checks it with one
+``np.isfinite``; only a file that fails that (a non-numeric, non-finite or
+missing cell) is walked row by row, so that the error names its row and
+column. :func:`format_column` prints a column with ``%.15g`` and
+:func:`delimited_text` joins columns into a file's text; :func:`write_pair`
+and the CLI's profile and plot-data writers share them.
 """
 
 from __future__ import annotations
@@ -84,7 +92,8 @@ def load_pair(
 
     The two selected columns must be numeric and of equal length. A single
     leading header line is detected automatically (a first row whose selected
-    cells do not parse as numbers) and skipped.
+    cells do not parse as numbers) and skipped. The file is read as UTF-8;
+    a leading byte-order mark is dropped. Blank rows are skipped.
 
     Parameters
     ----------
@@ -101,11 +110,9 @@ def load_pair(
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     cx, cy = columns
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if any(tok.strip() for tok in r)]
+    rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise ValueError(f"no data rows in {path}")
     start = 0
@@ -116,14 +123,35 @@ def load_pair(
             float(first[cy])
         except ValueError:
             start = 1  # header line
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) <= max(cx, cy):
-            raise ValueError(
-                f"row {i} has {len(row)} columns, need at least {max(cx, cy) + 1}"
-            )
-        xs.append(_parse_cell(row[cx].strip(), i, cx))
-        ys.append(_parse_cell(row[cy].strip(), i, cy))
-    return TimeSeriesPair(np.array(xs), np.array(ys), fs)
+    body = rows[start:]
+    try:
+        x = np.array([float(r[cx]) for r in body])
+        y = np.array([float(r[cy]) for r in body])
+        clean = np.isfinite(x).all() and np.isfinite(y).all()
+    except (ValueError, IndexError):
+        clean = False
+    if not clean:  # walk the rows in file order to name the first bad one
+        xs: list[float] = []
+        ys: list[float] = []
+        for i, row in enumerate(body, start=start + 1):
+            if len(row) <= max(cx, cy):
+                raise ValueError(
+                    f"row {i} has {len(row)} columns, need at least {max(cx, cy) + 1}"
+                )
+            xs.append(_parse_cell(row[cx].strip(), i, cx))
+            ys.append(_parse_cell(row[cy].strip(), i, cy))
+        x, y = np.array(xs), np.array(ys)
+    return TimeSeriesPair(x, y, fs)
+
+
+def format_column(values: np.ndarray) -> list[str]:
+    """Each value of a 1-D column as ``%.15g`` text (``inf``, ``-inf``, ``-0`` included)."""
+    return ["%.15g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def delimited_text(header: list[str], columns: list[list[str]], delimiter: str) -> str:
+    """A header line and one line per row of the formatted ``columns``, newline-terminated."""
+    return "\n".join([delimiter.join(header), *map(delimiter.join, zip(*columns))]) + "\n"
 
 
 def write_pair(pair: TimeSeriesPair, path: str | Path) -> None:
@@ -132,11 +160,8 @@ def write_pair(pair: TimeSeriesPair, path: str | Path) -> None:
     Values are printed with 15 significant digits, enough for a lossless
     round trip at the tolerances used downstream.
     """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")
-        for a, b in zip(pair.x, pair.y):
-            fh.write(f"{a:.15g},{b:.15g}\n")
+    text = delimited_text(["x", "y"], [format_column(pair.x), format_column(pair.y)], ",")
+    Path(path).write_text(text, newline="")
 
 
 def remove_mean(series: np.ndarray) -> np.ndarray:
