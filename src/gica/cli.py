@@ -10,6 +10,7 @@ deterministic for fixed inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -96,15 +97,16 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
     print(f"  autonomy   A_y  = {_fmt(report.a_y)}")
     if report.bands:
         print("band means (nats):")
-        print(f"  {'band':<8}{'gc':>12}{'gi':>12}{'ga':>12}")
+        # a space between cells: "inf (isolated)" and long band names overflow their width
+        print("  " + " ".join([f"{'band':<8}", *(f"{m:>12}" for m in ("gc", "gi", "ga"))]))
         for band, measures in report.bands.items():
-            row = [f"  {band:<8}"]
+            row = [f"{band:<8}"]
             for measure in ("gc", "gi", "ga"):
                 mark = ""
                 if report.significance is not None:
                     mark = "*" if _is_significant(report, measure, band) else ""
                 row.append(f"{_fmt(measures[measure]['mean']) + mark:>12}")
-            print("".join(row))
+            print("  " + " ".join(row))
     if report.significance is not None:
         print("significance (*: outside surrogate thresholds):")
         for measure, label in (("gc", "F_xy"), ("gi", "F_y"), ("ga", "A_y")):
@@ -152,6 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         setting=args.setting,
     )
     pair = simulate(spec)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_pair(pair, args.out)
     print(f"wrote {pair.n} samples to {args.out}")
     return 0
@@ -337,9 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
     try:

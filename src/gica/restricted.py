@@ -4,7 +4,8 @@ Two reduced regressions of the target ``Y`` are needed by the causality
 measures: an autoregression on Y's own past (order truncated at ``q``) and a
 regression on the driver's past alone. Both are theoretically of infinite
 order even when the full model is finite, so they are identified
-analytically from the exact autocovariance sequence of the full model
+analytically from the exact autocovariance sequence of the full model (the
+reverse Yule-Walker solve of :func:`gica.varmodel.autocovariance_stack`)
 rather than refitted on data: with ``Sigma_past`` the Toeplitz covariance
 of the chosen past vector and ``r`` the covariance between ``Y_n`` and that
 past,

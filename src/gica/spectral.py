@@ -27,10 +27,12 @@ The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
 model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 / |G_yy|^2 = |det F|^2 / |det E|^2``, so no transfer matrix is formed.
 :func:`measure_stack` is the one place models become measures: it takes the
-stacked arrays of :func:`gica.restricted.derive_restricted`, real FFTs give
-``E`` and the scalar ``det F`` of a whole stack, and each band mean is one
-cached weight vector per grid and band. :func:`fitted_measures` fits its stack;
-:func:`assemble_profiles` is its batch of one, plus display spectra from ``E``.
+stacked arrays of :func:`gica.restricted.derive_restricted`, a cached DFT
+table per grid gives ``E`` and the scalar ``det F`` of a whole stack, the
+mixed models pass the Schur-Cohn gate, and every band mean and ``F_y`` come
+from one product with a cached weight matrix per grid and band set.
+:func:`fitted_measures` fits its stack; :func:`assemble_profiles` is its
+batch of one, plus display spectra from ``E``.
 """
 
 from __future__ import annotations
@@ -104,15 +106,34 @@ class SpectralProfile:
         object.__setattr__(self, "values", values)
 
 
-def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, k, k)`` by one real FFT, ``(B, n, k, k)``.
+_DFT_TABLES: dict[int, np.ndarray] = {}
 
-    The grid is ``j / M``, ``M = 2 (n - 1)``, so lags ``k >= M`` alias onto ``k mod M``.
+
+def _dft_table(grid: FrequencyGrid, lags: int) -> np.ndarray:
+    """Rows ``(-cos, sin)(2 pi f_j k)``, interleaved over ``j``, ``(K, 2 n)`` for lags ``k = 1 ..
+    K``, ``K >= lags``: one table per grid size, grown to the most lags seen. The angle is
+    indexed as ``(j k) mod M``, so it is exact for any lag."""
+    n = grid.n_points
+    table = _DFT_TABLES.get(n)
+    if table is None or table.shape[0] < lags:
+        size = 2 * (n - 1)
+        angle = 2 * np.pi / size * (np.outer(np.arange(1, lags + 1), np.arange(n)) % size)
+        table = _DFT_TABLES[n] = np.stack([-np.cos(angle), np.sin(angle)], -1).reshape(lags, -1)
+        table.setflags(write=False)
+    return table
+
+
+def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, k, k)`` on the grid, ``(B, n, k, k)``.
+
+    Each model's lags ``(k k, m)`` times :func:`_dft_table` give the real and imaginary
+    parts in place, a product per model, so a row does not depend on the batch. The grid is
+    ``j / M``, ``M = 2 (n - 1)``, so lags ``k >= M`` alias onto ``k mod M``.
     """
-    size = 2 * (grid.n_points - 1)
-    seq = np.zeros((coeffs.shape[0], size, *coeffs.shape[2:]))
-    np.add.at(seq, (slice(None), np.arange(1, coeffs.shape[1] + 1) % size), coeffs)
-    return np.eye(coeffs.shape[-1]) - np.fft.rfft(seq, axis=1)
+    b, m, k = coeffs.shape[:3]
+    parts = np.swapaxes(coeffs.reshape(b, m, k * k), 1, 2) @ _dft_table(grid, m)[:m]
+    parts[:, :: k + 1, 0::2] += 1.0  # the real part of the identity
+    return np.moveaxis(parts.view(complex).reshape(b, k, k, -1), -1, 1)
 
 
 def _det(e: np.ndarray, what: str) -> np.ndarray:
@@ -140,7 +161,6 @@ def _nonnegative(value: np.ndarray, name: str) -> np.ndarray:
     return np.maximum(value, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _band_weights(grid: FrequencyGrid, lo: float, hi: float) -> np.ndarray:
     """Weights ``w`` with ``w @ values`` the band integral over normalized ``[lo, hi]``."""
     values = grid.values
@@ -154,18 +174,29 @@ def _band_weights(grid: FrequencyGrid, lo: float, hi: float) -> np.ndarray:
     return weights
 
 
-def _band_integrals(values: np.ndarray, grid: FrequencyGrid, f_lo_hz: float, f_hi_hz: float):
-    """Band integral and mean of each row of ``values`` ``(B, n)``, ``inf`` for any ``inf``."""
+@functools.lru_cache(maxsize=64)
+def _band_matrix(grid: FrequencyGrid, edges: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """:func:`_band_weights` ``(n, len(edges))`` of each normalized band in ``edges``."""
+    weights = np.stack([_band_weights(grid, lo, hi) for lo, hi in edges], axis=-1)
+    weights.setflags(write=False)
+    return weights
+
+
+def _band_integrals(
+    values: np.ndarray, grid: FrequencyGrid, bands_hz: list[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals and means ``(..., len(bands_hz))`` of rows ``(..., n)`` over ``(lo, hi)`` Hz
+    bands: a product per row with one cached weight matrix, so a row does not depend on the
+    batch. Every value of a row with any ``inf`` is ``inf``."""
     fs = grid.fs
-    if not 0 <= f_lo_hz < f_hi_hz <= fs / 2:
-        raise ValueError(
-            f"band [{f_lo_hz}, {f_hi_hz}] Hz must satisfy 0 <= lo < hi <= {fs / 2}"
-        )
-    lo, hi = f_lo_hz / fs, f_hi_hz / fs
+    for lo, hi in bands_hz:
+        if not 0 <= lo < hi <= fs / 2:
+            raise ValueError(f"band [{lo}, {hi}] Hz must satisfy 0 <= lo < hi <= {fs / 2}")
+    edges = tuple((lo / fs, hi / fs) for lo, hi in bands_hz)
     isinf = np.isinf(values)
-    finite = (np.where(isinf, 0.0, values) * _band_weights(grid, lo, hi)).sum(axis=-1)
-    integral = np.where(isinf.any(axis=-1), np.inf, finite)
-    return integral, integral / (2.0 * (hi - lo))
+    integrals = (np.where(isinf, 0.0, values)[..., None, :] @ _band_matrix(grid, edges))[..., 0, :]
+    integrals[isinf.any(axis=-1)] = np.inf
+    return integrals, integrals / (2.0 * np.array([hi - lo for lo, hi in edges]))
 
 
 def full_band_integral(profile: SpectralProfile) -> float:
@@ -182,7 +213,7 @@ def integrate_band(
     band edges included by linear interpolation; the mean divides by twice
     the normalized bandwidth, giving the average profile height in nats.
     """
-    integral, mean = _band_integrals(profile.values[None], profile.grid, f_lo_hz, f_hi_hz)
+    integral, mean = _band_integrals(profile.values, profile.grid, [(f_lo_hz, f_hi_hz)])
     return float(integral[0]), float(mean[0])
 
 
@@ -202,17 +233,24 @@ def band_table(
     maps band name to measure name to ``{"integral", "mean"}``.
     """
     stack = {m: profiles[m].values[None] for m in ("gc", "gi", "ga")}
-    return _band_row(_band_stack(stack, profiles["gc"].grid, bands), 0)
+    return _band_row(_band_stack(stack, profiles["gc"].grid, bands)[0], 0)
 
 
-def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dict) -> dict:
-    return {
+def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dict) -> tuple:
+    """Band table of the ``(B, n)`` gc, gi and ga profiles and their full-band integrals
+    ``{m: (B,)}``, from one :func:`_band_integrals`."""
+    measures = ("gc", "gi", "ga")
+    integrals, means = _band_integrals(
+        np.stack([profiles[m] for m in measures]), grid, [*bands.values(), (0.0, grid.fs / 2)]
+    )
+    table = {
         band: {
-            m: dict(zip(("integral", "mean"), _band_integrals(profiles[m], grid, lo, hi)))
-            for m in ("gc", "gi", "ga")
+            m: {"integral": integrals[i, :, j], "mean": means[i, :, j]}
+            for i, m in enumerate(measures)
         }
-        for band, (lo, hi) in bands.items()
+        for j, band in enumerate(bands)
     }
+    return table, dict(zip(measures, integrals[..., -1]))
 
 
 def _band_row(table: dict, i: int) -> dict[str, dict[str, dict[str, float]]]:
@@ -276,9 +314,9 @@ def measure_stack(
     The full models (``sigma``'s diagonal used) passed the gate of
     :func:`gica.restricted.derive_restricted`, whose ``ar_var`` is the self-past
     residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
-    mixed models enter as ``det F(z)``, gated here on its ``p + q`` scalar
-    companion. A row whose ``A_yx`` lags are all exactly 0 takes ``ar_var =
-    sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
+    mixed models enter as ``det F(z)``, gated here as the scalar lag polynomial
+    of degree ``p + q`` it is. A row whose ``A_yx`` lags are all exactly 0 takes
+    ``ar_var = sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
     """
     e = _lag_transform(coeffs, grid)
     det_e = _det(e, "full model")
@@ -302,9 +340,9 @@ def measure_stack(
             raise ValueError(f"profile {name!r} contains NaN")
     # with no X -> Y lag, Y's own past predicts it with error sigma_yy by theory
     ar_var = np.where((coeffs[:, :, 1, 0] == 0).all(axis=1), s2_y, ar_var)
-    f_xy, f_y = np.log(ar_var / s2_y), _band_integrals(gi, grid, 0.0, grid.fs / 2)[0]
-    report = MeasureReport(_nonnegative(f_xy, "F_xy"), f_y, _nonnegative(a_y, "A_y"))
-    report.bands = _band_stack(profiles, grid, bands)
+    table, full = _band_stack(profiles, grid, bands)
+    report = MeasureReport(_nonnegative(np.log(ar_var / s2_y), "F_xy"), full["gi"],
+                           _nonnegative(a_y, "A_y"), table)
     return e, profiles, report
 
 

@@ -7,8 +7,10 @@ The full model of a pair ``S_n = (X_n, Y_n)`` is
 with 2x2 coefficient matrices ``A_k``. Everything downstream (spectra,
 restricted models, causality measures) is derived from ``(A, Sigma)``, so
 this module also provides the exact autocovariance sequence of a stable
-model, obtained from the companion-form discrete Lyapunov equation.
-Every stability gate is :func:`require_stable`, and every two-process
+model, from one batched solve of the reverse Yule-Walker equations.
+Every stability gate is :func:`require_stable`, a Schur-Cohn step-down on
+the determinant polynomial ``det E(z)`` (:func:`det_polynomial`, whose
+convolutions :func:`simulate_var` shares), and every two-process
 simulation, surrogate batches included, runs :func:`simulate_var`.
 
 Every least-squares fit is the R factor of ``[design | targets]`` from the
@@ -22,10 +24,10 @@ gates, solves and recurses a whole block at once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.signal import lfilter
 
 
@@ -119,10 +121,60 @@ def spectral_radius(coeffs: np.ndarray) -> float | np.ndarray:
     return np.abs(np.linalg.eigvals(companion_matrix(coeffs))).max(axis=-1)
 
 
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products ``(..., i + j - 1)`` of polynomial taps ``(..., i)`` and ``(..., j)``."""
+    *lead, i = a.shape
+    n = i + b.shape[-1] - 1
+    terms = np.zeros((*lead, i, n + 1))
+    terms[..., : b.shape[-1]] = a[..., :, None] * b[..., None, :]  # row r: a_r b_s at s
+    # rows of n + 1 read as rows of n: row r moves right by r, so a_r b_s lands at r + s
+    return terms.reshape(*lead, -1)[..., : i * n].reshape(*lead, i, n).sum(axis=-2)
+
+
+def det_polynomial(coeffs: np.ndarray) -> np.ndarray:
+    """Taps ``(..., k m + 1)`` of ``det E(z)``, ``E(z) = I - sum_l A_l z^l``, of lags
+    ``(..., m, k, k)``, by the Leibniz sum over permutations; the roots of ``det E`` are the
+    inverse nonzero companion eigenvalues."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    *batch, m, k, _ = coeffs.shape
+    e = np.zeros((*batch, k, k, m + 1))  # taps of E_ij(z)
+    e[..., 0] = np.eye(k)
+    e[..., 1:] = -np.moveaxis(coeffs, -3, -1)
+    perms = list(itertools.permutations(range(k)))
+    factors = e[..., range(k), perms, :]  # (..., k!, k, m + 1): E_{i, perm(i)}
+    det = factors[..., 0, :]
+    for i in range(1, k):
+        det = _polymul(det, factors[..., i, :])
+    inversions = [sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) for p in perms]
+    return ((-1.0) ** np.array(inversions)[:, None] * det).sum(axis=-2)
+
+
+def schur_cohn_stable(taps: np.ndarray) -> np.ndarray:
+    """Whether each ``(..., n + 1)`` row ``c_0 + c_1 z + .. + c_n z^n``, ``c_0 != 0``, has no
+    root in ``|z| <= 1``.
+
+    The Schur-Cohn step-down (Jury, 1964): a row has none exactly when its reflection
+    coefficient ``k = c_n / c_0`` has ``|k| < 1`` and the row of degree ``n - 1``, ``c_i - k
+    c_{n-i}``, has none. A non-finite coefficient fails the row.
+    """
+    c = np.asarray(taps, dtype=float)
+    reflections = [np.zeros(c.shape[:-1] + (0,))]  # a constant row has no reflection
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(c.shape[-1] - 1, 0, -1):
+            k = c[..., n : n + 1] / c[..., :1]
+            reflections.append(k)
+            c = c[..., :n] - k * c[..., n:0:-1]
+    return (np.abs(np.concatenate(reflections, axis=-1)) < 1).all(axis=-1)
+
+
 def require_stable(coeffs: np.ndarray, what: str) -> None:
-    """Raise :class:`UnstableModelError` naming ``what`` unless all of ``coeffs`` is stable."""
-    rho = np.max(spectral_radius(coeffs))
-    if rho >= 1.0:
+    """Raise :class:`UnstableModelError` naming ``what`` unless all of ``coeffs`` is stable.
+
+    Lags ``(..., m, k, k)`` are stable when :func:`schur_cohn_stable` passes their
+    :func:`det_polynomial`; the companion radius is computed only to word a failure.
+    """
+    if not schur_cohn_stable(det_polynomial(coeffs)).all():
+        rho = np.max(spectral_radius(coeffs))
         raise UnstableModelError(
             f"{what} is unstable: companion spectral radius {rho:.6g} >= 1"
         )
@@ -141,7 +193,7 @@ def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
     if coeffs.ndim != 3 or coeffs.shape[1:] != (2, 2) or np.shape(drive)[-1:] != (2,):
         raise ValueError(f"bivariate only: lags {coeffs.shape}, drive {np.shape(drive)}")
     e = np.concatenate([np.eye(2)[None], -coeffs]).transpose(1, 2, 0)  # taps of E_ij(z)
-    det = np.trim_zeros(np.convolve(e[0, 0], e[1, 1]) - np.convolve(e[0, 1], e[1, 0]), "b")
+    det = np.trim_zeros(det_polynomial(coeffs), "b")
     drive = np.moveaxis(np.asarray(drive, dtype=float), -1, 0)  # (2, ..., T)
     s = np.zeros(drive.shape)
     for out, adj_row in zip(s, ((e[1, 1], -e[0, 1]), (-e[1, 0], e[0, 0]))):
@@ -320,24 +372,30 @@ def select_order_aic(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> int:
 def autocovariance_stack(coeffs: np.ndarray, sigma: np.ndarray, q: int) -> np.ndarray:
     """Autocovariances ``(B, q+1, 2, 2)`` of a stack of stable models.
 
-    The stacked process ``psi_n = (S_n, ..., S_{n-p+1})`` satisfies
-    ``Psi = A Psi A^T + Xi`` with ``A`` the companion matrix and ``Xi`` the
-    innovation covariance padded with zeros; the first block row of ``Psi``
-    yields ``Gamma_0 .. Gamma_{p-1}`` and higher lags follow from the
-    recursion ``Gamma_k = sum_l A_l Gamma_{k-l}``. The stack is gated as a
-    whole by :func:`require_stable` first.
+    ``Gamma_0 .. Gamma_p`` solve the reverse Yule-Walker equations ``Gamma_k -
+    sum_l A_l Gamma_{k-l} = [k = 0] Sigma``, ``k = 0 .. p``, with ``Gamma_{-j} =
+    Gamma_j^T``: ``4 (p + 1)`` unknowns per model, one batched solve of systems built
+    by index. Higher lags follow from the recursion ``Gamma_k = sum_l A_l
+    Gamma_{k-l}``. The stack is gated as a whole by :func:`require_stable` first.
     """
     if q < 0:
         raise ValueError(f"lag bound must be >= 0, got {q}")
     require_stable(coeffs, "model")
     b, p = coeffs.shape[:2]
-    comp = companion_matrix(coeffs)
-    xi = np.zeros_like(comp)
-    xi[:, :2, :2] = sigma
-    psi = scipy.linalg.solve_discrete_lyapunov(comp, xi)
-    psi = (psi + np.swapaxes(psi, -1, -2)) / 2  # remove roundoff asymmetry
+    size = 4 * (p + 1)  # unknown (j, m, c) is Gamma_j[m, c] at 4 j + 2 m + c
+    k, lag, i, m, c = np.ix_(range(p + 1), range(1, p + 1), range(2), range(2), range(2))
+    d = k - lag  # equation (k, i, c) takes A_l[i, m] Gamma_d[m, c]; Gamma_d = Gamma_{-d}^T
+    col = 4 * abs(d) + np.where(d >= 0, 2 * m + c, 2 * c + m)
+    entry = np.broadcast_to((4 * k + 2 * i + c) * size + col, (p + 1, p, 2, 2, 2)).ravel()
+    terms = np.broadcast_to(coeffs[:, None, ..., None], (b, p + 1, p, 2, 2, 2)).reshape(b, -1)
+    # a bincount sums the terms that share an entry: Gamma_j[c, c] enters row k at lags k +- j
+    entries = (np.arange(b)[:, None] * size**2 + entry).ravel()
+    system = np.eye(size) - np.bincount(entries, terms.ravel(), b * size**2).reshape(b, size, size)
+    rhs = np.zeros((b, size))
+    rhs[:, :4] = sigma.reshape(b, 4)
     gammas = np.empty((b, max(q, p - 1) + 1, 2, 2))
-    gammas[:, :p] = psi[:, :2].reshape(b, 2, p, 2).swapaxes(1, 2)
+    gammas[:, :p] = np.linalg.solve(system, rhs[..., None]).reshape(b, p + 1, 2, 2)[:, :p]
+    gammas[:, 0] = (gammas[:, 0] + np.swapaxes(gammas[:, 0], -1, -2)) / 2  # roundoff asymmetry
     lags = np.arange(1, p + 1)
     for k in range(p, gammas.shape[1]):
         gammas[:, k] = np.einsum("blij,bljk->bik", coeffs, gammas[:, k - lags])

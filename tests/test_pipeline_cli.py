@@ -1,10 +1,12 @@
 """Full analysis pipeline and the command-line interface."""
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.cli
 import gica.pipeline
 import gica.varmodel
 from gica.cli import main
@@ -157,15 +159,15 @@ def test_aic_at_p_max_warns():
 def test_each_model_is_gated_once(sim_pair, monkeypatch):
     # one analysis with 10 H1 surrogates: the fitted model and its mixed
     # model, the surrogate generator, and each surrogate's model and mixed
-    # model pass the companion-eigenvalue gate exactly once
+    # model pass the Schur-Cohn gate exactly once
     gated = []
-    radius = gica.varmodel.spectral_radius
+    stable = gica.varmodel.schur_cohn_stable
 
-    def counting(coeffs):
-        gated.append(int(np.prod(np.shape(coeffs)[:-3])))
-        return radius(coeffs)
+    def counting(taps):
+        gated.append(int(np.prod(np.shape(taps)[:-1])))
+        return stable(taps)
 
-    monkeypatch.setattr(gica.varmodel, "spectral_radius", counting)
+    monkeypatch.setattr(gica.varmodel, "schur_cohn_stable", counting)
     config = AnalysisConfig(
         detrend_cutoff=None, order=2, grid_points=257, n_surrogates=10, hypotheses=("h1",)
     )
@@ -447,3 +449,44 @@ def test_cli_seed_from_environment(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit, match="must be an integer"):
         run_cli(["simulate", "--system", "open_loop", "--n", "10",
                  "--out", tmp_path / "d.csv"])
+
+
+def test_cli_summary_separates_infinite_cells(tmp_path, capsys):
+    # uncoupled: every band mean of gi is inf, wider than its 12-character column
+    rc = run_cli(["theoretical", "--system", "open_loop", "--c", "0",
+                  "--grid-points", "129", "--out", tmp_path])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("band means (nats):") + 1 :]
+    assert rows[0].split() == ["band", "gc", "gi", "ga"]
+    for band, row in zip(("VLF", "LF"), rows[1:]):
+        assert re.fullmatch(rf"  {band} +-?0\.0000 inf \(isolated\) +-?0\.0000", row), row
+
+
+def test_cli_simulate_creates_output_directory(tmp_path, capsys):
+    csv = tmp_path / "missing" / "dir" / "pair.csv"
+    rc = run_cli(["simulate", "--system", "open_loop", "--n", "50", "--out", csv])
+    assert rc == 0
+    assert len(csv.read_text().splitlines()) == 51
+
+
+def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys, monkeypatch):
+    # the parser is built once; flags of one call must not leak into the next
+    builds = []
+    build = gica.cli.build_parser
+    monkeypatch.setattr(gica.cli, "build_parser", lambda: builds.append(1) or build())
+    gica.cli._parser.cache_clear()
+    csv = tmp_path / "pair.csv"
+    run_cli(["simulate", "--system", "open_loop", "--b", "1", "--c", "0.5",
+             "--n", "300", "--seed", "8", "--out", csv])
+    args = ["analyze", "--input", csv, "--fs", "1", "--order", "2",
+            "--detrend-cutoff", "off", "--grid-points", "129"]
+    assert run_cli(args + ["--band", "mid:0.1-0.3", "--plot-data", "--out", tmp_path / "a"]) == 0
+    assert run_cli(args + ["--out", tmp_path / "b"]) == 0
+    gica.cli._parser.cache_clear()
+    assert builds == [1]
+    capsys.readouterr()
+    assert set(json.loads((tmp_path / "a" / "report.json").read_text())["bands"]) == {"mid"}
+    assert set(json.loads((tmp_path / "b" / "report.json").read_text())["bands"]) == {"VLF", "LF"}
+    assert (tmp_path / "a" / "plot_data.tsv").exists()
+    assert not (tmp_path / "b" / "plot_data.tsv").exists()

@@ -15,7 +15,7 @@ from gica.spectral import (
     full_band_integral,
     integrate_band,
 )
-from gica.spectral import _lag_transform, _mixed_det_lags
+from gica.spectral import _band_stack, _lag_transform, _mixed_det_lags
 from gica.varmodel import (
     BivariateVarModel,
     UnstableModelError,
@@ -299,3 +299,60 @@ def test_randomized_profiles_are_well_behaved(random_model_factory):
         assert np.all((dc_yx.values >= 0) & (dc_yx.values <= 1))
         assert np.all(profiles["psd_y"].values > 0)
         assert_allclose(dc_yx.values + dc_yy.values, 1.0, rtol=0, atol=1e-10)
+
+
+def padded_rfft_transform(coeffs, grid):
+    """Oracle: ``I - sum_k A_k e^(-2i pi f k)`` as the real FFT of the zero-padded lags."""
+    size = 2 * (grid.n_points - 1)
+    seq = np.zeros((coeffs.shape[0], size, *coeffs.shape[2:]))
+    np.add.at(seq, (slice(None), np.arange(1, coeffs.shape[1] + 1) % size), coeffs)
+    return np.eye(coeffs.shape[-1]) - np.fft.rfft(seq, axis=1)
+
+
+@pytest.mark.parametrize("n_points, lags", [(2, 5), (3, 9), (129, 2), (129, 300), (2049, 34)])
+def test_lag_transform_matches_padded_fft(n_points, lags):
+    # lag counts above M = 2 (n - 1) alias onto k mod M, as in the padded FFT
+    grid = FrequencyGrid(n_points)
+    rng = np.random.default_rng(n_points + lags)
+    for k in (1, 2, 3):
+        coeffs = rng.standard_normal((3, lags, k, k))
+        e = _lag_transform(coeffs, grid)
+        assert e.shape == (3, n_points, k, k)
+        assert_allclose(e, padded_rfft_transform(coeffs, grid), rtol=0, atol=1e-13 * lags)
+        for i, row in enumerate(coeffs):
+            assert np.array_equal(_lag_transform(row[None], grid)[0], e[i])
+
+
+def band_integral_oracle(values, grid, lo_hz, hi_hz):
+    """Per band and row: ``2 * trapezoid`` over normalized ``[lo, hi]`` with the edges
+    interpolated, ``inf`` for a row with any ``inf``."""
+    f, lo, hi = grid.values, lo_hz / grid.fs, hi_hz / grid.fs
+    nodes = np.concatenate([[lo], f[(f > lo) & (f < hi)], [hi]])
+    heights = [np.interp(nodes, f, row) for row in values]
+    return np.array([
+        np.inf if np.isinf(row).any() else np.sum(np.diff(nodes) * (h[1:] + h[:-1]))
+        for row, h in zip(values, heights)
+    ])
+
+
+@pytest.mark.parametrize("n_points", [2, 129, 2049])
+def test_band_matmul_matches_band_by_band_integrals(n_points):
+    grid = FrequencyGrid(n_points, fs=4.0)
+    bands = {"VLF": (0.02, 0.07), "LF": (0.07, 0.2), "all": (0.0, 2.0), "mid": (0.5, 1.3)}
+    rng = np.random.default_rng(n_points)
+    profiles = {m: rng.standard_normal((5, n_points)) for m in ("gc", "gi", "ga")}
+    profiles["gi"][1, -1] = np.inf
+    profiles["ga"][3, 0] = np.inf
+    table, full = _band_stack(profiles, grid, bands)
+    for m, values in profiles.items():
+        assert_allclose(full[m], band_integral_oracle(values, grid, 0.0, 2.0), rtol=1e-12)
+        for band, (lo, hi) in bands.items():
+            integral = band_integral_oracle(values, grid, lo, hi)
+            assert_allclose(table[band][m]["integral"], integral, rtol=1e-12, atol=1e-14)
+            mean = integral / (2 * (hi - lo) / grid.fs)
+            assert_allclose(table[band][m]["mean"], mean, rtol=1e-12, atol=1e-14)
+    assert np.isinf(table["LF"]["gi"]["mean"][1]) and np.isinf(full["ga"][3])
+    assert np.isfinite(table["LF"]["gi"]["mean"][[0, 2, 3, 4]]).all()
+    for i in range(5):
+        one = _band_stack({m: v[i : i + 1] for m, v in profiles.items()}, grid, bands)[0]
+        assert one["mid"]["ga"]["mean"][0] == table["mid"]["ga"]["mean"][i]

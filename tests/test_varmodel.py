@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gica.varmodel
-from gica.simulate import SimSpec, build_true_model, simulate
+from gica.simulate import SimSpec, build_confounded_system, build_true_model, simulate
 from gica.timeseries import TimeSeriesPair, preprocess
 from gica.varmodel import (
     BivariateVarModel,
@@ -15,12 +15,14 @@ from gica.varmodel import (
     aic_curve,
     autocovariance_stack,
     companion_matrix,
+    det_polynomial,
     fit_var,
     fit_var_stack,
     gated_lstsq,
     lag_matrix,
     poles_to_ar_coeffs,
     require_stable,
+    schur_cohn_stable,
     select_order_aic,
     simulate_var,
     spectral_radius,
@@ -428,3 +430,76 @@ def test_autocovariance_rejects_unstable():
     coeffs = np.array([[[1.01, 0.0], [0.0, 0.0]]])
     with pytest.raises(UnstableModelError):
         gammas_of(BivariateVarModel(coeffs, np.eye(2)), 5)
+
+
+def lags_at_radius(coeffs, radius):
+    """Lags ``(B, m, k, k)`` rescaled to companion radius ``radius``: ``A_l`` times ``s**l``."""
+    scale = radius / spectral_radius(coeffs)
+    return coeffs * (scale[:, None] ** np.arange(1, coeffs.shape[1] + 1))[..., None, None]
+
+
+def lyapunov_gammas(coeffs, sigma, q):
+    """Oracle: ``Gamma_0 .. Gamma_q`` of each model from scipy's companion Lyapunov solve."""
+    out = []
+    for a, s in zip(coeffs, sigma):
+        p = a.shape[0]
+        comp = companion_matrix(a)
+        xi = np.zeros_like(comp)
+        xi[:2, :2] = s
+        psi = scipy.linalg.solve_discrete_lyapunov(comp, xi)
+        gammas = list(psi[:2].reshape(2, p, 2).swapaxes(0, 1))
+        while len(gammas) <= q:
+            gammas.append(sum(a[l] @ gammas[-1 - l] for l in range(p)))
+        out.append(gammas[: q + 1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_autocovariance_matches_lyapunov_solve(p):
+    rng = np.random.default_rng(100 + p)
+    coeffs = np.concatenate(
+        [lags_at_radius(rng.standard_normal((2, p, 2, 2)), r) for r in (0.5, 0.99, 0.999)]
+    )
+    root = rng.standard_normal((6, 2, 2))
+    sigma = root @ root.swapaxes(-1, -2) + 0.1 * np.eye(2)
+    got = autocovariance_stack(coeffs, sigma, 25)
+    ref = lyapunov_gammas(coeffs, sigma, 25)
+    scale = np.abs(ref).max(axis=(1, 2, 3), keepdims=True)
+    assert_allclose(got / scale, ref / scale, rtol=0, atol=1e-10)
+    assert np.array_equal(got[:, 0], got[:, 0].swapaxes(-1, -2))
+
+
+def three_process_lags(n, rng):
+    """The confounded system's lags, then random ``(2, 3, 3)`` lags: ``n`` rows in all."""
+    system = build_confounded_system(0.8, 0.5)[0][None]
+    return np.concatenate([system, rng.standard_normal((n - 1, 2, 3, 3))])
+
+
+@pytest.mark.parametrize("radius", [0.99, 0.999, 1.001, 1.01])
+@pytest.mark.parametrize("kind", ["scalar", "bivariate", "three-process"])
+def test_schur_cohn_gate_matches_companion_eigenvalues(kind, radius):
+    rng = np.random.default_rng(7)
+    draws = {
+        "scalar": lambda: rng.standard_normal((40, 22, 1, 1)),
+        "bivariate": lambda: rng.standard_normal((40, int(rng.integers(1, 15)), 2, 2)),
+        "three-process": lambda: three_process_lags(40, rng),
+    }
+    for _ in range(5):
+        coeffs = lags_at_radius(draws[kind](), radius)
+        eig = spectral_radius(coeffs)
+        assert np.array_equal(schur_cohn_stable(det_polynomial(coeffs)), eig < 1)
+        if radius < 1:
+            require_stable(coeffs, "model")
+        else:
+            with pytest.raises(UnstableModelError, match=f"radius {np.max(eig):.6g} >= 1"):
+                require_stable(coeffs, "model")
+
+
+def test_det_polynomial_roots_are_inverse_companion_eigenvalues():
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3):
+        coeffs = rng.standard_normal((3, 4, k, k))
+        for taps, comp in zip(det_polynomial(coeffs), companion_matrix(coeffs)):
+            assert taps.shape == (4 * k + 1,) and taps[0] == 1.0
+            roots = np.sort_complex(1 / np.roots(taps[::-1]))
+            assert_allclose(roots, np.sort_complex(np.linalg.eigvals(comp)), atol=1e-9)
