@@ -1,9 +1,10 @@
 """End-to-end analysis of one series pair, reusable from code and the CLI.
 
-The pipeline preprocesses the pair, fits the full model (fixed order or
-AIC), derives the restricted models analytically from the fitted model's
-autocovariance (:func:`gica.restricted.derive_restricted`, whose first
-step is the model's stability gate), computes all spectral profiles and
+The pipeline preprocesses the pair, fits the full model once
+(:func:`gica.varmodel.fit_var`, fixed order or AIC), derives the restricted
+models analytically from the fitted model's autocovariance
+(:func:`gica.restricted.derive_restricted`, whose first step is the
+model's stability gate), computes all spectral profiles and
 band summaries in one pass (:func:`gica.spectral.assemble_profiles`), and
 optionally attaches surrogate significance verdicts, whose settings are
 checked when :class:`AnalysisConfig` is built. The analysed model is a stack
@@ -12,7 +13,8 @@ of the array :func:`gica.surrogates.generate_surrogates` returns
 (:func:`surrogate_values`). The fitted innovation covariance is generally
 not diagonal; all derived quantities use the strictly causal convention
 (off-diagonal dropped), and a warning is attached when the implied
-residual correlation exceeds 0.2 or when AIC picks ``p_max``.
+residual correlation exceeds 0.2, when AIC picks ``p_max``, or when a
+channel's residual variance is below ``1e-5`` of its mean square.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfi
 from .spectral import assemble_profiles, fitted_measures
 from .surrogates import H1, H2, TAILS, SurrogateConfig, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
-from .varmodel import BivariateVarModel, fit_var, select_order_aic
+from .varmodel import BivariateVarModel, fit_var, fit_var_stack
 
 RESIDUAL_CORRELATION_WARN = 0.2
+NEAR_EXACT_WARN = 1e-5  # residual variance over mean square, far above the fit's eps gate
 SURROGATE_BLOCK = 10  # near the speed of larger blocks, at a tenth of their memory
 
 
@@ -85,14 +88,10 @@ class AnalysisResult:
 def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult:
     """Run the full pipeline on one pair."""
     clean = preprocess(pair, config.detrend_cutoff)
-    if config.order == "aic":
-        order = select_order_aic(clean.x, clean.y, config.p_max)
-    else:
-        order = int(config.order)
-    fitted = fit_var(clean.x, clean.y, order)
+    fitted = fit_var(clean.x, clean.y, config.order, config.p_max)
     warnings: list[str] = []
-    if config.order == "aic" and order == config.p_max:
-        warnings.append(f"AIC picked order {order} = p_max; the true order may be higher")
+    if config.order == "aic" and fitted.p == config.p_max:
+        warnings.append(f"AIC picked order {fitted.p} = p_max; the true order may be higher")
     resid_corr = fitted.residual_correlation()
     if abs(resid_corr) > RESIDUAL_CORRELATION_WARN:
         warnings.append(
@@ -100,6 +99,13 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
             f"{RESIDUAL_CORRELATION_WARN}; the strictly causal decomposition "
             "may be distorted"
         )
+    ratios = np.diag(fitted.sigma) / np.mean(np.square([clean.x, clean.y]), axis=-1)
+    for channel, ratio in zip(("driver", "target"), ratios):
+        if ratio < NEAR_EXACT_WARN:
+            warnings.append(
+                f"the {channel}'s residual variance is {ratio:.2g} of its mean square: a "
+                "near-exact function of the past, so the measures built on it are unreliable"
+            )
     model = fitted.diagonalized()
     ar_coeffs, ar_var, x_coeffs, x_var = derive_restricted(
         model.coeffs[None], model.sigma[None], config.q, warnings
@@ -110,7 +116,7 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
     )
     rest_ar = RestrictedModel(AR_ON_Y, ar_coeffs[0], ar_var[0])
     rest_x = RestrictedModel(X_ON_Y, x_coeffs[0], x_var[0])
-    result = AnalysisResult(clean, order, model, rest_ar, rest_x, profiles, report)
+    result = AnalysisResult(clean, fitted.p, model, rest_ar, rest_x, profiles, report)
     if config.n_surrogates > 0:
         report.significance = _significance(result, config, grid)
     return result
@@ -122,13 +128,13 @@ def surrogate_values(
     """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a
-    copy, is one :func:`gica.spectral.fitted_measures` pass: fit, gate,
-    autocovariance, restricted models, measures. Any gate fails the block.
+    copy, is one :func:`gica.varmodel.fit_var_stack` and :func:`gica.spectral.fitted_measures`
+    pass: fit, gate, autocovariance, restricted models, measures. Any gate fails the block.
     """
     reports = []
     for start in range(0, series.shape[1], SURROGATE_BLOCK):
         x, y = series[:, start : start + SURROGATE_BLOCK]
-        reports.append(fitted_measures(x, y, order, q, grid, bands)[2])
+        reports.append(fitted_measures(*fit_var_stack(x, y, order), q, grid, bands)[2])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS

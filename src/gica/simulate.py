@@ -24,7 +24,8 @@ on the coefficients :func:`build_confounded_system` returns.
 
 Theoretical profiles take an analysis's path from a model to measures,
 :func:`gica.restricted.derive_restricted` then ``assemble_profiles``; each
-confounded-study run takes a surrogate block's, :func:`gica.spectral.fitted_measures`.
+confounded-study run takes a surrogate block's, :func:`gica.spectral.fitted_measures`
+of the model :func:`gica.varmodel.fit_var` reads off its AIC scan.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .restricted import derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .spectral import assemble_profiles, fitted_measures
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, poles_to_ar_coeffs, require_stable
-from .varmodel import select_order_aic, simulate_var
+from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable
+from .varmodel import simulate_var
 
 BURN_IN = 1000
 
@@ -160,18 +161,20 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
     A 1000-sample burn-in from zero initial conditions is generated and
     discarded. Unit sampling rate is attached.
     """
-    total = BURN_IN + spec.n
-    rng = np.random.default_rng(spec.seed)
     if spec.system == "confounded":
-        coeffs, _ = build_confounded_system(spec.a, spec.b)
-        noise = rng.standard_normal((total, 3))
-        # X and Z run on their own lags; Y adds their lag-1 terms to its drive
-        x, z = (_ar_filter(coeffs[:, i, i], noise[:, i]) for i in (0, 2))
-        drive = coeffs[0, 1, 0] * _shift1(x) + coeffs[0, 1, 2] * _shift1(z) + noise[:, 1]
-        y = _ar_filter(coeffs[:, 1, 1], drive)
-        return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
+        return _confounded_pair(build_confounded_system(spec.a, spec.b)[0], spec)
+    rng = np.random.default_rng(spec.seed)
+    x, y = simulate_var(build_true_model(spec).coeffs, rng.standard_normal((BURN_IN + spec.n, 2))).T
+    return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
 
-    x, y = simulate_var(build_true_model(spec).coeffs, rng.standard_normal((total, 2))).T
+
+def _confounded_pair(coeffs: np.ndarray, spec: SimSpec) -> TimeSeriesPair:
+    """:func:`simulate` of a confounded ``spec`` from its gated system ``coeffs`` ``(2, 3, 3)``."""
+    noise = np.random.default_rng(spec.seed).standard_normal((BURN_IN + spec.n, 3))
+    # X and Z run on their own lags; Y adds their lag-1 terms to its drive
+    x, z = (_ar_filter(coeffs[:, i, i], noise[:, i]) for i in (0, 2))
+    drive = coeffs[0, 1, 0] * _shift1(x) + coeffs[0, 1, 2] * _shift1(z) + noise[:, 1]
+    y = _ar_filter(coeffs[:, 1, 1], drive)
     return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
 
 
@@ -226,23 +229,24 @@ def run_confounded_study(
 ) -> tuple[dict[str, SpectralProfile], int]:
     """Average estimated causality/isolation/autonomy over repeated runs.
 
-    Each run simulates the confounded system, fits a bivariate model on the
-    observed (X, Y) with AIC order selection, and computes the spectral
-    measures; profiles are averaged pointwise. Runs whose fit fails the
-    stability gates are skipped; more than 5% failures aborts.
+    The confounded system is built and gated once; each run simulates it,
+    fits a bivariate model on the observed (X, Y) with AIC order selection,
+    and computes the spectral measures; profiles are averaged pointwise. Runs
+    whose fit fails the stability gates are skipped; more than 5% failures aborts.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if grid is None:
         grid = FrequencyGrid.default()
+    specs = [SimSpec("confounded", n, seed=(seed, run), a=a, b=b) for run in range(n_runs)]
+    coeffs, _ = build_confounded_system(a, b)
     sums = {name: np.zeros(grid.n_points) for name in ("gc", "gi", "ga")}
     failures = 0
-    for run in range(n_runs):
-        spec = SimSpec(system="confounded", n=n, seed=(seed, run), a=a, b=b)
-        pair = simulate(spec)
+    for spec in specs:
+        pair = _confounded_pair(coeffs, spec)
         try:
-            order = select_order_aic(pair.x, pair.y, p_max)
-            profiles = fitted_measures(pair.x[None], pair.y[None], order, q, grid, {})[1]
+            model = fit_var(pair.x, pair.y, "aic", p_max)
+            profiles = fitted_measures(model.coeffs[None], model.sigma[None], q, grid, {})[1]
         except ValueError:
             failures += 1
             continue

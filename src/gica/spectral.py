@@ -31,8 +31,8 @@ stacked arrays of :func:`gica.restricted.derive_restricted`, a cached DFT
 table per grid gives ``E`` and the scalar ``det F`` of a whole stack, the
 mixed models pass the Schur-Cohn gate, and every band mean and ``F_y`` come
 from one product with a cached weight matrix per grid and band set.
-:func:`fitted_measures` fits its stack; :func:`assemble_profiles` is its
-batch of one, plus display spectra from ``E``.
+:func:`fitted_measures` takes fitted stacks ``(coeffs, sigma)``;
+:func:`assemble_profiles` is its batch of one, plus display spectra from ``E``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .restricted import derive_restricted
-from .varmodel import BivariateVarModel, UnstableModelError, fit_var_stack, require_stable
+from .varmodel import BivariateVarModel, UnstableModelError, require_stable
 
 
 @dataclass(frozen=True)
@@ -346,11 +346,11 @@ def measure_stack(
     return e, profiles, report
 
 
-def fitted_measures(x, y, p: int, q: int, grid: FrequencyGrid, bands: dict) -> tuple:
-    """:func:`measure_stack` of the order-``p`` fits to pairs ``(B, N)``, ``sigma`` diagonalized
-    (the strictly causal convention) before :func:`gica.restricted.derive_restricted`."""
-    coeffs, sigma = fit_var_stack(x, y, p)
-    sigma *= np.eye(2)
+def fitted_measures(coeffs, sigma, q: int, grid: FrequencyGrid, bands: dict) -> tuple:
+    """:func:`measure_stack` of fitted models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``,
+    ``sigma`` diagonalized (the strictly causal convention) before
+    :func:`gica.restricted.derive_restricted`."""
+    sigma = sigma * np.eye(2)
     return measure_stack(coeffs, sigma, *derive_restricted(coeffs, sigma, q)[1:], grid, bands)
 
 

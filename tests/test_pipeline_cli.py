@@ -101,6 +101,17 @@ def test_exact_order_one_target_names_the_cause():
         analyze_pair(pair, AnalysisConfig(detrend_cutoff=None))
 
 
+def test_near_exact_target_warns():
+    # y_n = x_{n-1} at order 1: mean removal leaves only the means' difference as residual
+    x = ar1(0)
+    pair = TimeSeriesPair(x[1:], x[:-1], 1.0)
+    result = analyze_pair(pair, AnalysisConfig(detrend_cutoff=None, order=1, grid_points=129))
+    assert result.model.sigma_y / np.mean(result.pair.y**2) == pytest.approx(9.0e-7, rel=0.01)
+    near = [w for w in result.report.warnings if "near-exact" in w]
+    assert len(near) == 1
+    assert near[0].startswith("the target's residual variance is 9e-07 of its mean square")
+
+
 def test_analyze_pair_returns_full_result(sim_pair):
     config = AnalysisConfig(detrend_cutoff=None, order=2, grid_points=257)
     result = analyze_pair(sim_pair, config)
@@ -123,19 +134,18 @@ def test_analyze_pair_selects_order(sim_pair):
 
 
 def test_analyze_pair_fits_one_model(sim_pair, monkeypatch):
-    # the AIC scan fits nothing; only the chosen order is fitted
-    fitted = []
-    fit_var = gica.varmodel.fit_var
+    # the AIC scan forms the one R factor; the chosen order's model is read off it
+    factored = []
+    r_factor = gica.varmodel._r_factor
 
-    def counting(x, y, p):
-        fitted.append(p)
-        return fit_var(x, y, p)
+    def counting(z, *args):
+        factored.append(z.shape)
+        return r_factor(z, *args)
 
-    monkeypatch.setattr(gica.varmodel, "fit_var", counting)
-    monkeypatch.setattr(gica.pipeline, "fit_var", counting)
+    monkeypatch.setattr(gica.varmodel, "_r_factor", counting)
     config = AnalysisConfig(detrend_cutoff=0.0156, order="aic", p_max=14, grid_points=257)
-    result = analyze_pair(sim_pair, config)
-    assert fitted == [result.order]
+    analyze_pair(sim_pair, config)
+    assert len(factored) == 1
 
 
 def test_aic_at_p_max_warns():

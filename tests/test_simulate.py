@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.simulate
+import gica.varmodel
 from gica.simulate import (
     BENCHMARK_SETTINGS,
     BURN_IN,
@@ -24,7 +26,7 @@ from gica.spectral import (
     full_band_integral,
 )
 from gica.restricted import derive_restricted
-from gica.varmodel import autocovariance_stack, fit_var, select_order_aic
+from gica.varmodel import autocovariance_stack, fit_var
 
 PROFILE_NAMES = {
     "psd_x",
@@ -316,13 +318,40 @@ def test_confounded_study_matches_assemble_profiles_path(seed):
     sums = dict.fromkeys(profiles, 0.0)
     for run in range(3):
         pair = simulate(SimSpec(system="confounded", n=500, seed=(seed, run), a=0.8))
-        model = fit_var(pair.x, pair.y, select_order_aic(pair.x, pair.y, 14)).diagonalized()
+        model = fit_var(pair.x, pair.y, "aic", 14).diagonalized()
         _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], 20)
         reference, _ = assemble_profiles(model, *rest, grid, {})
         for name in sums:
             sums[name] = sums[name] + reference[name].values
     for name in sums:
         assert np.array_equal(profiles[name].values, sums[name] / 3)
+
+
+def test_confounded_study_gates_its_system_once(monkeypatch):
+    # the three-process system once per study, then each run's model and mixed model
+    gated, pairs = [], []
+    stable, fit = gica.varmodel.schur_cohn_stable, gica.varmodel.fit_var
+
+    def counting(taps):
+        gated.append(int(np.prod(np.shape(taps)[:-1])))
+        return stable(taps)
+
+    monkeypatch.setattr(gica.varmodel, "schur_cohn_stable", counting)
+    run_confounded_study(0.8, 0.5, n_runs=3, n=300, seed=7, grid=FrequencyGrid(129))
+    assert sum(gated) == 1 + 2 * 3
+    monkeypatch.undo()
+
+    # each run's record is simulate()'s for its (seed, run) stream
+    def recording(x, y, *args):
+        pairs.append((x, y))
+        return fit(x, y, *args)
+
+    monkeypatch.setattr(gica.simulate, "fit_var", recording)
+    run_confounded_study(0.8, 0.5, n_runs=3, n=300, seed=7, grid=FrequencyGrid(129))
+    assert len(pairs) == 3
+    for run, (x, y) in enumerate(pairs):
+        alone = simulate(SimSpec("confounded", 300, seed=(7, run), a=0.8, b=0.5))
+        assert np.array_equal(x, alone.x) and np.array_equal(y, alone.y)
 
 
 def test_confounded_study_rejects_empty_run_count():

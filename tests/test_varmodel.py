@@ -23,7 +23,6 @@ from gica.varmodel import (
     poles_to_ar_coeffs,
     require_stable,
     schur_cohn_stable,
-    select_order_aic,
     simulate_var,
     spectral_radius,
 )
@@ -271,7 +270,7 @@ def test_exact_target_is_named_and_ends_the_scan():
     aics = aic_curve(x, y, 14)
     assert aics[0] == -np.inf and np.all(aics[1:] == np.inf)
     with pytest.raises(ValueError, match="at order 1 a channel is an exact function"):
-        select_order_aic(x, y, 14)
+        fit_var(x, y, "aic", 14)
 
 
 def test_near_exact_target_still_fits(aic_loop_reference):
@@ -290,7 +289,7 @@ def test_order_selection_mostly_finds_true_order():
     orders = []
     for seed in range(100):
         pair = simulate(SimSpec(system="open_loop", n=5000, seed=(50, seed), b=1.0, c=0.5))
-        p = select_order_aic(pair.x, pair.y, p_max=14)
+        p = fit_var(pair.x, pair.y, "aic", p_max=14).p
         orders.append(p)
         hits += p == 2
     assert min(orders) >= 2
@@ -300,7 +299,7 @@ def test_order_selection_mostly_finds_true_order():
 def test_order_selection_tie_goes_to_smaller():
     # white noise: all orders fit equally badly, penalty favors order 1
     rng = np.random.default_rng(0)
-    p = select_order_aic(rng.normal(size=4000), rng.normal(size=4000), p_max=6)
+    p = fit_var(rng.normal(size=4000), rng.normal(size=4000), "aic", p_max=6).p
     assert p == 1
 
 
@@ -318,9 +317,9 @@ def assert_same_scan(x, y, p_max, aic_loop_reference):
     ref = aic_loop_reference(x, y, p_max)
     if not np.isfinite(ref).any():
         with pytest.raises(ValueError, match="no order could be fitted"):
-            select_order_aic(x, y, p_max)
+            fit_var(x, y, "aic", p_max)
         return
-    assert select_order_aic(x, y, p_max) == np.argmin(ref) + 1
+    assert fit_var(x, y, "aic", p_max).p == np.argmin(ref) + 1
     assert_allclose(aic_curve(x, y, p_max), ref, rtol=0, atol=1e-9)
 
 
@@ -335,6 +334,12 @@ def assert_same_scan(x, y, p_max, aic_loop_reference):
 def test_aic_scan_matches_per_order_fits(aic_loop_reference, system, n, seed, cutoff, p_max):
     pair = preprocess(simulate(SimSpec(n=n, seed=seed, **system)), cutoff)
     assert_same_scan(pair.x, pair.y, p_max, aic_loop_reference)
+    if np.isfinite(aic_curve(pair.x, pair.y, p_max)).any():
+        # the model read off the scan's R factor is the refit at its order
+        scanned = fit_var(pair.x, pair.y, "aic", p_max)
+        refit = fit_var(pair.x, pair.y, scanned.p)
+        for got, want in ((scanned.coeffs, refit.coeffs), (scanned.sigma, refit.sigma)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("system", SCAN_SYSTEMS[::2], ids=lambda s: s["system"])
@@ -354,10 +359,10 @@ def test_aic_scan_rank_deficient_pair(aic_loop_reference, target):
     ref = aic_loop_reference(x, y, 14)
     assert np.array_equal(np.isinf(aic_curve(x, y, 14)), np.isinf(ref))
     if np.isfinite(ref).any():
-        assert select_order_aic(x, y, 14) == np.argmin(ref) + 1
+        assert fit_var(x, y, "aic", 14).p == np.argmin(ref) + 1
     else:
         with pytest.raises(ValueError, match="no order could be fitted"):
-            select_order_aic(x, y, 14)
+            fit_var(x, y, "aic", 14)
 
 
 def test_aic_scan_fits_no_model(monkeypatch):
@@ -367,7 +372,7 @@ def test_aic_scan_fits_no_model(monkeypatch):
     for name in ("fit_var", "fit_var_stack", "gated_lstsq"):
         monkeypatch.setattr(gica.varmodel, name, forbidden)
     pair = simulate(SimSpec(system="open_loop", n=500, seed=2, b=1.0, c=0.5))
-    assert select_order_aic(pair.x, pair.y, 14) >= 1
+    assert fit_var(pair.x, pair.y, "aic", 14).p >= 1
 
 
 def test_lyapunov_scalar_closed_form():
