@@ -1,15 +1,15 @@
 """End-to-end analysis of one series pair, reusable from code and the CLI.
 
 The pipeline preprocesses the pair, fits the full model once
-(:func:`gica.varmodel.fit_var`, fixed order or AIC), derives the restricted
-models analytically from the fitted model's autocovariance
-(:func:`gica.restricted.derive_restricted`, whose first step is the
-model's stability gate), computes all spectral profiles and
-band summaries in one pass (:func:`gica.spectral.assemble_profiles`), and
-optionally attaches surrogate significance verdicts, whose settings are
-checked when :class:`AnalysisConfig` is built. The analysed model is a stack
-of one; surrogates take the same calls in blocks of ``SURROGATE_BLOCK`` rows
-of the array :func:`gica.surrogates.generate_surrogates` returns
+(:func:`gica.varmodel.fit_var`, fixed order or AIC), and makes one call from
+the model to its measures (:func:`gica.spectral.assemble_profiles`): the
+stability gate, the restricted models derived analytically from the model's
+autocovariance, every spectral profile and the band summaries. It optionally
+attaches surrogate significance verdicts, whose settings are checked when
+:class:`AnalysisConfig` is built. The analysed model is a stack of one;
+surrogates take the same call, :func:`gica.spectral.measure_stack`, in blocks
+of ``SURROGATE_BLOCK`` rows of the array
+:func:`gica.surrogates.generate_surrogates` returns
 (:func:`surrogate_values`). The fitted innovation covariance is generally
 not diagonal; all derived quantities use the strictly causal convention
 (off-diagonal dropped), and a warning is attached when the implied
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted
+from .restricted import RestrictedModel
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, fitted_measures
+from .spectral import assemble_profiles, measure_stack
 from .surrogates import H1, H2, TAILS, SurrogateConfig, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
 from .varmodel import BivariateVarModel, fit_var, fit_var_stack
@@ -107,16 +107,9 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
                 "near-exact function of the past, so the measures built on it are unreliable"
             )
     model = fitted.diagonalized()
-    ar_coeffs, ar_var, x_coeffs, x_var = derive_restricted(
-        model.coeffs[None], model.sigma[None], config.q, warnings
-    )
     grid = FrequencyGrid(config.grid_points, pair.fs)
-    profiles, report = assemble_profiles(
-        model, ar_var, x_coeffs, x_var, grid, config.bands, warnings
-    )
-    rest_ar = RestrictedModel(AR_ON_Y, ar_coeffs[0], ar_var[0])
-    rest_x = RestrictedModel(X_ON_Y, x_coeffs[0], x_var[0])
-    result = AnalysisResult(clean, fitted.p, model, rest_ar, rest_x, profiles, report)
+    profiles, report, rest = assemble_profiles(model, config.q, grid, config.bands, warnings)
+    result = AnalysisResult(clean, fitted.p, model, *rest, profiles, report)
     if config.n_surrogates > 0:
         report.significance = _significance(result, config, grid)
     return result
@@ -128,13 +121,13 @@ def surrogate_values(
     """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a
-    copy, is one :func:`gica.varmodel.fit_var_stack` and :func:`gica.spectral.fitted_measures`
+    copy, is one :func:`gica.varmodel.fit_var_stack` and :func:`gica.spectral.measure_stack`
     pass: fit, gate, autocovariance, restricted models, measures. Any gate fails the block.
     """
     reports = []
     for start in range(0, series.shape[1], SURROGATE_BLOCK):
         x, y = series[:, start : start + SURROGATE_BLOCK]
-        reports.append(fitted_measures(*fit_var_stack(x, y, order), q, grid, bands)[2])
+        reports.append(measure_stack(*fit_var_stack(x, y, order), q, grid, bands)[2])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS

@@ -16,9 +16,10 @@ Direct least-squares refits on long realizations are used only as test
 oracles for this route. :func:`restricted_stack` identifies one kind for a
 stack, its ``(B, q, q)`` Toeplitz systems built by index and solved at once.
 :func:`derive_restricted` is the only entry from full models: it takes
-stacks ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, for
-an analysis and a surrogate block alike, with an optional ``2q`` truncation
-check. :class:`RestrictedModel` is the record an analysis writes.
+stacks ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with
+an optional ``2q`` truncation check. Its one caller is
+:func:`gica.spectral.measure_stack`, for an analysis and a surrogate block
+alike. :class:`RestrictedModel` is the record an analysis writes.
 """
 
 from __future__ import annotations

@@ -22,10 +22,10 @@ Two-process systems run as :func:`gica.varmodel.simulate_var` of their exact
 model, the three-process confounded system as a cascade of ``lfilter`` calls
 on the coefficients :func:`build_confounded_system` returns.
 
-Theoretical profiles take an analysis's path from a model to measures,
-:func:`gica.restricted.derive_restricted` then ``assemble_profiles``; each
-confounded-study run takes a surrogate block's, :func:`gica.spectral.fitted_measures`
-of the model :func:`gica.varmodel.fit_var` reads off its AIC scan.
+Theoretical profiles take an analysis's one call from a model to its
+measures, :func:`gica.spectral.assemble_profiles`; each confounded-study run
+takes a surrogate block's, :func:`gica.spectral.measure_stack` of the model
+:func:`gica.varmodel.fit_var` reads off its AIC scan.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .restricted import derive_restricted
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, fitted_measures
+from .spectral import assemble_profiles, measure_stack
 from .timeseries import TimeSeriesPair
 from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable
 from .varmodel import simulate_var
@@ -193,10 +192,7 @@ def theoretical_profiles(
         grid = FrequencyGrid.default()
     if bands is None:
         bands = DEFAULT_BANDS
-    model = build_true_model(spec)
-    warnings: list[str] = []
-    _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q, warnings)
-    return assemble_profiles(model, *rest, grid, bands, warnings)
+    return assemble_profiles(build_true_model(spec), q, grid, bands, [])[:2]
 
 
 def theoretical_sweep(
@@ -246,7 +242,7 @@ def run_confounded_study(
         pair = _confounded_pair(coeffs, spec)
         try:
             model = fit_var(pair.x, pair.y, "aic", p_max)
-            profiles = fitted_measures(model.coeffs[None], model.sigma[None], q, grid, {})[1]
+            profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
         except ValueError:
             failures += 1
             continue

@@ -26,13 +26,13 @@ spectral measure integrates back to its time-domain counterpart,
 The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
 model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 / |G_yy|^2 = |det F|^2 / |det E|^2``, so no transfer matrix is formed.
-:func:`measure_stack` is the one place models become measures: it takes the
-stacked arrays of :func:`gica.restricted.derive_restricted`, a cached DFT
-table per grid gives ``E`` and the scalar ``det F`` of a whole stack, the
-mixed models pass the Schur-Cohn gate, and every band mean and ``F_y`` come
-from one product with a cached weight matrix per grid and band set.
-:func:`fitted_measures` takes fitted stacks ``(coeffs, sigma)``;
-:func:`assemble_profiles` is its batch of one, plus display spectra from ``E``.
+:func:`measure_stack` is the one place models become measures: it takes a
+stack of full models ``(coeffs, sigma)``, derives both restricted models with
+:func:`gica.restricted.derive_restricted`, a cached DFT table per grid gives
+``E`` and the scalar ``det F`` of the whole stack, the mixed models pass the
+Schur-Cohn gate, and every band mean and ``F_y`` come from one product with a
+cached weight matrix per grid and band set. :func:`assemble_profiles` is its
+batch of one, plus display spectra from ``E``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import derive_restricted
+from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted
 from .varmodel import BivariateVarModel, UnstableModelError, require_stable
 
 
@@ -224,18 +224,6 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 }
 
 
-def band_table(
-    profiles: dict[str, SpectralProfile], bands: dict[str, tuple[float, float]]
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Band integrals and means of the three log measures.
-
-    ``profiles`` must contain ``gc``, ``gi``, and ``ga`` entries; the result
-    maps band name to measure name to ``{"integral", "mean"}``.
-    """
-    stack = {m: profiles[m].values[None] for m in ("gc", "gi", "ga")}
-    return _band_row(_band_stack(stack, profiles["gc"].grid, bands)[0], 0)
-
-
 def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dict) -> tuple:
     """Band table of the ``(B, n)`` gc, gi and ga profiles and their full-band integrals
     ``{m: (B,)}``, from one :func:`_band_integrals`."""
@@ -306,18 +294,23 @@ class MeasureReport:
 
 
 def measure_stack(
-    coeffs: np.ndarray, sigma: np.ndarray, ar_var: np.ndarray, x_coeffs: np.ndarray,
-    x_var: np.ndarray, grid: FrequencyGrid, bands: dict[str, tuple[float, float]],
-) -> tuple[np.ndarray, dict[str, np.ndarray], MeasureReport]:
-    """``E(f)``, the gc, gi and ga profiles ``(B, n)`` and the report of a stack of models.
+    coeffs: np.ndarray, sigma: np.ndarray, q: int, grid: FrequencyGrid,
+    bands: dict[str, tuple[float, float]], warnings: list[str] | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray], MeasureReport, tuple]:
+    """``E(f)``, the gc, gi and ga profiles ``(B, n)``, the report and the restricted models
+    of a stack of models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``.
 
-    The full models (``sigma``'s diagonal used) passed the gate of
-    :func:`gica.restricted.derive_restricted`, whose ``ar_var`` is the self-past
-    residual variance, ``x_coeffs``, ``x_var`` the driver-only regression. The
-    mixed models enter as ``det F(z)``, gated here as the scalar lag polynomial
+    ``sigma`` is diagonalized (the strictly causal convention), and
+    :func:`gica.restricted.derive_restricted` gates the models and returns
+    ``restricted``, ``(ar_coeffs, ar_var, x_coeffs, x_var)``: the self-past and the
+    driver-only regressions, with the ``2q`` truncation check when given ``warnings``.
+    The mixed models enter as ``det F(z)``, gated here as the scalar lag polynomial
     of degree ``p + q`` it is. A row whose ``A_yx`` lags are all exactly 0 takes
     ``ar_var = sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
     """
+    sigma = sigma * np.eye(2)
+    restricted = derive_restricted(coeffs, sigma, q, warnings)
+    _, ar_var, x_coeffs, x_var = restricted
     e = _lag_transform(coeffs, grid)
     det_e = _det(e, "full model")
     mixed = _mixed_det_lags(coeffs[:, :, 0, 0], coeffs[:, :, 0, 1], x_coeffs)[..., None, None]
@@ -343,31 +336,22 @@ def measure_stack(
     table, full = _band_stack(profiles, grid, bands)
     report = MeasureReport(_nonnegative(np.log(ar_var / s2_y), "F_xy"), full["gi"],
                            _nonnegative(a_y, "A_y"), table)
-    return e, profiles, report
-
-
-def fitted_measures(coeffs, sigma, q: int, grid: FrequencyGrid, bands: dict) -> tuple:
-    """:func:`measure_stack` of fitted models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``,
-    ``sigma`` diagonalized (the strictly causal convention) before
-    :func:`gica.restricted.derive_restricted`."""
-    sigma = sigma * np.eye(2)
-    return measure_stack(coeffs, sigma, *derive_restricted(coeffs, sigma, q)[1:], grid, bands)
+    return e, profiles, report, restricted
 
 
 def assemble_profiles(
-    model: BivariateVarModel, ar_var: np.ndarray, x_coeffs: np.ndarray, x_var: np.ndarray,
-    grid: FrequencyGrid, bands: dict[str, tuple[float, float]], warnings: list[str] | None = None,
-) -> tuple[dict[str, SpectralProfile], MeasureReport]:
-    """Every spectral profile and the measure report of one model.
+    model: BivariateVarModel, q: int, grid: FrequencyGrid,
+    bands: dict[str, tuple[float, float]], warnings: list[str] | None = None,
+) -> tuple[dict[str, SpectralProfile], MeasureReport, tuple[RestrictedModel, RestrictedModel]]:
+    """Every spectral profile, the measure report and both restricted models of one model.
 
-    :func:`measure_stack` of one model and its restricted arrays ``(1,)``,
-    ``(1, q)``, ``(1,)`` from :func:`gica.restricted.derive_restricted`, plus,
-    from the same ``E(f)``, the power spectra ``psd_x``, ``psd_y`` (densities
-    per Hz under the diagonal-covariance convention) and ``psd_cross``, and
-    the squared directed coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
+    :func:`measure_stack` of the model as a stack of one, plus, from the same
+    ``E(f)``, the power spectra ``psd_x``, ``psd_y`` (densities per Hz under the
+    diagonal-covariance convention) and ``psd_cross``, and the squared directed
+    coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
     """
-    e, stack, stacked = measure_stack(
-        model.coeffs[None], model.sigma[None], ar_var, x_coeffs, x_var, grid, bands
+    e, stack, stacked, (ar_coeffs, ar_var, x_coeffs, x_var) = measure_stack(
+        model.coeffs[None], model.sigma[None], q, grid, bands, warnings
     )
     e, s2_x, s2_y = e[0], model.sigma_x, model.sigma_y
     causal, internal = s2_x * np.abs(e[:, 1, 0]) ** 2, s2_y * np.abs(e[:, 0, 0]) ** 2
@@ -384,4 +368,7 @@ def assemble_profiles(
     }
     profiles = {name: SpectralProfile(grid, v, name) for name, v in values.items()}
     times = (float(v[0]) for v in (stacked.f_xy, stacked.f_y, stacked.a_y))
-    return profiles, MeasureReport(*times, _band_row(stacked.bands, 0), list(warnings or []))
+    report = MeasureReport(*times, _band_row(stacked.bands, 0), list(warnings or []))
+    restricted = (RestrictedModel(AR_ON_Y, ar_coeffs[0], ar_var[0]),
+                  RestrictedModel(X_ON_Y, x_coeffs[0], x_var[0]))
+    return profiles, report, restricted

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import gica.cli
 import gica.pipeline
+import gica.spectral
 import gica.varmodel
 from gica.cli import main
 from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
@@ -84,7 +85,7 @@ def test_lagged_copy_target_raises_before_restricted_models(monkeypatch, seed, t
     def forbidden(*args, **kwargs):
         raise AssertionError("a restricted model was formed")
 
-    monkeypatch.setattr(gica.pipeline, "derive_restricted", forbidden)
+    monkeypatch.setattr(gica.spectral, "derive_restricted", forbidden)
     x = ar1(seed)
     y = np.r_[0.0, x[1:-1]] if target == "zero-led" else x[:-1]
     with pytest.raises(ValueError, match="at order 2 a channel is an exact function of the past"):

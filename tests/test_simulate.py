@@ -319,8 +319,7 @@ def test_confounded_study_matches_assemble_profiles_path(seed):
     for run in range(3):
         pair = simulate(SimSpec(system="confounded", n=500, seed=(seed, run), a=0.8))
         model = fit_var(pair.x, pair.y, "aic", 14).diagonalized()
-        _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], 20)
-        reference, _ = assemble_profiles(model, *rest, grid, {})
+        reference = assemble_profiles(model, 20, grid, {})[0]
         for name in sums:
             sums[name] = sums[name] + reference[name].values
     for name in sums:
@@ -364,8 +363,7 @@ def test_estimated_profiles_approach_theory():
     grid = FrequencyGrid(513)
 
     def measures(model):
-        _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], 20)
-        return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)
+        return assemble_profiles(model, 20, grid, DEFAULT_BANDS)[:2]
 
     true_profiles, true_report = measures(
         build_true_model(SimSpec(system="open_loop", n=10, b=1.0, c=0.5))

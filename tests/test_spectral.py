@@ -1,6 +1,8 @@
 """Transfer functions, spectra, directed coherence, and the log measures."""
 import numpy as np
 import pytest
+
+import gica.spectral
 from numpy.testing import assert_allclose
 
 from gica.restricted import derive_restricted
@@ -11,7 +13,6 @@ from gica.spectral import (
     MeasureReport,
     SpectralProfile,
     assemble_profiles,
-    band_table,
     full_band_integral,
     integrate_band,
 )
@@ -36,8 +37,7 @@ def restricted(model, q=20):
 
 
 def measures(model, grid=GRID, q=20):
-    _, *rest = restricted(model, q)
-    return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)
+    return assemble_profiles(model, q, grid, DEFAULT_BANDS)[:2]
 
 
 def direct_transfer(coeffs, grid):
@@ -194,14 +194,14 @@ def test_autonomy_shape_integrates_to_zero(reference_model):
     assert_allclose(a.values - abar.values, report.a_y, rtol=0, atol=1e-12)
 
 
-def test_autonomy_rejects_unstable_mixed_model():
+def test_autonomy_rejects_unstable_mixed_model(monkeypatch):
     # with a feedback entry in the driver row, an absurd driver-only
     # coefficient closes an explosive loop in the mixed system
     model = build_true_model(SimSpec(system="closed_loop", n=10, seed=0, b=1.0, c=0.5, d=1.0))
-    ar_var = restricted(model)[1]
-    runaway = np.array([[5.0]]), np.array([1.0])
+    runaway = (*restricted(model)[:2], np.array([[5.0]]), np.array([1.0]))
+    monkeypatch.setattr(gica.spectral, "derive_restricted", lambda *_: runaway)
     with pytest.raises(UnstableModelError, match="mixed model for autonomy is unstable"):
-        assemble_profiles(model, ar_var, *runaway, GRID, DEFAULT_BANDS)
+        assemble_profiles(model, 20, GRID, DEFAULT_BANDS)
 
 
 def test_time_domain_measures_frozen_reference(reference_model):
@@ -268,13 +268,14 @@ def test_default_bands():
 
 def test_band_table_layout(reference_model):
     profiles, report = measures(reference_model)
-    table = band_table(profiles, DEFAULT_BANDS)
-    assert table == report.bands
-    assert set(table) == {"VLF", "LF"}
-    for band in table.values():
-        assert set(band) == {"gc", "gi", "ga"}
-        for cell in band.values():
+    assert list(report.bands) == ["VLF", "LF"]
+    for band, cells in report.bands.items():
+        assert set(cells) == {"gc", "gi", "ga"}
+        for measure, cell in cells.items():
             assert set(cell) == {"integral", "mean"}
+            assert all(type(v) is float for v in cell.values())
+            alone = integrate_band(profiles[measure], *DEFAULT_BANDS[band])
+            assert_allclose([cell["integral"], cell["mean"]], alone, rtol=1e-12)
 
 
 def test_report_serializes_infinities():

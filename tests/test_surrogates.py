@@ -4,7 +4,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gica.pipeline import SURROGATE_BLOCK, surrogate_values
-from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, simulate
 from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
 from gica.surrogates import (
@@ -28,9 +27,7 @@ def lag1_xcorr(x, y):
 
 
 def single_report(x, y, order, q, grid):
-    model = fit_var(x, y, order).diagonalized()
-    _, *rest = derive_restricted(model.coeffs[None], model.sigma[None], q)
-    return assemble_profiles(model, *rest, grid, DEFAULT_BANDS)[1]
+    return assemble_profiles(fit_var(x, y, order).diagonalized(), q, grid, DEFAULT_BANDS)[1]
 
 
 def fitted_measures(x, y, order=2, q=20):
@@ -213,8 +210,8 @@ SCOPES = ("time", "VLF", "LF")
 @pytest.mark.parametrize("hypothesis", [H1, H2])
 @pytest.mark.parametrize("p", [2, 14])
 def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
-    # a full block and a partial one, against fit_var -> derive_restricted ->
-    # assemble_profiles surrogate by surrogate
+    # a full block and a partial one, against fit_var -> assemble_profiles
+    # surrogate by surrogate
     n = SURROGATE_BLOCK + 3
     config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
     series = generate_surrogates(coupled_pair, config, p, 20)
