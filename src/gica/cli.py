@@ -35,10 +35,11 @@ from .timeseries import delimited_text, format_column, load_pair, write_pair
 ENV_SEED = "GICA_SEED"
 
 
-def _fmt(value: float, decimals: int = 4) -> str:
-    if np.isinf(value):
+def _fmt(value: float, measure: str = "") -> str:
+    """Four decimals; an infinite isolation (``gi``, ``F_y``) reads ``inf (isolated)``."""
+    if measure == "gi" and np.isinf(value):
         return "inf (isolated)"
-    return f"{value:.{decimals}f}"
+    return f"{value:.4f}"
 
 
 def _default_seed() -> int:
@@ -93,7 +94,7 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
         print(f"model order: {order}")
     print("time-domain measures (nats):")
     print(f"  causality  F_xy = {_fmt(report.f_xy)}")
-    print(f"  isolation  F_y  = {_fmt(report.f_y)}")
+    print(f"  isolation  F_y  = {_fmt(report.f_y, 'gi')}")
     print(f"  autonomy   A_y  = {_fmt(report.a_y)}")
     if report.bands:
         print("band means (nats):")
@@ -105,7 +106,7 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
                 mark = ""
                 if report.significance is not None:
                     mark = "*" if _is_significant(report, measure, band) else ""
-                row.append(f"{_fmt(measures[measure]['mean']) + mark:>12}")
+                row.append(f"{_fmt(measures[measure]['mean'], measure) + mark:>12}")
             print("  " + " ".join(row))
     if report.significance is not None:
         print("significance (*: outside surrogate thresholds):")
@@ -235,7 +236,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         f_y = "inf" if np.isinf(report.f_y) else f"{report.f_y:.15g}"
         rows.append(f"{param},{value:g},{report.f_xy:.15g},{f_y},{report.a_y:.15g}")
         print(f"{param} = {value:g}: F_xy = {_fmt(report.f_xy)}, "
-              f"F_y = {_fmt(report.f_y)}, A_y = {_fmt(report.a_y)}")
+              f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
     (outdir / "sweep_summary.csv").write_text("\n".join(rows) + "\n")
     return 0
 

@@ -53,11 +53,13 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.order, str):
-            if self.order != "aic":
+        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)):
+            if self.order != "aic":  # a float or a bool would be truncated to an order silently
                 raise ValueError(f"order must be an integer or 'aic', got {self.order!r}")
         elif self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
+        if "time" in self.bands:
+            raise ValueError("a band may not be named 'time', the time-domain scope's key")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.n_surrogates < 0:

@@ -187,15 +187,16 @@ def _band_integrals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals and means ``(..., len(bands_hz))`` of rows ``(..., n)`` over ``(lo, hi)`` Hz
     bands: a product per row with one cached weight matrix, so a row does not depend on the
-    batch. Every value of a row with any ``inf`` is ``inf``."""
+    batch. A band is ``inf`` where its weights touch an ``inf`` of the row, and only there."""
     fs = grid.fs
     for lo, hi in bands_hz:
         if not 0 <= lo < hi <= fs / 2:
             raise ValueError(f"band [{lo}, {hi}] Hz must satisfy 0 <= lo < hi <= {fs / 2}")
     edges = tuple((lo / fs, hi / fs) for lo, hi in bands_hz)
-    isinf = np.isinf(values)
-    integrals = (np.where(isinf, 0.0, values)[..., None, :] @ _band_matrix(grid, edges))[..., 0, :]
-    integrals[isinf.any(axis=-1)] = np.inf
+    weights, isinf = _band_matrix(grid, edges), np.isinf(values)
+    integrals = (np.where(isinf, 0.0, values)[..., None, :] @ weights)[..., 0, :]
+    rows = isinf.any(axis=-1)  # only rows holding an inf pay for the check
+    integrals[rows] = np.where(isinf[rows] @ (weights != 0), np.inf, integrals[rows])
     return integrals, integrals / (2.0 * np.array([hi - lo for lo, hi in edges]))
 
 

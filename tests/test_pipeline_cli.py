@@ -14,6 +14,7 @@ from gica.cli import main
 from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
 from gica.restricted import derive_restricted
 from gica.simulate import SimSpec, build_true_model, simulate
+from gica.spectral import MeasureReport
 from gica.timeseries import TimeSeriesPair
 from gica.varmodel import UnstableModelError
 
@@ -65,6 +66,24 @@ def test_config_checks_surrogate_settings():
     with pytest.raises(ValueError, match="alpha must lie"):
         AnalysisConfig(n_surrogates=5, alpha=2.0)
     AnalysisConfig(n_surrogates=0, alpha=2.0)  # no surrogates, nothing to check
+
+
+@pytest.mark.parametrize("order", [2.7, 2.0, True, np.float64(3.0), "2"])
+def test_config_rejects_an_order_that_is_not_an_integer(order):
+    # int() would fit 2.7 at order 2 and True at order 1 without a word
+    with pytest.raises(ValueError, match=re.escape(f"got {order!r}")):
+        AnalysisConfig(order=order)
+
+
+@pytest.mark.parametrize("order", [1, np.int64(2), np.int32(3), "aic"])
+def test_config_takes_integer_orders_and_aic(order):
+    assert AnalysisConfig(order=order).order == order
+
+
+def test_config_rejects_a_band_named_time():
+    # "time" keys the time-domain scope of the report and of the surrogate values
+    with pytest.raises(ValueError, match="may not be named 'time'"):
+        AnalysisConfig(bands={"time": (0.1, 0.2), "LF": (0.07, 0.2)})
 
 
 def ar1(seed):
@@ -472,6 +491,15 @@ def test_cli_summary_separates_infinite_cells(tmp_path, capsys):
     assert rows[0].split() == ["band", "gc", "gi", "ga"]
     for band, row in zip(("VLF", "LF"), rows[1:]):
         assert re.fullmatch(rf"  {band} +-?0\.0000 inf \(isolated\) +-?0\.0000", row), row
+
+
+def test_cli_summary_calls_only_an_infinite_isolation_isolated(capsys):
+    inf = float("inf")
+    cells = {m: {"integral": v, "mean": v} for m, v in (("gc", inf), ("gi", inf), ("ga", 0.5))}
+    gica.cli._print_summary(MeasureReport(inf, inf, 0.5, {"LF": cells}))
+    out = capsys.readouterr().out
+    assert "F_xy = inf\n" in out and "F_y  = inf (isolated)\n" in out
+    assert re.search(r"\n  LF +inf inf \(isolated\) +0\.5000\n", out), out
 
 
 def test_cli_simulate_creates_output_directory(tmp_path, capsys):

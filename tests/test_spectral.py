@@ -326,12 +326,14 @@ def test_lag_transform_matches_padded_fft(n_points, lags):
 
 def band_integral_oracle(values, grid, lo_hz, hi_hz):
     """Per band and row: ``2 * trapezoid`` over normalized ``[lo, hi]`` with the edges
-    interpolated, ``inf`` for a row with any ``inf``."""
+    interpolated, ``inf`` where the row is ``inf`` at a grid point the band reads: one
+    whose hat function ``(f_{j-1}, f_{j+1})`` overlaps the band."""
     f, lo, hi = grid.values, lo_hz / grid.fs, hi_hz / grid.fs
     nodes = np.concatenate([[lo], f[(f > lo) & (f < hi)], [hi]])
+    read = (np.r_[-np.inf, f[:-1]] < hi) & (np.r_[f[1:], np.inf] > lo)
     heights = [np.interp(nodes, f, row) for row in values]
     return np.array([
-        np.inf if np.isinf(row).any() else np.sum(np.diff(nodes) * (h[1:] + h[:-1]))
+        np.inf if np.isinf(row[read]).any() else np.sum(np.diff(nodes) * (h[1:] + h[:-1]))
         for row, h in zip(values, heights)
     ])
 
@@ -352,8 +354,37 @@ def test_band_matmul_matches_band_by_band_integrals(n_points):
             assert_allclose(table[band][m]["integral"], integral, rtol=1e-12, atol=1e-14)
             mean = integral / (2 * (hi - lo) / grid.fs)
             assert_allclose(table[band][m]["mean"], mean, rtol=1e-12, atol=1e-14)
-    assert np.isinf(table["LF"]["gi"]["mean"][1]) and np.isinf(full["ga"][3])
+    # gi's inf at 2 Hz reaches LF only on the two-point grid, where LF's edges read it
+    assert np.isinf(table["all"]["gi"]["mean"][1]) and np.isinf(full["ga"][3])
+    assert np.isfinite(table["LF"]["gi"]["mean"][1]) == (n_points > 2)
     assert np.isfinite(table["LF"]["gi"]["mean"][[0, 2, 3, 4]]).all()
     for i in range(5):
         one = _band_stack({m: v[i : i + 1] for m, v in profiles.items()}, grid, bands)[0]
         assert one["mid"]["ga"]["mean"][0] == table["mid"]["ga"]["mean"][i]
+
+
+@pytest.mark.parametrize(
+    "j, on_grid, off_grid", [(6, 0, 0), (7, 0, 1), (8, 1, 1), (16, 1, 1), (17, 0, 1), (18, 0, 0)]
+)
+def test_band_reads_the_grid_points_its_edges_interpolate(j, on_grid, off_grid):
+    grid = FrequencyGrid(129)  # f_j = j / 256 Hz
+    values = np.ones(grid.n_points)
+    values[j] = np.inf
+    profile = SpectralProfile(grid, values, "gc")
+    for (lo, hi), inf in (((8, 16), on_grid), ((7.5, 16.5), off_grid)):
+        mean = integrate_band(profile, lo / 256, hi / 256)[1]
+        assert np.isinf(mean) == inf
+        assert inf or mean == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points", [2048, 2049])
+def test_gc_infinite_outside_the_bands_leaves_their_means_finite(n_points):
+    # a stable model whose gc is inf only at f = 0, outside VLF and LF
+    model = BivariateVarModel(np.array([[[1.0, -0.5], [0.5, 0.0]]]), np.eye(2))
+    profiles, report = measures(model, FrequencyGrid(n_points))
+    assert np.flatnonzero(np.isinf(profiles["gc"].values)).tolist() == [0]
+    assert_allclose(report.bands["VLF"]["gc"]["mean"], 1.5499, atol=5e-5)
+    assert_allclose(report.bands["LF"]["gc"]["mean"], 0.3710, atol=5e-5)
+    assert np.isinf(integrate_band(profiles["gc"], 0.0, 0.02)[1])
+    assert np.isinf(full_band_integral(profiles["gc"]))
+    assert_allclose(report.f_xy, 0.4949, atol=5e-5)
