@@ -30,7 +30,7 @@ from .simulate import (
     theoretical_sweep,
 )
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .timeseries import delimited_text, format_column, load_pair, write_pair
+from .timeseries import delimited_text, format_column, load_pair, write_pair, write_text
 
 ENV_SEED = "GICA_SEED"
 
@@ -64,12 +64,14 @@ def _parse_bands(specs: list[str] | None) -> dict[str, tuple[float, float]]:
             raise SystemExit(
                 f"error: band {spec!r} must look like NAME:LO-HI (Hz)"
             ) from None
+        if name in bands:  # a later spec would silently replace the earlier one
+            raise SystemExit(f"error: band {name!r} is given twice")
         bands[name] = (lo, hi)
     return bands
 
 
 def _write_json(data: dict, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_profiles(profiles: dict[str, SpectralProfile], outdir: Path) -> None:
@@ -79,14 +81,14 @@ def _write_profiles(profiles: dict[str, SpectralProfile], outdir: Path) -> None:
             freqs[profile.grid] = format_column(profile.grid.freqs_hz)
         columns = [freqs[profile.grid], format_column(profile.values)]
         text = delimited_text(["frequency_hz", "value"], columns, ",")
-        (outdir / f"profile_{name}.csv").write_text(text)
+        write_text(outdir / f"profile_{name}.csv", text)
 
 
 def _write_plot_data(profiles: dict[str, SpectralProfile], path: Path) -> None:
     names = sorted(profiles)
     columns = [format_column(profiles[names[0]].grid.freqs_hz)]
     columns += [format_column(profiles[n].values) for n in names]
-    path.write_text(delimited_text(["frequency_hz", *names], columns, "\t"))
+    write_text(path, delimited_text(["frequency_hz", *names], columns, "\t"))
 
 
 def _print_summary(report: MeasureReport, order: int | None = None) -> None:
@@ -237,7 +239,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         rows.append(f"{param},{value:g},{report.f_xy:.15g},{f_y},{report.a_y:.15g}")
         print(f"{param} = {value:g}: F_xy = {_fmt(report.f_xy)}, "
               f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
-    (outdir / "sweep_summary.csv").write_text("\n".join(rows) + "\n")
+    write_text(outdir / "sweep_summary.csv", "\n".join(rows) + "\n")
     return 0
 
 

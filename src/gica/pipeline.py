@@ -144,7 +144,7 @@ def _significance(
     out: dict = {"n_surrogates": config.n_surrogates, "alpha": config.alpha, "seed": config.seed}
     for hyp in config.hypotheses:
         sur_config = config.surrogate_config(hyp)
-        series = generate_surrogates(result.pair, sur_config, result.order, config.q)
+        series = generate_surrogates(result.pair, sur_config, result.model, config.q)
         values = surrogate_values(series, result.order, config.q, grid, config.bands)
         out[hyp] = {
             measure: {

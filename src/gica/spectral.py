@@ -32,7 +32,7 @@ stack of full models ``(coeffs, sigma)``, derives both restricted models with
 ``E`` and the scalar ``det F`` of the whole stack, the mixed models pass the
 Schur-Cohn gate, and every band mean and ``F_y`` come from one product with a
 cached weight matrix per grid and band set. :func:`assemble_profiles` is its
-batch of one, plus display spectra from ``E``.
+batch of one, plus display spectra from the ``E``, ``det E`` and shares it returns.
 """
 
 from __future__ import annotations
@@ -297,9 +297,10 @@ class MeasureReport:
 def measure_stack(
     coeffs: np.ndarray, sigma: np.ndarray, q: int, grid: FrequencyGrid,
     bands: dict[str, tuple[float, float]], warnings: list[str] | None = None,
-) -> tuple[np.ndarray, dict[str, np.ndarray], MeasureReport, tuple]:
-    """``E(f)``, the gc, gi and ga profiles ``(B, n)``, the report and the restricted models
-    of a stack of models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``.
+) -> tuple[tuple, dict[str, np.ndarray], MeasureReport, tuple]:
+    """``(E, det E, causal, internal)``, the gc, gi and ga profiles ``(B, n)``, the report and
+    the restricted models of a stack of models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``;
+    ``causal + internal``, ``s2_x |E_yx|^2 + s2_y |E_xx|^2``, is ``P_Y |det E|^2``.
 
     ``sigma`` is diagonalized (the strictly causal convention), and
     :func:`gica.restricted.derive_restricted` gates the models and returns
@@ -337,7 +338,7 @@ def measure_stack(
     table, full = _band_stack(profiles, grid, bands)
     report = MeasureReport(_nonnegative(np.log(ar_var / s2_y), "F_xy"), full["gi"],
                            _nonnegative(a_y, "A_y"), table)
-    return e, profiles, report, restricted
+    return (e, det_e, causal, internal), profiles, report, restricted
 
 
 def assemble_profiles(
@@ -346,18 +347,18 @@ def assemble_profiles(
 ) -> tuple[dict[str, SpectralProfile], MeasureReport, tuple[RestrictedModel, RestrictedModel]]:
     """Every spectral profile, the measure report and both restricted models of one model.
 
-    :func:`measure_stack` of the model as a stack of one, plus, from the same
-    ``E(f)``, the power spectra ``psd_x``, ``psd_y`` (densities per Hz under the
-    diagonal-covariance convention) and ``psd_cross``, and the squared directed
+    :func:`measure_stack` of the model as a stack of one, plus, from its ``E(f)``,
+    ``det E(f)`` and shares, the power spectra ``psd_x``, ``psd_y`` (densities per Hz
+    under the diagonal-covariance convention) and ``psd_cross``, and the squared directed
     coherences ``dc_yx``, ``dc_yy``, the shares of ``P_Y``.
     """
-    e, stack, stacked, (ar_coeffs, ar_var, x_coeffs, x_var) = measure_stack(
+    spectra, stack, stacked, (ar_coeffs, ar_var, x_coeffs, x_var) = measure_stack(
         model.coeffs[None], model.sigma[None], q, grid, bands, warnings
     )
-    e, s2_x, s2_y = e[0], model.sigma_x, model.sigma_y
-    causal, internal = s2_x * np.abs(e[:, 1, 0]) ** 2, s2_y * np.abs(e[:, 0, 0]) ** 2
+    e, det_e, causal, internal = (v[0] for v in spectra)
+    s2_x, s2_y = model.sigma_x, model.sigma_y
     total = causal + internal
-    scale = 1.0 / (grid.fs * np.abs(_det(e, "full model")) ** 2)
+    scale = 1.0 / (grid.fs * np.abs(det_e) ** 2)
     cross = s2_x * e[:, 1, 0] * e[:, 1, 1].conj() + s2_y * e[:, 0, 0] * e[:, 0, 1].conj()
     values = {
         "psd_x": (s2_x * np.abs(e[:, 1, 1]) ** 2 + s2_y * np.abs(e[:, 0, 1]) ** 2) * scale,

@@ -7,9 +7,9 @@ autonomy): the target surrogate is driven by the driver's past alone. In
 both cases the driver surrogate keeps its full fitted equation (own and
 target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
-initial conditions with a 100-sample burn-in. Both equations are fitted
-by :func:`gica.varmodel.gated_lstsq` on columns of its ``lag_matrix``, as
-the full model is. The generator is gated by
+initial conditions with a 100-sample burn-in. The driver equation is the
+analysed model's row 0; only the null target equation is fitted, by
+:func:`gica.varmodel.gated_lstsq`. The generator is gated by
 :func:`gica.varmodel.require_stable`; the whole batch's channel-major drive
 is filtered by one call of :func:`gica.varmodel.simulate_var`, and the
 batch is returned as that channel-major ``(2, B, n)`` array, which
@@ -30,7 +30,7 @@ import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y
 from .timeseries import TimeSeriesPair
-from .varmodel import gated_lstsq, lag_matrix, require_stable, simulate_var
+from .varmodel import BivariateVarModel, gated_lstsq, lag_matrix, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
 
@@ -88,18 +88,6 @@ class SignificanceVerdict:
         }
 
 
-def fit_driver_row(
-    x: np.ndarray, y: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fit of the driver equation on the joint past.
-
-    Returns ``(a_xx, a_xy, residuals)`` with ``p`` lags each.
-    """
-    z = lag_matrix([x, y], p)[p:, :-1]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n]
-    sol, resid = gated_lstsq(z, 2 * p, "the driver equation")
-    return sol[0::2, 0], sol[1::2, 0], resid[:, 0]
-
-
 def fit_restricted_direct(
     x: np.ndarray, y: np.ndarray, kind: str, q: int = 20
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,22 +105,24 @@ def fit_restricted_direct(
 
 
 def generate_surrogates(
-    pair: TimeSeriesPair, config: SurrogateConfig, p: int, q: int = 20
+    pair: TimeSeriesPair, config: SurrogateConfig, model: BivariateVarModel, q: int = 20
 ) -> np.ndarray:
     """Surrogate pairs consistent with the configured null hypothesis, ``(2, B, n)``.
 
-    The driver equation is fitted at order ``p`` and the null target
-    equation at ``q`` lags; each surrogate permutes both residual series
-    (independently, without replacement) and regenerates the pair jointly.
-    Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream
-    keyed by ``(seed, i)``, so results are reproducible and order-independent.
+    The driver equation is row 0 of ``model``, the full model fitted to ``pair``, and the
+    null target equation is fitted at ``q`` lags; each surrogate permutes both residual
+    series (independently, without replacement) and regenerates the pair jointly.
+    Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream keyed by
+    ``(seed, i)``, so results are reproducible and order-independent.
     """
-    a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, p)
+    p = model.p
+    z = lag_matrix([pair.x, pair.y], p)[p:]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n, Y_n]
+    u = z[:, 2 * p] - z[:, : 2 * p] @ model.coeffs[:, 0].ravel()
     target_kind = AR_ON_Y if config.hypothesis == H1 else X_ON_Y
     b, v = fit_restricted_direct(pair.x, pair.y, target_kind, q)
 
     coeffs = np.zeros((max(p, q), 2, 2))
-    coeffs[:p, 0, 0], coeffs[:p, 0, 1] = a_xx, a_xy
+    coeffs[:p, 0] = model.coeffs[:, 0]
     coeffs[:q, 1, 1 if config.hypothesis == H1 else 0] = b  # H1 self past, H2 driver past
     require_stable(coeffs, "fitted surrogate generator")
 

@@ -11,7 +11,8 @@ selected column with one list comprehension and checks it with one
 missing cell) is walked row by row, so that the error names its row and
 column. :func:`format_column` prints a column with ``%.15g`` and
 :func:`delimited_text` joins columns into a file's text; :func:`write_pair`
-and the CLI's profile and plot-data writers share them.
+and the CLI's profile and plot-data writers share them, and every output
+file is created anew, with LF line ends, by :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -102,14 +103,17 @@ def load_pair(
     fs : float
         Sampling frequency in Hz to attach to the data.
     columns : tuple of int
-        Zero-based indices of the driver and target columns.
+        Zero-based indices of the driver and target columns, distinct and
+        non-negative.
     delimiter : str
         Field separator.
     """
+    cx, cy = columns
+    if min(cx, cy) < 0 or cx == cy:  # -1 would count from the end, equal ones fit nothing
+        raise ValueError(f"columns must be distinct and >= 0, got x {cx} and y {cy}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    cx, cy = columns
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
     rows = [r for r in rows if "".join(r).strip()]
@@ -154,6 +158,18 @@ def delimited_text(header: list[str], columns: list[list[str]], delimiter: str) 
     return "\n".join([delimiter.join(header), *map(delimiter.join, zip(*columns))]) + "\n"
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file: UTF-8, line ends as given.
+
+    An existing file is unlinked first, not truncated: truncating a file that
+    was just written waits for its pending writeback, while a new inode does
+    not. Outputs are regenerable, so nothing is lost if the write fails, and a
+    symlink at ``path`` is replaced rather than written through.
+    """
+    Path(path).unlink(missing_ok=True)
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def write_pair(pair: TimeSeriesPair, path: str | Path) -> None:
     """Write the pair as two-column CSV with a ``x,y`` header.
 
@@ -161,7 +177,7 @@ def write_pair(pair: TimeSeriesPair, path: str | Path) -> None:
     round trip at the tolerances used downstream.
     """
     text = delimited_text(["x", "y"], [format_column(pair.x), format_column(pair.y)], ",")
-    Path(path).write_text(text, newline="")
+    write_text(path, text)
 
 
 def remove_mean(series: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
 its ``R11`` and a triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack`
 (one batched R per block) and :func:`aic_curve` (one R plus one small QR per
 order) read rank, ``Sigma`` and exact equations off R through one per-order
-gate. :func:`fit_var`, the one entry from a pair to a model, reads its model
-at ``"aic"`` off the scan's R of the chosen order. :func:`autocovariance_stack`
+gate. :func:`fit_var`, the one entry from a pair to a model, takes at ``"aic"``
+the scan's R and ``Sigma_p`` of the chosen order, gated once. :func:`autocovariance_stack`
 gates, solves and recurses a whole block at once.
 """
 
@@ -281,9 +281,9 @@ def _order_gate(r: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def fit_var(x: np.ndarray, y: np.ndarray, order: int | str, p_max: int = 14) -> BivariateVarModel:
     """Least-squares fit of a bivariate AR model: :func:`fit_var_stack` of one pair at an integer
     ``order``; at ``"aic"``, the order ``1 .. p_max`` minimizing :func:`aic_curve` (ties go to
-    the smaller), its model read off the R factor the scan formed for it by the same gates."""
+    the smaller), its ``R11^-1 R12`` and ``Sigma_p`` those the scan formed and gated for it."""
     if order == "aic":
-        aics, factors = _aic_scan(x, y, p_max)
+        aics, fits = _aic_scan(x, y, p_max)
         if np.isneginf(aics).any():  # a lower order would only misfit an exact relation
             raise ValueError(
                 f"no order could be fitted: at order {np.argmin(aics) + 1} a channel is an "
@@ -292,18 +292,19 @@ def fit_var(x: np.ndarray, y: np.ndarray, order: int | str, p_max: int = 14) -> 
         if not np.isfinite(aics).any():
             raise ValueError("no order could be fitted; series too short or degenerate")
         order = int(np.argmin(aics)) + 1
-        coeffs, sigma = _fit_from_r(factors[order - 1][None], len(x) - order, order)
-    else:
-        x, y = np.asarray(x, float)[None], np.asarray(y, float)[None]
-        coeffs, sigma = fit_var_stack(x, y, int(order))
+        r, sigma = fits[order - 1]  # the scan kept full-rank orders only
+        coeffs = _solve(r, 2 * order, 2 * order, "the full model").reshape(order, 2, 2)
+        return BivariateVarModel(coeffs.swapaxes(-1, -2), sigma)
+    x, y = np.asarray(x, float)[None], np.asarray(y, float)[None]
+    coeffs, sigma = fit_var_stack(x, y, int(order))
     return BivariateVarModel(coeffs[0], sigma[0])
 
 
 def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of bivariate AR(p) models to a stack of pairs ``(B, N)``.
 
-    One batched R of rows ``p ..`` of :func:`lag_matrix` (samples ``p+1 .. N``), read by
-    :func:`_fit_from_r`. Returns ``coeffs`` ``(B, p, 2, 2)`` and the residual covariances
+    One batched R of rows ``p ..`` of :func:`lag_matrix` (samples ``p+1 .. N``), its per-order
+    gate and ``R11^-1 R12``. Returns ``coeffs`` ``(B, p, 2, 2)`` and the residual covariances
     ``sigma`` ``(B, 2, 2)`` (divisor ``N - p``), through the model's gates.
     """
     if x.shape != y.shape or x.ndim != 2:
@@ -313,13 +314,8 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
         raise ValueError(f"order must be >= 1, got {p}")
     if n <= 4 * p + 2:
         raise ValueError(f"need more than {4 * p + 2} samples to fit order {p}, got {n}")
-    return _fit_from_r(_r_factor(lag_matrix(np.stack([x, y], axis=-2), p)[:, p:]), n - p, p)
-
-
-def _fit_from_r(r: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order-``p`` models from R factors of ``[design | targets]`` on ``rows`` rows: the per-order
-    gate of :func:`aic_curve`, its rank and exact-equation errors, then ``R11^-1 R12``."""
-    rank, sigma, exact = _order_gate(r, rows)
+    r = _r_factor(lag_matrix(np.stack([x, y], axis=-2), p)[:, p:])
+    rank, sigma, exact = _order_gate(r, n - p)
     # solution rows: (X, Y) at lags 1..p; columns: equations
     coeffs = _solve(r, 2 * p, rank, "the full model").reshape(-1, p, 2, 2).swapaxes(-1, -2)
     exact = exact.any(axis=0)
@@ -348,8 +344,8 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
     return _aic_scan(x, y, p_max)[0]
 
 
-def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """:func:`aic_curve` and the R factor of each order it fitted, in order from 1."""
+def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, list[tuple]]:
+    """:func:`aic_curve` and ``(R, Sigma_p)`` of each full-rank order it fitted, from 1."""
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -359,7 +355,7 @@ def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, lis
     top = max(0, min(p_max, (n - 3) // 4))  # largest order with n > 4p + 2
     z = lag_matrix([x, y], top)
     r0 = _r_factor(z[top:])
-    factors, sigmas, exacts = [], [], []
+    fits, exacts = [], []
     for p in range(1, top + 1):
         cols = np.r_[: 2 * p, -2, -1]
         r = np.linalg.qr(np.vstack([r0[:, cols], z[p:top, cols]]), mode="r")
@@ -368,10 +364,9 @@ def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, lis
         rank, sigma, exact = _order_gate(r, n - p)
         if rank < 2 * p:
             break
-        factors.append(r)
-        sigmas.append(sigma)
+        fits.append((r, sigma))
         exacts.append(exact)
-    sigma = np.reshape(sigmas, (-1, 2, 2))
+    sigma = np.reshape([s for _, s in fits], (-1, 2, 2))
     exact = np.reshape(exacts, (-1, 2)).any(axis=-1)
     # orders up to the first Sigma_p that is exact or not positive definite
     fitted = int(np.cumprod(~exact & (np.linalg.eigvalsh(sigma).min(axis=-1) > 0)).sum())
@@ -380,7 +375,7 @@ def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, lis
     aics[:fitted] = np.where(sign > 0, n * logdet + 2 * (4 * np.arange(1, fitted + 1)), np.inf)
     if fitted < exact.size and exact[fitted]:
         aics[fitted] = -np.inf  # the limit of ln det Sigma_p: this order fits exactly
-    return aics, factors
+    return aics, fits
 
 
 def autocovariance_stack(coeffs: np.ndarray, sigma: np.ndarray, q: int) -> np.ndarray:

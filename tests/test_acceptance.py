@@ -24,7 +24,7 @@ from gica.spectral import (
     full_band_integral,
 )
 from gica.surrogates import SurrogateConfig, generate_surrogates, significance_test
-from gica.varmodel import lag_matrix
+from gica.varmodel import fit_var, lag_matrix
 
 GRID = FrequencyGrid(2049)
 
@@ -269,7 +269,7 @@ def test_acceptance_08_surrogate_calibration():
 
     def fires(pair, run):
         config = SurrogateConfig(n_surrogates=100, seed=run, hypothesis="h1")
-        values = gc_time(generate_surrogates(pair, config, 2, 20))
+        values = gc_time(generate_surrogates(pair, config, fit_var(pair.x, pair.y, 2), 20))
         original = gc_time(np.stack([pair.x, pair.y])[:, None])[0]
         return significance_test("gc", "time", original, values, config).significant
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import gica.cli
 import gica.pipeline
 import gica.spectral
+import gica.surrogates
 import gica.varmodel
 from gica.cli import main
 from gica.pipeline import AnalysisConfig, AnalysisResult, analyze_pair
@@ -166,6 +167,23 @@ def test_analyze_pair_fits_one_model(sim_pair, monkeypatch):
     config = AnalysisConfig(detrend_cutoff=0.0156, order="aic", p_max=14, grid_points=257)
     analyze_pair(sim_pair, config)
     assert len(factored) == 1
+
+
+def test_surrogates_take_the_driver_equation_of_the_analysed_model(sim_pair, monkeypatch):
+    # with both hypotheses only the two null target equations are fitted by gated_lstsq;
+    # the driver equation is row 0 of the analysed model, not a refit per hypothesis
+    fitted = []
+    lstsq = gica.surrogates.gated_lstsq
+
+    def counting(z, k, what):
+        fitted.append(what)
+        return lstsq(z, k, what)
+
+    monkeypatch.setattr(gica.surrogates, "gated_lstsq", counting)
+    config = AnalysisConfig(detrend_cutoff=None, order=2, grid_points=129, n_surrogates=2)
+    result = analyze_pair(sim_pair, config)
+    assert fitted == ["the ar_on_y regression", "the x_on_y regression"]
+    assert set(result.report.significance) >= {"h1", "h2"}
 
 
 def test_aic_at_p_max_warns():
@@ -361,6 +379,13 @@ def test_cli_custom_band(tmp_path, capsys):
     with pytest.raises(SystemExit, match="NAME:LO-HI"):
         run_cli(["analyze", "--input", csv, "--fs", "1", "--band", "junk",
                  "--out", outdir])
+
+
+def test_cli_rejects_a_band_given_twice(tmp_path):
+    # the second LF would replace the first and print 0.02-0.07 Hz means under its name
+    with pytest.raises(SystemExit, match="band 'LF' is given twice"):
+        run_cli(["analyze", "--input", tmp_path / "pair.csv", "--fs", "1",
+                 "--band", "LF:0.07-0.2", "--band", "LF:0.02-0.07", "--out", tmp_path / "out"])
 
 
 def test_cli_theoretical_point(tmp_path, capsys):

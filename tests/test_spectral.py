@@ -40,6 +40,20 @@ def measures(model, grid=GRID, q=20):
     return assemble_profiles(model, q, grid, DEFAULT_BANDS)[:2]
 
 
+
+def test_assemble_profiles_forms_each_determinant_once(monkeypatch):
+    # det E for ga and the PSD scale, det F for ga: two determinants, not three
+    dets = []
+    det = gica.spectral._det
+
+    def counting(e, what):
+        dets.append(what)
+        return det(e, what)
+
+    monkeypatch.setattr(gica.spectral, "_det", counting)
+    measures(build_true_model(SimSpec(system="open_loop", n=2, b=1.0, c=0.5)))
+    assert dets == ["full model", "mixed model"]
+
 def direct_transfer(coeffs, grid):
     # reference: invert I - sum_k A_k e^(-2i pi f k) built term by term
     e = np.array([np.eye(2, dtype=complex)] * grid.n_points)

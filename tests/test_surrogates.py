@@ -13,7 +13,6 @@ from gica.surrogates import (
     TAILS,
     SignificanceVerdict,
     SurrogateConfig,
-    fit_driver_row,
     fit_restricted_direct,
     generate_surrogates,
     significance_test,
@@ -40,6 +39,11 @@ def coupled_pair():
     return simulate(SimSpec(system="open_loop", n=500, seed=3, b=1.0, c=0.5))
 
 
+@pytest.fixture(scope="module")
+def coupled_model(coupled_pair):
+    return fit_var(coupled_pair.x, coupled_pair.y, 2)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="at least 2 surrogates"):
         SurrogateConfig(n_surrogates=1)
@@ -59,24 +63,22 @@ def test_tail_assignments():
     }
 
 
+def driver_row(x, y, p):
+    """``(a_xx, a_xy)`` of row 0 of ``fit_var(x, y, p)``, the surrogates' driver equation,
+    and its residuals on samples ``p+1 .. n``."""
+    a_xx, a_xy = fit_var(x, y, p).coeffs[:, 0].T
+    resid = x[p:] - sum(a_xx[k - 1] * x[p - k : x.size - k] + a_xy[k - 1] * y[p - k : y.size - k]
+                        for k in range(1, p + 1))
+    return a_xx, a_xy, resid
+
+
 def test_driver_row_recovers_coefficients():
     pair = simulate(SimSpec(system="open_loop", n=5000, seed=1, b=1.0, c=0.5))
-    a_xx, a_xy, resid = fit_driver_row(pair.x, pair.y, 2)
+    a_xx, a_xy, resid = driver_row(pair.x, pair.y, 2)
     assert_allclose(a_xx, [-0.5562305898749054, -0.81], atol=0.05)
     assert_allclose(a_xy, [0.0, 0.0], atol=0.05)
     assert abs(resid.var() - 1.0) < 0.1
     assert resid.size == pair.n - 2
-
-
-def test_driver_row_rejects_short_series():
-    with pytest.raises(ValueError, match="too short"):
-        fit_driver_row(np.zeros(6), np.zeros(6), 2)
-
-
-def test_driver_row_rejects_degenerate_design():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="rank-deficient"):
-        fit_driver_row(np.ones(50), rng.standard_normal(50), 2)
 
 
 def lstsq_on_lags(sources, target, lags):
@@ -91,7 +93,7 @@ def lstsq_on_lags(sources, target, lags):
 def test_surrogate_regressions_match_lstsq(order):
     pair = simulate(SimSpec(system="closed_loop", n=1000, seed=8, b=1.0, c=0.5, d=0.5))
     x, y = pair.x, pair.y
-    a_xx, a_xy, resid = fit_driver_row(x, y, order)
+    a_xx, a_xy, resid = driver_row(x, y, order)
     sol, ref = lstsq_on_lags([x, y], x, order)
     assert_allclose(np.r_[a_xx, a_xy], sol, rtol=0, atol=1e-12 * np.abs(sol).max())
     assert_allclose(resid, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -122,23 +124,23 @@ def test_direct_restricted_fit_validation():
         fit_restricted_direct(x[:40], y[:40], "ar_on_y", 20)
 
 
-def test_surrogates_shape_and_determinism(coupled_pair):
+def test_surrogates_shape_and_determinism(coupled_pair, coupled_model):
     config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
-    surr = generate_surrogates(coupled_pair, config, 2, 20)
+    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
     assert surr.shape == (2, 4, coupled_pair.n)  # channel-major: x, y = surr[:, i]
     assert np.isfinite(surr).all()
-    again = generate_surrogates(coupled_pair, config, 2, 20)
+    again = generate_surrogates(coupled_pair, config, coupled_model, 20)
     assert np.array_equal(surr, again)
     assert not np.array_equal(surr[1, 0], surr[1, 1])
 
 
-def test_surrogate_streams_are_index_keyed(coupled_pair):
+def test_surrogate_streams_are_index_keyed(coupled_pair, coupled_model):
     # surrogate i depends only on (seed, i), not on the batch size
     small = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=3, seed=5, hypothesis=H1), 2, 20
+        coupled_pair, SurrogateConfig(n_surrogates=3, seed=5, hypothesis=H1), coupled_model, 20
     )
     large = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=6, seed=5, hypothesis=H1), 2, 20
+        coupled_pair, SurrogateConfig(n_surrogates=6, seed=5, hypothesis=H1), coupled_model, 20
     )
     for (ax, ay), (bx, by) in zip(zip(*small), zip(*large[:, :3])):
         assert np.array_equal(ax, bx) and np.array_equal(ay, by)
@@ -146,7 +148,7 @@ def test_surrogate_streams_are_index_keyed(coupled_pair):
 
 def loop_surrogates(pair, config, p, q):
     """The documented H1/H2 generator equations, one sample at a time."""
-    a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, p)
+    a_xx, a_xy, u = driver_row(pair.x, pair.y, p)
     kind = "ar_on_y" if config.hypothesis == H1 else "x_on_y"
     b, v = fit_restricted_direct(pair.x, pair.y, kind, q)
     total = SURROGATE_BURN_IN + pair.n
@@ -174,7 +176,9 @@ def loop_surrogates(pair, config, p, q):
 @pytest.mark.parametrize("p", [2, 14])
 def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
     config = SurrogateConfig(n_surrogates=3, seed=5, hypothesis=hypothesis)
-    batch = generate_surrogates(coupled_pair, config, p, 20)
+    batch = generate_surrogates(
+        coupled_pair, config, fit_var(coupled_pair.x, coupled_pair.y, p), 20
+    )
     loop = loop_surrogates(coupled_pair, config, p, 20)
     for (sx, sy), (x, y) in zip(zip(*batch), loop, strict=True):
         assert_allclose(sx, x, rtol=0, atol=1e-12 * np.abs(x).max())
@@ -186,12 +190,13 @@ def test_short_record_drive_wraps_residuals(var_loop_reference, hypothesis):
     # n = 60 is shorter than the burn-in, so both stretches wrap the residuals
     pair = simulate(SimSpec(system="open_loop", n=60, seed=4, b=1.0, c=0.5))
     config = SurrogateConfig(n_surrogates=3, seed=2, hypothesis=hypothesis)
-    a_xx, a_xy, u = fit_driver_row(pair.x, pair.y, 2)
+    a_xx, a_xy, u = driver_row(pair.x, pair.y, 2)
     b, v = fit_restricted_direct(pair.x, pair.y, "ar_on_y" if hypothesis == H1 else "x_on_y", 5)
     coeffs = np.zeros((5, 2, 2))
     coeffs[:2, 0, 0], coeffs[:2, 0, 1] = a_xx, a_xy
     coeffs[:, 1, 1 if hypothesis == H1 else 0] = b
-    for i, (sx, sy) in enumerate(zip(*generate_surrogates(pair, config, 2, 5))):
+    series = generate_surrogates(pair, config, fit_var(pair.x, pair.y, 2), 5)
+    for i, (sx, sy) in enumerate(zip(*series)):
         rng = np.random.default_rng((config.seed, i))
         perms = [rng.permutation(u), rng.permutation(v)]
         drive = np.stack(
@@ -214,7 +219,9 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
     # surrogate by surrogate
     n = SURROGATE_BLOCK + 3
     config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
-    series = generate_surrogates(coupled_pair, config, p, 20)
+    series = generate_surrogates(
+        coupled_pair, config, fit_var(coupled_pair.x, coupled_pair.y, p), 20
+    )
     values = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS)
     for i, (x, y) in enumerate(zip(*series)):
         report = single_report(x, y, p, 20, BLOCK_GRID)
@@ -226,11 +233,11 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
 
 
 @pytest.mark.parametrize("hypothesis", [H1, H2])
-def test_block_values_do_not_depend_on_block_size(coupled_pair, hypothesis):
+def test_block_values_do_not_depend_on_block_size(coupled_pair, coupled_model, hypothesis):
     # 7 surrogates are one partial block; in 23 the same ones share a full block
     def values(n):
         config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
-        series = generate_surrogates(coupled_pair, config, 2, 20)
+        series = generate_surrogates(coupled_pair, config, coupled_model, 20)
         return surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
     small, large = values(7), values(23)
@@ -241,7 +248,8 @@ def test_block_values_do_not_depend_on_block_size(coupled_pair, hypothesis):
 
 def surrogate_block_with(coupled_pair, bad_x):
     config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
-    series = generate_surrogates(coupled_pair, config, 2, 20)
+    model = fit_var(coupled_pair.x, coupled_pair.y, 2)
+    series = generate_surrogates(coupled_pair, config, model, 20)
     series[0, 2] = bad_x
     return series
 
@@ -262,19 +270,19 @@ def test_block_with_explosive_row_is_unstable(coupled_pair):
         surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
 
-def test_h1_surrogates_break_coupling(coupled_pair):
+def test_h1_surrogates_break_coupling(coupled_pair, coupled_model):
     orig = abs(lag1_xcorr(coupled_pair.x, coupled_pair.y))
     surr = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H1), 2, 20
+        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H1), coupled_model, 20
     )
     rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.mean(np.abs(rs)) < orig / 2
 
 
-def test_h2_surrogates_keep_coupling(coupled_pair):
+def test_h2_surrogates_keep_coupling(coupled_pair, coupled_model):
     orig = lag1_xcorr(coupled_pair.x, coupled_pair.y)
     surr = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H2), 2, 20
+        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H2), coupled_model, 20
     )
     rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.all(np.sign(rs) == np.sign(orig))
@@ -289,13 +297,15 @@ def test_explosive_generator_is_rejected():
         x[t] = 1.05 * x[t - 1] + u[t]
     bad = TimeSeriesPair(x, rng.standard_normal(200), 1.0)
     with pytest.raises(UnstableModelError, match="surrogate generator is unstable"):
-        generate_surrogates(bad, SurrogateConfig(n_surrogates=2, hypothesis=H1), 2, 5)
+        generate_surrogates(
+            bad, SurrogateConfig(n_surrogates=2, hypothesis=H1), fit_var(bad.x, bad.y, 2), 5
+        )
 
 
-def test_causality_significant_on_coupled_data(coupled_pair):
+def test_causality_significant_on_coupled_data(coupled_pair, coupled_model):
     f_xy, _, _ = fitted_measures(coupled_pair.x, coupled_pair.y)
     config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H1)
-    surr = generate_surrogates(coupled_pair, config, 2, 20)
+    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
     values = np.array([fitted_measures(*s)[0] for s in zip(*surr)])
     verdict = significance_test("gc", "time", f_xy, values, config)
     assert verdict.significant
@@ -304,10 +314,10 @@ def test_causality_significant_on_coupled_data(coupled_pair):
     assert f_xy > verdict.thresholds["95"]
 
 
-def test_autonomy_significant_on_coupled_data(coupled_pair):
+def test_autonomy_significant_on_coupled_data(coupled_pair, coupled_model):
     _, _, a_y = fitted_measures(coupled_pair.x, coupled_pair.y)
     config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H2)
-    surr = generate_surrogates(coupled_pair, config, 2, 20)
+    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
     values = np.array([fitted_measures(*s)[2] for s in zip(*surr)])
     verdict = significance_test("ga", "time", a_y, values, config)
     assert verdict.significant

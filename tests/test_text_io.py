@@ -122,6 +122,30 @@ def test_analyze_files_match_per_row_writers(tmp_path, capsys, monkeypatch, sim_
     assert len(got.splitlines()) == grid_points + 1
 
 
+def test_analyze_rerun_creates_every_file_anew(tmp_path, capsys, monkeypatch, sim_csv):
+    # a rerun into the same directory writes no path that exists at write time (no
+    # truncation of a file whose writeback may be pending), and the same bytes
+    outdir = tmp_path / "out"
+    args = ["analyze", "--input", str(sim_csv), "--fs", "1", "--detrend-cutoff", "off",
+            "--grid-points", "129", "--plot-data", "--out", str(outdir)]
+    assert main(args) == 0
+    first = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    opened = []
+    path_open = Path.open
+
+    def spy(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append((self.name, self.exists()))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy)
+    assert main(args) == 0
+    capsys.readouterr()
+    assert sorted(name for name, _ in opened) == sorted(first)
+    assert [name for name, existed in opened if existed] == []
+    assert {path.name: path.read_bytes() for path in outdir.iterdir()} == first
+
+
 @pytest.mark.parametrize("grid_points", [2, 129])
 def test_theoretical_isolated_target_matches_per_row_writer(tmp_path, capsys, monkeypatch, grid_points):
     results = capture(monkeypatch, "theoretical_profiles")

@@ -80,6 +80,15 @@ def test_load_custom_columns_and_delimiter(tmp_path):
     assert_allclose(pair.y, [1.5, 2.5])
 
 
+@pytest.mark.parametrize("columns", [(-1, 0), (1, 1)])
+def test_load_rejects_negative_or_equal_columns(tmp_path, columns):
+    # -1 would read the last column, swapping the pair; equal columns fit no model
+    path = tmp_path / "wide.csv"
+    path.write_text("0,1.5,-2.5\n1,2.5,-3.5\n2,0.5,1.5\n")
+    with pytest.raises(ValueError, match=f"x {columns[0]} and y {columns[1]}"):
+        load_pair(path, fs=1.0, columns=columns)
+
+
 def test_load_missing_file_names_path(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(FileNotFoundError, match="nope.csv"):

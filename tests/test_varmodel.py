@@ -375,6 +375,23 @@ def test_aic_scan_fits_no_model(monkeypatch):
     assert fit_var(pair.x, pair.y, "aic", 14).p >= 1
 
 
+def test_aic_fit_gates_each_order_once(monkeypatch):
+    # the chosen order's Sigma_p and rank come from the scan; nothing gates it again
+    gated = []
+    order_gate = gica.varmodel._order_gate
+
+    def counting(r, rows):
+        gated.append(rows)
+        return order_gate(r, rows)
+
+    monkeypatch.setattr(gica.varmodel, "_order_gate", counting)
+    pair = simulate(SimSpec(system="open_loop", n=500, seed=2, b=1.0, c=0.5))
+    aic_curve(pair.x, pair.y, 8)
+    assert len(gated) == 8
+    assert fit_var(pair.x, pair.y, "aic", 8).p >= 1
+    assert len(gated) == 16
+
+
 def test_lyapunov_scalar_closed_form():
     # the embedded AR(1) of coefficient 0.5 has Gamma_yy(0) = 4/3; zero
     # padding to order 5 makes the companion 10x10, where the solver takes
