@@ -30,6 +30,7 @@ from .simulate import (
     theoretical_sweep,
 )
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
+from .surrogates import TAILS
 from .timeseries import delimited_text, format_column, load_pair, write_pair, write_text
 
 ENV_SEED = "GICA_SEED"
@@ -120,12 +121,8 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
 
 
 def _is_significant(report: MeasureReport, measure: str, scope: str) -> bool:
-    for hyp_block in report.significance.values():
-        if isinstance(hyp_block, dict) and measure in hyp_block:
-            verdict = hyp_block[measure].get(scope)
-            if verdict is not None:
-                return bool(verdict["significant"])
-    return False
+    block = report.significance.get(TAILS[measure][0])  # absent if its hypothesis was not run
+    return block is not None and bool(block[measure][scope]["significant"])
 
 
 def _add_sim_params(parser: argparse.ArgumentParser) -> None:

@@ -18,9 +18,9 @@ Systems
     The four-setting matrix (i: b=0,c=0; ii: b=1,c=0; iii: b=0,c=1;
     iv: b=1,c=1) used for estimator validation, as open-loop instances.
 
-Two-process systems run as :func:`gica.varmodel.simulate_var` of their exact
-model, the three-process confounded system as a cascade of ``lfilter`` calls
-on the coefficients :func:`build_confounded_system` returns.
+Every system runs as :func:`gica.varmodel.simulate_var` of its exact coefficients:
+:func:`build_true_model`'s for two processes, :func:`build_confounded_system`'s for the
+three-process confounded one, of which the observed pair (X, Y) is kept.
 
 Theoretical profiles take an analysis's one call from a model to its
 measures, :func:`gica.spectral.assemble_profiles`; each confounded-study run
@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
+from .pipeline import SURROGATE_BLOCK
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .spectral import assemble_profiles, measure_stack
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable
-from .varmodel import simulate_var
+from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable, simulate_var
 
 BURN_IN = 1000
 
@@ -56,7 +55,8 @@ BENCHMARK_SETTINGS = {
     "iv": (1.0, 1.0),
 }
 
-SYSTEMS = ("open_loop", "closed_loop", "confounded", "benchmark")
+# system -> the parameters it uses; a benchmark setting decides b and c
+SYSTEMS = {"open_loop": "bc", "closed_loop": "bcd", "confounded": "ab", "benchmark": ""}
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class SimSpec:
 
     ``b`` scales the target's autonomous pole modulus, ``c`` the driver
     coupling, ``d`` the feedback (closed loop only), ``a`` the confounder
-    coupling (confounded only). ``setting`` selects a benchmark column.
+    coupling (confounded only). ``setting`` selects a benchmark column. A
+    nonzero parameter the system does not use is an error.
     """
 
     system: str
@@ -79,13 +80,15 @@ class SimSpec:
 
     def __post_init__(self) -> None:
         if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
+            raise ValueError(f"unknown system {self.system!r}; choose from {tuple(SYSTEMS)}")
         if self.n < 1:
             raise ValueError(f"length must be >= 1, got {self.n}")
         for name in ("b", "c", "d", "a"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"parameter {name} must lie in [0, 1], got {value}")
+            if value and name not in SYSTEMS[self.system]:
+                raise ValueError(f"the {self.system} system does not use {name}, got {value}")
         if self.system == "benchmark":
             if self.setting not in BENCHMARK_SETTINGS:
                 raise ValueError(
@@ -145,15 +148,6 @@ def build_confounded_system(a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     return coeffs, np.eye(3)
 
 
-def _shift1(series: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], series[:-1]))
-
-
-def _ar_filter(lags: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    # s_n = sum_k lags[k-1] s_{n-k} + drive_n, zero initial conditions
-    return lfilter([1.0], np.concatenate(([1.0], -lags)), drive)
-
-
 def simulate(spec: SimSpec) -> TimeSeriesPair:
     """One seed-deterministic realization of length ``spec.n``.
 
@@ -161,20 +155,18 @@ def simulate(spec: SimSpec) -> TimeSeriesPair:
     discarded. Unit sampling rate is attached.
     """
     if spec.system == "confounded":
-        return _confounded_pair(build_confounded_system(spec.a, spec.b)[0], spec)
-    rng = np.random.default_rng(spec.seed)
-    x, y = simulate_var(build_true_model(spec).coeffs, rng.standard_normal((BURN_IN + spec.n, 2))).T
-    return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
+        coeffs = build_confounded_system(spec.a, spec.b)[0]
+    else:
+        coeffs = build_true_model(spec).coeffs
+    return TimeSeriesPair(*_realizations(coeffs, [spec])[0], 1.0)
 
 
-def _confounded_pair(coeffs: np.ndarray, spec: SimSpec) -> TimeSeriesPair:
-    """:func:`simulate` of a confounded ``spec`` from its gated system ``coeffs`` ``(2, 3, 3)``."""
-    noise = np.random.default_rng(spec.seed).standard_normal((BURN_IN + spec.n, 3))
-    # X and Z run on their own lags; Y adds their lag-1 terms to its drive
-    x, z = (_ar_filter(coeffs[:, i, i], noise[:, i]) for i in (0, 2))
-    drive = coeffs[0, 1, 0] * _shift1(x) + coeffs[0, 1, 2] * _shift1(z) + noise[:, 1]
-    y = _ar_filter(coeffs[:, 1, 1], drive)
-    return TimeSeriesPair(x[BURN_IN:], y[BURN_IN:], 1.0)
+def _realizations(coeffs: np.ndarray, specs: list[SimSpec]) -> np.ndarray:
+    """Channels 0 and 1 ``(B, 2, n)`` of lags ``coeffs`` ``(m, k, k)`` for ``B`` specs of one
+    ``n``, one :func:`simulate_var` call; each draws ``(BURN_IN + n, k)`` noise from its seed."""
+    shape = (BURN_IN + specs[0].n, coeffs.shape[-1])
+    noise = np.stack([np.random.default_rng(spec.seed).standard_normal(shape) for spec in specs])
+    return simulate_var(coeffs, noise)[:, BURN_IN:, :2].swapaxes(-1, -2)
 
 
 def theoretical_profiles(
@@ -225,10 +217,10 @@ def run_confounded_study(
 ) -> tuple[dict[str, SpectralProfile], int]:
     """Average estimated causality/isolation/autonomy over repeated runs.
 
-    The confounded system is built and gated once; each run simulates it,
-    fits a bivariate model on the observed (X, Y) with AIC order selection,
-    and computes the spectral measures; profiles are averaged pointwise. Runs
-    whose fit fails the stability gates are skipped; more than 5% failures aborts.
+    The confounded system is built and gated once and simulated ``SURROGATE_BLOCK`` runs at a
+    time, each from its ``(seed, run)`` stream; each run fits a bivariate model on the observed
+    (X, Y) with AIC order selection and computes the spectral measures; profiles are averaged
+    pointwise. Runs whose fit fails the stability gates are skipped; more than 5% failures aborts.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -238,16 +230,16 @@ def run_confounded_study(
     coeffs, _ = build_confounded_system(a, b)
     sums = {name: np.zeros(grid.n_points) for name in ("gc", "gi", "ga")}
     failures = 0
-    for spec in specs:
-        pair = _confounded_pair(coeffs, spec)
-        try:
-            model = fit_var(pair.x, pair.y, "aic", p_max)
-            profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
-        except ValueError:
-            failures += 1
-            continue
-        for name in sums:
-            sums[name] += profiles[name][0]
+    for start in range(0, n_runs, SURROGATE_BLOCK):
+        for x, y in _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]):
+            try:
+                model = fit_var(x, y, "aic", p_max)
+                profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
+            except ValueError:
+                failures += 1
+                continue
+            for name in sums:
+                sums[name] += profiles[name][0]
     if failures > 0.05 * n_runs:
         raise RuntimeError(
             f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates"

@@ -166,19 +166,16 @@ def significance_test(
             f"expected {config.n_surrogates} surrogate values, got shape {values.shape}"
         )
     alpha = config.alpha
-    if tail == "upper":
-        hi = float(np.percentile(values, 100 * (1 - alpha)))
-        thresholds = {f"{100 * (1 - alpha):g}": hi}
-        significant = original > hi
-    elif tail == "lower":
-        lo = float(np.percentile(values, 100 * alpha))
-        thresholds = {f"{100 * alpha:g}": lo}
-        significant = original < lo
-    else:
-        lo = float(np.percentile(values, 100 * alpha / 2))
-        hi = float(np.percentile(values, 100 * (1 - alpha / 2)))
-        thresholds = {f"{100 * alpha / 2:g}": lo, f"{100 * (1 - alpha / 2):g}": hi}
-        significant = original < lo or original > hi
+    # tail -> (lower, upper) percentile; a side without one has an infinite threshold
+    lower, upper = {
+        "upper": (None, 100 * (1 - alpha)),
+        "lower": (100 * alpha, None),
+        "two-sided": (100 * alpha / 2, 100 * (1 - alpha / 2)),
+    }[tail]
+    lo = -np.inf if lower is None else float(np.percentile(values, lower))
+    hi = np.inf if upper is None else float(np.percentile(values, upper))
+    thresholds = {f"{q:g}": t for q, t in ((lower, lo), (upper, hi)) if q is not None}
+    significant = original < lo or original > hi
     return SignificanceVerdict(
         measure=measure,
         scope=scope,

@@ -10,8 +10,9 @@ this module also provides the exact autocovariance sequence of a stable
 model, from one batched solve of the reverse Yule-Walker equations.
 Every stability gate is :func:`require_stable`, a Schur-Cohn step-down on
 the determinant polynomial ``det E(z)`` (:func:`det_polynomial`, whose
-convolutions :func:`simulate_var` shares), and every two-process
-simulation, surrogate batches included, runs :func:`simulate_var`.
+Leibniz sum :func:`simulate_var` shares for ``det E`` and its adjugate), and
+every simulation, the three-process confounded system and surrogate batches
+included, runs :func:`simulate_var`.
 
 Every least-squares fit is the R factor of ``[design | targets]`` from the
 lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
@@ -134,16 +135,21 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def det_polynomial(coeffs: np.ndarray) -> np.ndarray:
     """Taps ``(..., k m + 1)`` of ``det E(z)``, ``E(z) = I - sum_l A_l z^l``, of lags
-    ``(..., m, k, k)``, by the Leibniz sum over permutations; the roots of ``det E`` are the
-    inverse nonzero companion eigenvalues."""
+    ``(..., m, k, k)``; the roots of ``det E`` are the inverse nonzero companion eigenvalues."""
     coeffs = np.asarray(coeffs, dtype=float)
     *batch, m, k, _ = coeffs.shape
     e = np.zeros((*batch, k, k, m + 1))  # taps of E_ij(z)
     e[..., 0] = np.eye(k)
     e[..., 1:] = -np.moveaxis(coeffs, -3, -1)
+    return _leibniz(e)
+
+
+def _leibniz(e: np.ndarray) -> np.ndarray:
+    """Taps ``(..., k (n - 1) + 1)`` of the determinants of taps ``(..., k, k, n)``, by Leibniz."""
+    k = e.shape[-2]
     perms = list(itertools.permutations(range(k)))
-    factors = e[..., range(k), perms, :]  # (..., k!, k, m + 1): E_{i, perm(i)}
-    det = factors[..., 0, :]
+    factors = e[..., range(k), perms, :]  # (..., k!, k, n): E_{i, perm(i)}
+    det = factors[..., 0, :] if k else np.ones(factors.shape[:-2] + (1,))
     for i in range(1, k):
         det = _polymul(det, factors[..., i, :])
     inversions = [sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) for p in perms]
@@ -182,22 +188,26 @@ def require_stable(coeffs: np.ndarray, what: str) -> None:
 
 
 def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Run ``s_t = sum_{k=1..m} A_k s_{t-k} + drive_t`` from zero initial conditions.
+    """Run ``s_t = sum_{l=1..m} A_l s_{t-l} + drive_t`` from zero initial conditions.
 
-    ``coeffs`` is ``(m, 2, 2)``, ``drive`` and the result ``(..., T, 2)``. With
-    ``E(z) = I - sum_k A_k z^k``, ``S(z) = adj E(z) U(z) / det E(z)``: each
-    channel is ``lfilter`` by ``det E``, whose roots are the nonzero companion
-    eigenvalues, of the drive's ``(..., T)`` rows one by one, so each row is
+    ``coeffs`` is ``(m, k, k)``, ``drive`` and the result ``(..., T, k)``. With ``E(z) = I -
+    sum_l A_l z^l``, ``S(z) = adj E(z) U(z) / det E(z)``, ``adj E`` from all minors in one
+    batched Leibniz sum: each channel is ``lfilter`` by ``det E``, whose roots are the nonzero
+    companion eigenvalues, of the drive's ``(..., T)`` rows one by one, so each row is
     bit-identical at any batch size. Zero trailing taps (exact 0s) are trimmed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 3 or coeffs.shape[1:] != (2, 2) or np.shape(drive)[-1:] != (2,):
-        raise ValueError(f"bivariate only: lags {coeffs.shape}, drive {np.shape(drive)}")
-    e = np.concatenate([np.eye(2)[None], -coeffs]).transpose(1, 2, 0)  # taps of E_ij(z)
-    det = np.trim_zeros(det_polynomial(coeffs), "b")
-    drive = np.moveaxis(np.asarray(drive, dtype=float), -1, 0)  # (2, ..., T)
+    if coeffs.ndim != 3 or coeffs.shape[1:] != np.shape(drive)[-1:] * 2:  # k channels, k x k lags
+        raise ValueError(f"lags {coeffs.shape}, drive {np.shape(drive)}: not (m, k, k), (.., T, k)")
+    k = coeffs.shape[-1]
+    e = np.concatenate([np.eye(k)[None], -coeffs]).transpose(1, 2, 0)  # taps of E_ij(z)
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row j: all but j
+    minors = e[others[None, :, :, None], others[:, None, None, :]]  # [i, j]: no row j, column i
+    adj = (-1.0) ** np.add.outer(range(k), range(k))[..., None] * _leibniz(minors)
+    det = np.trim_zeros(_leibniz(e), "b")
+    drive = np.moveaxis(np.asarray(drive, dtype=float), -1, 0)  # (k, ..., T)
     s = np.zeros(drive.shape)
-    for out, adj_row in zip(s, ((e[1, 1], -e[0, 1]), (-e[1, 0], e[0, 0]))):
+    for out, adj_row in zip(s, adj):
         for taps, channel in zip(adj_row, drive):
             if taps.any():
                 out += lfilter(np.trim_zeros(taps, "b"), det, channel)

@@ -534,6 +534,14 @@ def test_cli_simulate_creates_output_directory(tmp_path, capsys):
     assert len(csv.read_text().splitlines()) == 51
 
 
+def test_cli_simulate_rejects_a_parameter_its_system_does_not_use(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    rc = run_cli(["simulate", "--system", "open_loop", "--d", "0.5", "--n", "100", "--out", csv])
+    assert rc == 1
+    assert "the open_loop system does not use d, got 0.5" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys, monkeypatch):
     # the parser is built once; flags of one call must not leak into the next
     builds = []

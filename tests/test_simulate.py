@@ -59,6 +59,20 @@ def test_spec_rejects_out_of_range_parameters(name):
         SimSpec(system="closed_loop" if name != "a" else "confounded", n=10, **{name: -0.1})
 
 
+@pytest.mark.parametrize(
+    "system,name",
+    [("open_loop", "d"), ("open_loop", "a"), ("closed_loop", "a"), ("confounded", "c"),
+     ("confounded", "d"), ("benchmark", "b"), ("benchmark", "c"), ("benchmark", "d"),
+     ("benchmark", "a")],
+)
+def test_spec_rejects_parameters_its_system_does_not_use(system, name):
+    # a nonzero unused parameter must not be dropped or, for d on open_loop, build feedback
+    setting = "i" if system == "benchmark" else None
+    with pytest.raises(ValueError, match=f"the {system} system does not use {name}, got 0.5"):
+        SimSpec(system=system, n=10, setting=setting, **{name: 0.5})
+    assert getattr(SimSpec(system=system, n=10, setting=setting, **{name: 0.0}), name) == 0.0
+
+
 def test_spec_benchmark_needs_setting():
     with pytest.raises(ValueError, match="benchmark requires setting"):
         SimSpec(system="benchmark", n=10)
@@ -84,8 +98,9 @@ def test_effective_bc_benchmark_matrix():
         "iv": (1.0, 1.0),
     }
     for setting, expected in BENCHMARK_SETTINGS.items():
-        spec = SimSpec(system="benchmark", n=10, setting=setting, b=0.3, c=0.7)
-        assert spec.effective_bc() == expected
+        assert SimSpec(system="benchmark", n=10, setting=setting).effective_bc() == expected
+        with pytest.raises(ValueError, match="benchmark system does not use b"):
+            SimSpec(system="benchmark", n=10, setting=setting, b=0.3, c=0.7)
     assert SimSpec(system="open_loop", n=10, b=0.3, c=0.7).effective_bc() == (0.3, 0.7)
 
 
@@ -206,7 +221,7 @@ def test_closed_loop_matches_direct_recursion(var_loop_reference):
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.8, 0.0), (0.5, 1.0)])
 def test_confounded_matches_three_process_recursion(var_loop_reference, a, b):
-    # the cascade must simulate exactly the system build_confounded_system gates
+    # simulate must run exactly the three-process system build_confounded_system gates
     spec = SimSpec(system="confounded", n=400, seed=7, a=a, b=b)
     pair = simulate(spec)
     noise = np.random.default_rng(spec.seed).standard_normal((BURN_IN + spec.n, 3))
@@ -326,7 +341,8 @@ def test_confounded_study_matches_assemble_profiles_path(seed):
         assert np.array_equal(profiles[name].values, sums[name] / 3)
 
 
-def test_confounded_study_gates_its_system_once(monkeypatch):
+@pytest.mark.parametrize("n_runs", [3, 13])  # 13 runs span two simulation blocks
+def test_confounded_study_gates_its_system_once(monkeypatch, n_runs):
     # the three-process system once per study, then each run's model and mixed model
     gated, pairs = [], []
     stable, fit = gica.varmodel.schur_cohn_stable, gica.varmodel.fit_var
@@ -336,8 +352,8 @@ def test_confounded_study_gates_its_system_once(monkeypatch):
         return stable(taps)
 
     monkeypatch.setattr(gica.varmodel, "schur_cohn_stable", counting)
-    run_confounded_study(0.8, 0.5, n_runs=3, n=300, seed=7, grid=FrequencyGrid(129))
-    assert sum(gated) == 1 + 2 * 3
+    run_confounded_study(0.8, 0.5, n_runs=n_runs, n=300, seed=7, grid=FrequencyGrid(129))
+    assert sum(gated) == 1 + 2 * n_runs
     monkeypatch.undo()
 
     # each run's record is simulate()'s for its (seed, run) stream
@@ -346,8 +362,8 @@ def test_confounded_study_gates_its_system_once(monkeypatch):
         return fit(x, y, *args)
 
     monkeypatch.setattr(gica.simulate, "fit_var", recording)
-    run_confounded_study(0.8, 0.5, n_runs=3, n=300, seed=7, grid=FrequencyGrid(129))
-    assert len(pairs) == 3
+    run_confounded_study(0.8, 0.5, n_runs=n_runs, n=300, seed=7, grid=FrequencyGrid(129))
+    assert len(pairs) == n_runs
     for run, (x, y) in enumerate(pairs):
         alone = simulate(SimSpec("confounded", 300, seed=(7, run), a=0.8, b=0.5))
         assert np.array_equal(x, alone.x) and np.array_equal(y, alone.y)

@@ -75,16 +75,17 @@ def test_unstable_model_raises():
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 20),
+    k=st.sampled_from([1, 2, 3]),
     batch=st.integers(1, 5),
     length=st.integers(1, 80),
 )
-def test_simulate_var_rows_match_alone_and_loop(var_loop_reference, seed, m, batch, length):
+def test_simulate_var_rows_match_alone_and_loop(var_loop_reference, seed, m, k, batch, length):
     rng = np.random.default_rng(seed)
-    coeffs = rng.normal(scale=0.3, size=(m, 2, 2))
+    coeffs = rng.normal(scale=0.3, size=(m, k, k))
     # scaling A_j by s**j multiplies every companion eigenvalue by s
     scale = rng.uniform(0.5, 0.95) / spectral_radius(coeffs)
     coeffs *= scale ** np.arange(1, m + 1)[:, None, None]
-    drive = rng.standard_normal((batch, length, 2))
+    drive = rng.standard_normal((batch, length, k))
     together = simulate_var(coeffs, drive)
     assert together.shape == drive.shape
     for row, alone in zip(together, drive):
@@ -107,11 +108,10 @@ def test_simulate_var_near_unit_circle(var_loop_reference):
         assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def test_simulate_var_is_bivariate():
-    with pytest.raises(ValueError, match="bivariate"):
-        simulate_var(np.zeros((1, 3, 3)), np.zeros((10, 3)))
-    with pytest.raises(ValueError, match="bivariate"):
-        simulate_var(np.zeros((1, 2, 2)), np.zeros((10, 3)))
+def test_simulate_var_rejects_shape_mismatch():
+    for lags, channels in [((1, 2, 3), 3), ((1, 3, 2), 2), ((2, 3), 3), ((1, 2, 2), 3), ((1, 3, 3), 2)]:
+        with pytest.raises(ValueError, match=r"not \(m, k, k\)"):
+            simulate_var(np.zeros(lags), np.zeros((10, channels)))
 
 
 def test_diagonalized_zeroes_cross_covariance():
