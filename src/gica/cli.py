@@ -232,8 +232,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         subdir.mkdir(exist_ok=True)
         _write_profiles(profiles, subdir)
         _write_json(report.to_dict(), subdir / "report.json")
-        f_y = "inf" if np.isinf(report.f_y) else f"{report.f_y:.15g}"
-        rows.append(f"{param},{value:g},{report.f_xy:.15g},{f_y},{report.a_y:.15g}")
+        rows.append(f"{param},{value:g},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
         print(f"{param} = {value:g}: F_xy = {_fmt(report.f_xy)}, "
               f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
     write_text(outdir / "sweep_summary.csv", "\n".join(rows) + "\n")

@@ -8,7 +8,7 @@ autocovariance, every spectral profile and the band summaries. It optionally
 attaches surrogate significance verdicts, whose settings are checked when
 :class:`AnalysisConfig` is built. The analysed model is a stack of one;
 surrogates take the same call, :func:`gica.spectral.measure_stack`, in blocks
-of ``SURROGATE_BLOCK`` rows of the array
+of :data:`gica.spectral.SURROGATE_BLOCK` rows of the array
 :func:`gica.surrogates.generate_surrogates` returns
 (:func:`surrogate_values`). The fitted innovation covariance is generally
 not diagonal; all derived quantities use the strictly causal convention
@@ -25,14 +25,13 @@ import numpy as np
 
 from .restricted import RestrictedModel
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, measure_stack
-from .surrogates import H1, H2, TAILS, SurrogateConfig, generate_surrogates, significance_test
+from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_stack
+from .surrogates import H1, H2, TAILS, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
 from .varmodel import BivariateVarModel, fit_var, fit_var_stack
 
 RESIDUAL_CORRELATION_WARN = 0.2
 NEAR_EXACT_WARN = 1e-5  # residual variance over mean square, far above the fit's eps gate
-SURROGATE_BLOCK = 10  # near the speed of larger blocks, at a tenth of their memory
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,11 @@ class AnalysisConfig:
         for hyp in self.hypotheses:
             if hyp not in (H1, H2):
                 raise ValueError(f"unknown hypothesis {hyp!r}")
-            if self.n_surrogates > 0:
-                self.surrogate_config(hyp)  # its checks now, not after the fit
-
-    def surrogate_config(self, hypothesis: str) -> SurrogateConfig:
-        return SurrogateConfig(self.n_surrogates, self.alpha, self.seed, hypothesis)
+        # the surrogate settings fail now, not after the fit, and only if surrogates are drawn
+        if 0 < self.n_surrogates < 2:
+            raise ValueError(f"need at least 2 surrogates, got {self.n_surrogates}")
+        if self.n_surrogates > 0 and not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass
@@ -143,15 +142,16 @@ def _significance(
     """Surrogate verdicts for every requested hypothesis, measure, and scope."""
     out: dict = {"n_surrogates": config.n_surrogates, "alpha": config.alpha, "seed": config.seed}
     for hyp in config.hypotheses:
-        sur_config = config.surrogate_config(hyp)
-        series = generate_surrogates(result.pair, sur_config, result.model, config.q)
+        series = generate_surrogates(
+            result.pair, result.model, hyp, config.n_surrogates, config.seed, config.q
+        )
         values = surrogate_values(series, result.order, config.q, grid, config.bands)
         out[hyp] = {
             measure: {
                 scope: significance_test(
                     measure, scope, result.report.value(measure, scope),
-                    values[measure, scope], sur_config,
-                ).to_dict()
+                    values[measure, scope], config.alpha,
+                )
                 for scope in ("time", *config.bands)
             }
             for measure, (needed, _) in TAILS.items()

@@ -34,9 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pipeline import SURROGATE_BLOCK
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import assemble_profiles, measure_stack
+from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_stack
 from .timeseries import TimeSeriesPair
 from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable, simulate_var
 
@@ -81,8 +80,8 @@ class SimSpec:
     def __post_init__(self) -> None:
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; choose from {tuple(SYSTEMS)}")
-        if self.n < 1:
-            raise ValueError(f"length must be >= 1, got {self.n}")
+        if self.n < 2:  # a pair needs two samples
+            raise ValueError(f"length must be >= 2, got {self.n}")
         for name in ("b", "c", "d", "a"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

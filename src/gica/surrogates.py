@@ -19,17 +19,20 @@ Verdict rules on the surrogate distribution of each measure: causality is
 significant above the upper ``1 - alpha`` percentile, isolation below the
 lower ``alpha`` percentile, autonomy outside the two-sided
 ``alpha/2 .. 1 - alpha/2`` band. Percentiles interpolate linearly between
-order statistics.
+order statistics. :func:`significance_test` returns the verdict as the dict
+``report.json`` stores.
+
+The surrogate settings (count, ``alpha``, seed, hypotheses) are fields of
+:class:`gica.pipeline.AnalysisConfig`, which checks them when it is built;
+each function here takes only the settings it uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .restricted import AR_ON_Y, X_ON_Y
-from .timeseries import TimeSeriesPair
+from .timeseries import TimeSeriesPair, json_number
 from .varmodel import BivariateVarModel, gated_lstsq, lag_matrix, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
@@ -43,49 +46,6 @@ TAILS = {
     "gi": (H1, "lower"),
     "ga": (H2, "two-sided"),
 }
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Surrogate count, test level, seed, and null hypothesis."""
-
-    n_surrogates: int = 100
-    alpha: float = 0.05
-    seed: int = 0
-    hypothesis: str = H1
-
-    def __post_init__(self) -> None:
-        if self.n_surrogates < 2:
-            raise ValueError(f"need at least 2 surrogates, got {self.n_surrogates}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.hypothesis not in (H1, H2):
-            raise ValueError(f"hypothesis must be {H1!r} or {H2!r}, got {self.hypothesis!r}")
-
-
-@dataclass
-class SignificanceVerdict:
-    """Outcome of one surrogate comparison."""
-
-    measure: str
-    scope: str
-    original: float
-    thresholds: dict[str, float]
-    tail: str
-    significant: bool
-
-    def to_dict(self) -> dict:
-        def num(v: float):
-            return "inf" if np.isinf(v) else float(v)
-
-        return {
-            "measure": self.measure,
-            "scope": self.scope,
-            "original": num(self.original),
-            "thresholds": {k: num(v) for k, v in self.thresholds.items()},
-            "tail": self.tail,
-            "significant": bool(self.significant),
-        }
 
 
 def fit_restricted_direct(
@@ -105,9 +65,10 @@ def fit_restricted_direct(
 
 
 def generate_surrogates(
-    pair: TimeSeriesPair, config: SurrogateConfig, model: BivariateVarModel, q: int = 20
+    pair: TimeSeriesPair, model: BivariateVarModel, hypothesis: str, n_surrogates: int,
+    seed: int = 0, q: int = 20,
 ) -> np.ndarray:
-    """Surrogate pairs consistent with the configured null hypothesis, ``(2, B, n)``.
+    """``n_surrogates`` pairs consistent with the null ``hypothesis``, ``(2, B, n)``.
 
     The driver equation is row 0 of ``model``, the full model fitted to ``pair``, and the
     null target equation is fitted at ``q`` lags; each surrogate permutes both residual
@@ -115,24 +76,26 @@ def generate_surrogates(
     Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream keyed by
     ``(seed, i)``, so results are reproducible and order-independent.
     """
+    if hypothesis not in (H1, H2):
+        raise ValueError(f"hypothesis must be {H1!r} or {H2!r}, got {hypothesis!r}")
     p = model.p
     z = lag_matrix([pair.x, pair.y], p)[p:]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n, Y_n]
     u = z[:, 2 * p] - z[:, : 2 * p] @ model.coeffs[:, 0].ravel()
-    target_kind = AR_ON_Y if config.hypothesis == H1 else X_ON_Y
+    target_kind = AR_ON_Y if hypothesis == H1 else X_ON_Y
     b, v = fit_restricted_direct(pair.x, pair.y, target_kind, q)
 
     coeffs = np.zeros((max(p, q), 2, 2))
     coeffs[:p, 0] = model.coeffs[:, 0]
-    coeffs[:q, 1, 1 if config.hypothesis == H1 else 0] = b  # H1 self past, H2 driver past
+    coeffs[:q, 1, 1 if hypothesis == H1 else 0] = b  # H1 self past, H2 driver past
     require_stable(coeffs, "fitted surrogate generator")
 
     # burn-in reuses the permuted residuals cyclically, the retained
     # stretch restarts them from the beginning
     steps = np.concatenate([np.arange(SURROGATE_BURN_IN), np.arange(pair.n)])
     cyclic = [steps % resid.size for resid in (u, v)]
-    drive = np.empty((2, config.n_surrogates, steps.size))  # channel-major: contiguous rows
-    for i in range(config.n_surrogates):
-        rng = np.random.default_rng((config.seed, i))
+    drive = np.empty((2, n_surrogates, steps.size))  # channel-major: contiguous rows
+    for i in range(n_surrogates):
+        rng = np.random.default_rng((seed, i))
         for out, resid, index in zip(drive, (u, v), cyclic):
             out[i] = rng.permutation(resid)[index]
     series = np.moveaxis(simulate_var(coeffs, np.moveaxis(drive, 0, -1)), -1, 0)
@@ -140,32 +103,17 @@ def generate_surrogates(
 
 
 def significance_test(
-    measure: str,
-    scope: str,
-    original: float,
-    surrogate_values: np.ndarray,
-    config: SurrogateConfig,
-) -> SignificanceVerdict:
-    """Compare one original measure value against its surrogate distribution.
+    measure: str, scope: str, original: float, values: np.ndarray, alpha: float
+) -> dict:
+    """Verdict of one original measure value against its surrogate ``values``.
 
-    ``measure`` fixes both the required hypothesis and the rejection tail;
-    a mismatch with ``config.hypothesis`` is an error. An infinite original
-    isolation value can never be significantly low.
+    ``measure`` fixes the rejection tail. The verdict is the dict ``report.json``
+    stores, with infinities as ``"inf"``. An infinite original isolation value can
+    never be significantly low.
     """
     if measure not in TAILS:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(TAILS)}")
-    needed, tail = TAILS[measure]
-    if config.hypothesis != needed:
-        raise ValueError(
-            f"measure {measure!r} requires {needed} surrogates, "
-            f"config provides {config.hypothesis}"
-        )
-    values = np.asarray(surrogate_values, dtype=float)
-    if values.ndim != 1 or values.size != config.n_surrogates:
-        raise ValueError(
-            f"expected {config.n_surrogates} surrogate values, got shape {values.shape}"
-        )
-    alpha = config.alpha
+    tail = TAILS[measure][1]
     # tail -> (lower, upper) percentile; a side without one has an infinite threshold
     lower, upper = {
         "upper": (None, 100 * (1 - alpha)),
@@ -174,13 +122,12 @@ def significance_test(
     }[tail]
     lo = -np.inf if lower is None else float(np.percentile(values, lower))
     hi = np.inf if upper is None else float(np.percentile(values, upper))
-    thresholds = {f"{q:g}": t for q, t in ((lower, lo), (upper, hi)) if q is not None}
-    significant = original < lo or original > hi
-    return SignificanceVerdict(
-        measure=measure,
-        scope=scope,
-        original=float(original),
-        thresholds=thresholds,
-        tail=tail,
-        significant=significant,
-    )
+    thresholds = {f"{q:g}": json_number(t) for q, t in ((lower, lo), (upper, hi)) if q is not None}
+    return {
+        "measure": measure,
+        "scope": scope,
+        "original": json_number(original),
+        "thresholds": thresholds,
+        "tail": tail,
+        "significant": bool(original < lo or original > hi),
+    }

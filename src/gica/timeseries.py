@@ -12,7 +12,8 @@ missing cell) is walked row by row, so that the error names its row and
 column. :func:`format_column` prints a column with ``%.15g`` and
 :func:`delimited_text` joins columns into a file's text; :func:`write_pair`
 and the CLI's profile and plot-data writers share them, and every output
-file is created anew, with LF line ends, by :func:`write_text`.
+file is created anew, with LF line ends, by :func:`write_text`. :func:`json_number`
+writes a JSON report's numbers.
 """
 
 from __future__ import annotations
@@ -106,11 +107,13 @@ def load_pair(
         Zero-based indices of the driver and target columns, distinct and
         non-negative.
     delimiter : str
-        Field separator.
+        Field separator, one character.
     """
     cx, cy = columns
     if min(cx, cy) < 0 or cx == cy:  # -1 would count from the end, equal ones fit nothing
         raise ValueError(f"columns must be distinct and >= 0, got x {cx} and y {cy}")
+    if len(delimiter) != 1:  # csv.reader raises a TypeError for any other length
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -156,6 +159,11 @@ def format_column(values: np.ndarray) -> list[str]:
 def delimited_text(header: list[str], columns: list[list[str]], delimiter: str) -> str:
     """A header line and one line per row of the formatted ``columns``, newline-terminated."""
     return "\n".join([delimiter.join(header), *map(delimiter.join, zip(*columns))]) + "\n"
+
+
+def json_number(value: float) -> float | str:
+    """``value`` as a JSON number; an infinity, which JSON lacks, as the string ``"inf"``."""
+    return "inf" if np.isinf(value) else float(value)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -23,7 +23,7 @@ from gica.spectral import (
     assemble_profiles,
     full_band_integral,
 )
-from gica.surrogates import SurrogateConfig, generate_surrogates, significance_test
+from gica.surrogates import generate_surrogates, significance_test
 from gica.varmodel import fit_var, lag_matrix
 
 GRID = FrequencyGrid(2049)
@@ -268,10 +268,9 @@ def test_acceptance_08_surrogate_calibration():
         return surrogate_values(series, 2, 20, FrequencyGrid(3), {})["gc", "time"]
 
     def fires(pair, run):
-        config = SurrogateConfig(n_surrogates=100, seed=run, hypothesis="h1")
-        values = gc_time(generate_surrogates(pair, config, fit_var(pair.x, pair.y, 2), 20))
+        values = gc_time(generate_surrogates(pair, fit_var(pair.x, pair.y, 2), "h1", 100, run, 20))
         original = gc_time(np.stack([pair.x, pair.y])[:, None])[0]
-        return significance_test("gc", "time", original, values, config).significant
+        return significance_test("gc", "time", original, values, 0.05)["significant"]
 
     null_hits = sum(
         fires(simulate(SimSpec(system="open_loop", n=500, seed=(100, r), b=1.0, c=0.0)), r)

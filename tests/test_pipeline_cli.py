@@ -419,6 +419,17 @@ def test_cli_theoretical_sweep(tmp_path, capsys):
     assert_allclose(float(rows[1][4]), 1.50239542377179, atol=1e-11)
 
 
+def test_cli_sweep_summary_writes_an_infinite_isolation_as_inf(tmp_path, capsys):
+    # at c = 0 the target is isolated: F_y is +inf, printed as %.15g prints it
+    outdir = tmp_path / "sweep"
+    assert run_cli(["theoretical", "--system", "open_loop", "--b", "1", "--c", "0,0.5",
+                    "--grid-points", "129", "--out", outdir]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in (outdir / "sweep_summary.csv").read_text().splitlines()]
+    assert rows[1][:4] == ["c", "0", "0", "inf"]
+    assert float(rows[2][3]) > 0
+
+
 def test_cli_theoretical_rejects_multi_sweep(tmp_path):
     with pytest.raises(SystemExit, match="at most one"):
         run_cli(["theoretical", "--system", "open_loop", "--b", "0,1",
@@ -458,6 +469,17 @@ def test_cli_error_exits(tmp_path, capsys):
                   "--out", tmp_path / "q.csv"])
     assert rc == 1
     assert "benchmark requires setting" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_cli_rejects_a_delimiter_that_is_not_one_character(tmp_path, capsys, delimiter):
+    csv = tmp_path / "pair.csv"
+    assert run_cli(["simulate", "--system", "open_loop", "--n", "100", "--out", csv]) == 0
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--delimiter", delimiter,
+                  "--out", tmp_path / "o"])
+    assert rc == 1
+    assert "error: delimiter must be one character" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_one_surrogate_before_fitting(tmp_path, capsys, monkeypatch):

@@ -47,8 +47,10 @@ def test_spec_rejects_unknown_system():
 
 
 def test_spec_rejects_short_length():
-    with pytest.raises(ValueError, match="length must be >= 1"):
-        SimSpec(system="open_loop", n=0)
+    # a TimeSeriesPair needs two samples, so the spec takes the pair's bound
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"length must be >= 2, got {n}"):
+            SimSpec(system="open_loop", n=n)
 
 
 @pytest.mark.parametrize("name", ["b", "c", "d", "a"])

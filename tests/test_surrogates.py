@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gica.pipeline import SURROGATE_BLOCK, surrogate_values
+from gica.pipeline import SURROGATE_BLOCK, AnalysisConfig, surrogate_values
 from gica.simulate import SimSpec, simulate
 from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
 from gica.surrogates import (
@@ -11,8 +11,6 @@ from gica.surrogates import (
     H2,
     SURROGATE_BURN_IN,
     TAILS,
-    SignificanceVerdict,
-    SurrogateConfig,
     fit_restricted_direct,
     generate_surrogates,
     significance_test,
@@ -44,15 +42,16 @@ def coupled_model(coupled_pair):
     return fit_var(coupled_pair.x, coupled_pair.y, 2)
 
 
-def test_config_validation():
+def test_config_validation(coupled_pair, coupled_model):
+    # the surrogate settings live in AnalysisConfig; the generator checks the one it takes
     with pytest.raises(ValueError, match="at least 2 surrogates"):
-        SurrogateConfig(n_surrogates=1)
+        AnalysisConfig(n_surrogates=1)
     with pytest.raises(ValueError, match="alpha must lie"):
-        SurrogateConfig(alpha=0.0)
+        AnalysisConfig(n_surrogates=100, alpha=0.0)
     with pytest.raises(ValueError, match="alpha must lie"):
-        SurrogateConfig(alpha=1.0)
+        AnalysisConfig(n_surrogates=100, alpha=1.0)
     with pytest.raises(ValueError, match="hypothesis must be"):
-        SurrogateConfig(hypothesis="h3")
+        generate_surrogates(coupled_pair, coupled_model, "h3", 2)
 
 
 def test_tail_assignments():
@@ -125,41 +124,36 @@ def test_direct_restricted_fit_validation():
 
 
 def test_surrogates_shape_and_determinism(coupled_pair, coupled_model):
-    config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
-    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
+    surr = generate_surrogates(coupled_pair, coupled_model, H1, 4, 5, 20)
     assert surr.shape == (2, 4, coupled_pair.n)  # channel-major: x, y = surr[:, i]
     assert np.isfinite(surr).all()
-    again = generate_surrogates(coupled_pair, config, coupled_model, 20)
+    again = generate_surrogates(coupled_pair, coupled_model, H1, 4, 5, 20)
     assert np.array_equal(surr, again)
     assert not np.array_equal(surr[1, 0], surr[1, 1])
 
 
 def test_surrogate_streams_are_index_keyed(coupled_pair, coupled_model):
     # surrogate i depends only on (seed, i), not on the batch size
-    small = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=3, seed=5, hypothesis=H1), coupled_model, 20
-    )
-    large = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=6, seed=5, hypothesis=H1), coupled_model, 20
-    )
+    small = generate_surrogates(coupled_pair, coupled_model, H1, 3, 5, 20)
+    large = generate_surrogates(coupled_pair, coupled_model, H1, 6, 5, 20)
     for (ax, ay), (bx, by) in zip(zip(*small), zip(*large[:, :3])):
         assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
 
-def loop_surrogates(pair, config, p, q):
+def loop_surrogates(pair, hypothesis, n_surrogates, seed, p, q):
     """The documented H1/H2 generator equations, one sample at a time."""
     a_xx, a_xy, u = driver_row(pair.x, pair.y, p)
-    kind = "ar_on_y" if config.hypothesis == H1 else "x_on_y"
+    kind = "ar_on_y" if hypothesis == H1 else "x_on_y"
     b, v = fit_restricted_direct(pair.x, pair.y, kind, q)
     total = SURROGATE_BURN_IN + pair.n
     out = []
-    for i in range(config.n_surrogates):
-        rng = np.random.default_rng((config.seed, i))
+    for i in range(n_surrogates):
+        rng = np.random.default_rng((seed, i))
         u_perm = rng.permutation(u)
         v_perm = rng.permutation(v)
         x = np.zeros(total)
         y = np.zeros(total)
-        source = y if config.hypothesis == H1 else x
+        source = y if hypothesis == H1 else x
         for t in range(total):
             j = t if t < SURROGATE_BURN_IN else t - SURROGATE_BURN_IN
             x[t] = u_perm[j % u.size]
@@ -175,11 +169,10 @@ def loop_surrogates(pair, config, p, q):
 @pytest.mark.parametrize("hypothesis", [H1, H2])
 @pytest.mark.parametrize("p", [2, 14])
 def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
-    config = SurrogateConfig(n_surrogates=3, seed=5, hypothesis=hypothesis)
     batch = generate_surrogates(
-        coupled_pair, config, fit_var(coupled_pair.x, coupled_pair.y, p), 20
+        coupled_pair, fit_var(coupled_pair.x, coupled_pair.y, p), hypothesis, 3, 5, 20
     )
-    loop = loop_surrogates(coupled_pair, config, p, 20)
+    loop = loop_surrogates(coupled_pair, hypothesis, 3, 5, p, 20)
     for (sx, sy), (x, y) in zip(zip(*batch), loop, strict=True):
         assert_allclose(sx, x, rtol=0, atol=1e-12 * np.abs(x).max())
         assert_allclose(sy, y, rtol=0, atol=1e-12 * np.abs(y).max())
@@ -189,15 +182,14 @@ def test_surrogates_match_per_sample_loop(coupled_pair, hypothesis, p):
 def test_short_record_drive_wraps_residuals(var_loop_reference, hypothesis):
     # n = 60 is shorter than the burn-in, so both stretches wrap the residuals
     pair = simulate(SimSpec(system="open_loop", n=60, seed=4, b=1.0, c=0.5))
-    config = SurrogateConfig(n_surrogates=3, seed=2, hypothesis=hypothesis)
     a_xx, a_xy, u = driver_row(pair.x, pair.y, 2)
     b, v = fit_restricted_direct(pair.x, pair.y, "ar_on_y" if hypothesis == H1 else "x_on_y", 5)
     coeffs = np.zeros((5, 2, 2))
     coeffs[:2, 0, 0], coeffs[:2, 0, 1] = a_xx, a_xy
     coeffs[:, 1, 1 if hypothesis == H1 else 0] = b
-    series = generate_surrogates(pair, config, fit_var(pair.x, pair.y, 2), 5)
+    series = generate_surrogates(pair, fit_var(pair.x, pair.y, 2), hypothesis, 3, 2, 5)
     for i, (sx, sy) in enumerate(zip(*series)):
-        rng = np.random.default_rng((config.seed, i))
+        rng = np.random.default_rng((2, i))
         perms = [rng.permutation(u), rng.permutation(v)]
         drive = np.stack(
             [np.concatenate([np.resize(r, SURROGATE_BURN_IN), np.resize(r, pair.n)]) for r in perms],
@@ -218,9 +210,8 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
     # a full block and a partial one, against fit_var -> assemble_profiles
     # surrogate by surrogate
     n = SURROGATE_BLOCK + 3
-    config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
     series = generate_surrogates(
-        coupled_pair, config, fit_var(coupled_pair.x, coupled_pair.y, p), 20
+        coupled_pair, fit_var(coupled_pair.x, coupled_pair.y, p), hypothesis, n, 5, 20
     )
     values = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS)
     for i, (x, y) in enumerate(zip(*series)):
@@ -236,8 +227,7 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
 def test_block_values_do_not_depend_on_block_size(coupled_pair, coupled_model, hypothesis):
     # 7 surrogates are one partial block; in 23 the same ones share a full block
     def values(n):
-        config = SurrogateConfig(n_surrogates=n, seed=5, hypothesis=hypothesis)
-        series = generate_surrogates(coupled_pair, config, coupled_model, 20)
+        series = generate_surrogates(coupled_pair, coupled_model, hypothesis, n, 5, 20)
         return surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
     small, large = values(7), values(23)
@@ -247,9 +237,8 @@ def test_block_values_do_not_depend_on_block_size(coupled_pair, coupled_model, h
 
 
 def surrogate_block_with(coupled_pair, bad_x):
-    config = SurrogateConfig(n_surrogates=4, seed=5, hypothesis=H1)
     model = fit_var(coupled_pair.x, coupled_pair.y, 2)
-    series = generate_surrogates(coupled_pair, config, model, 20)
+    series = generate_surrogates(coupled_pair, model, H1, 4, 5, 20)
     series[0, 2] = bad_x
     return series
 
@@ -272,18 +261,14 @@ def test_block_with_explosive_row_is_unstable(coupled_pair):
 
 def test_h1_surrogates_break_coupling(coupled_pair, coupled_model):
     orig = abs(lag1_xcorr(coupled_pair.x, coupled_pair.y))
-    surr = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H1), coupled_model, 20
-    )
+    surr = generate_surrogates(coupled_pair, coupled_model, H1, 10, 5, 20)
     rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.mean(np.abs(rs)) < orig / 2
 
 
 def test_h2_surrogates_keep_coupling(coupled_pair, coupled_model):
     orig = lag1_xcorr(coupled_pair.x, coupled_pair.y)
-    surr = generate_surrogates(
-        coupled_pair, SurrogateConfig(n_surrogates=10, seed=5, hypothesis=H2), coupled_model, 20
-    )
+    surr = generate_surrogates(coupled_pair, coupled_model, H2, 10, 5, 20)
     rs = np.array([lag1_xcorr(*s) for s in zip(*surr)])
     assert np.all(np.sign(rs) == np.sign(orig))
     assert np.mean(np.abs(rs)) > abs(orig) / 2
@@ -297,88 +282,73 @@ def test_explosive_generator_is_rejected():
         x[t] = 1.05 * x[t - 1] + u[t]
     bad = TimeSeriesPair(x, rng.standard_normal(200), 1.0)
     with pytest.raises(UnstableModelError, match="surrogate generator is unstable"):
-        generate_surrogates(
-            bad, SurrogateConfig(n_surrogates=2, hypothesis=H1), fit_var(bad.x, bad.y, 2), 5
-        )
+        generate_surrogates(bad, fit_var(bad.x, bad.y, 2), H1, 2, q=5)
 
 
 def test_causality_significant_on_coupled_data(coupled_pair, coupled_model):
     f_xy, _, _ = fitted_measures(coupled_pair.x, coupled_pair.y)
-    config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H1)
-    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
+    surr = generate_surrogates(coupled_pair, coupled_model, H1, 50, 5, 20)
     values = np.array([fitted_measures(*s)[0] for s in zip(*surr)])
-    verdict = significance_test("gc", "time", f_xy, values, config)
-    assert verdict.significant
-    assert verdict.tail == "upper"
-    assert set(verdict.thresholds) == {"95"}
-    assert f_xy > verdict.thresholds["95"]
+    verdict = significance_test("gc", "time", f_xy, values, 0.05)
+    assert verdict["significant"]
+    assert verdict["tail"] == "upper"
+    assert set(verdict["thresholds"]) == {"95"}
+    assert f_xy > verdict["thresholds"]["95"]
 
 
 def test_autonomy_significant_on_coupled_data(coupled_pair, coupled_model):
     _, _, a_y = fitted_measures(coupled_pair.x, coupled_pair.y)
-    config = SurrogateConfig(n_surrogates=50, seed=5, hypothesis=H2)
-    surr = generate_surrogates(coupled_pair, config, coupled_model, 20)
+    surr = generate_surrogates(coupled_pair, coupled_model, H2, 50, 5, 20)
     values = np.array([fitted_measures(*s)[2] for s in zip(*surr)])
-    verdict = significance_test("ga", "time", a_y, values, config)
-    assert verdict.significant
-    assert verdict.tail == "two-sided"
-    assert set(verdict.thresholds) == {"2.5", "97.5"}
+    verdict = significance_test("ga", "time", a_y, values, 0.05)
+    assert verdict["significant"]
+    assert verdict["tail"] == "two-sided"
+    assert set(verdict["thresholds"]) == {"2.5", "97.5"}
 
 
 def test_upper_tail_percentile_rule():
-    config = SurrogateConfig(n_surrogates=100, alpha=0.05, hypothesis=H1)
     values = np.arange(100.0)
-    hit = significance_test("gc", "time", 95.0, values, config)
-    assert hit.significant and hit.thresholds["95"] == pytest.approx(94.05)
-    miss = significance_test("gc", "time", 94.0, values, config)
-    assert not miss.significant
+    hit = significance_test("gc", "time", 95.0, values, 0.05)
+    assert hit["significant"] and hit["thresholds"]["95"] == pytest.approx(94.05)
+    miss = significance_test("gc", "time", 94.0, values, 0.05)
+    assert not miss["significant"]
 
 
 def test_lower_tail_percentile_rule():
-    config = SurrogateConfig(n_surrogates=100, alpha=0.05, hypothesis=H1)
     values = np.arange(100.0)
-    hit = significance_test("gi", "time", 4.9, values, config)
-    assert hit.significant and hit.thresholds["5"] == pytest.approx(4.95)
-    assert not significance_test("gi", "time", 5.0, values, config).significant
+    hit = significance_test("gi", "time", 4.9, values, 0.05)
+    assert hit["significant"] and hit["thresholds"]["5"] == pytest.approx(4.95)
+    assert not significance_test("gi", "time", 5.0, values, 0.05)["significant"]
     # an infinitely isolated original can never be significantly low
-    assert not significance_test("gi", "time", np.inf, values, config).significant
+    assert not significance_test("gi", "time", np.inf, values, 0.05)["significant"]
 
 
 def test_two_sided_percentile_rule():
-    config = SurrogateConfig(n_surrogates=100, alpha=0.05, hypothesis=H2)
     values = np.arange(100.0)
-    verdict = significance_test("ga", "time", 50.0, values, config)
-    assert not verdict.significant
-    assert verdict.thresholds["2.5"] == pytest.approx(2.475)
-    assert verdict.thresholds["97.5"] == pytest.approx(96.525)
-    assert significance_test("ga", "time", 97.0, values, config).significant
-    assert significance_test("ga", "time", 2.4, values, config).significant
+    verdict = significance_test("ga", "time", 50.0, values, 0.05)
+    assert not verdict["significant"]
+    assert verdict["thresholds"]["2.5"] == pytest.approx(2.475)
+    assert verdict["thresholds"]["97.5"] == pytest.approx(96.525)
+    assert significance_test("ga", "time", 97.0, values, 0.05)["significant"]
+    assert significance_test("ga", "time", 2.4, values, 0.05)["significant"]
 
 
 def test_measure_hypothesis_pairing_enforced():
-    h2 = SurrogateConfig(n_surrogates=10, hypothesis=H2)
-    with pytest.raises(ValueError, match="requires h1 surrogates"):
-        significance_test("gc", "time", 1.0, np.zeros(10), h2)
-    h1 = SurrogateConfig(n_surrogates=10, hypothesis=H1)
-    with pytest.raises(ValueError, match="requires h2 surrogates"):
-        significance_test("ga", "time", 1.0, np.zeros(10), h1)
+    # the measure picks its tail, and the pipeline its hypothesis, from TAILS
     with pytest.raises(ValueError, match="unknown measure"):
-        significance_test("psd", "time", 1.0, np.zeros(10), h1)
-    with pytest.raises(ValueError, match="expected 10 surrogate values"):
-        significance_test("gc", "time", 1.0, np.zeros(9), h1)
+        significance_test("psd", "time", 1.0, np.zeros(10), 0.05)
 
 
 def test_verdict_serialization_handles_infinity():
-    verdict = SignificanceVerdict(
-        measure="gi",
-        scope="time",
-        original=np.inf,
-        thresholds={"5": 0.25},
-        tail="lower",
-        significant=False,
-    )
-    payload = verdict.to_dict()
-    assert payload["original"] == "inf"
-    assert payload["thresholds"] == {"5": 0.25}
-    assert payload["significant"] is False
-    assert isinstance(payload["significant"], bool)
+    values = np.linspace(0.25, 1.25, 5)  # the 5th percentile is 0.3
+    verdict = significance_test("gi", "time", np.inf, values, 0.05)
+    assert verdict == {
+        "measure": "gi",
+        "scope": "time",
+        "original": "inf",
+        "thresholds": {"5": pytest.approx(0.3)},
+        "tail": "lower",
+        "significant": False,
+    }
+    assert isinstance(verdict["significant"], bool)
+    assert isinstance(verdict["thresholds"]["5"], float)

@@ -89,6 +89,13 @@ def test_load_rejects_negative_or_equal_columns(tmp_path, columns):
         load_pair(path, fs=1.0, columns=columns)
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_load_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # checked before the file is opened: csv.reader would raise a TypeError
+    with pytest.raises(ValueError, match=f"delimiter must be one character, got {delimiter!r}"):
+        load_pair(tmp_path / "absent.csv", fs=1.0, delimiter=delimiter)
+
+
 def test_load_missing_file_names_path(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(FileNotFoundError, match="nope.csv"):
