@@ -201,12 +201,16 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
             "use confounded-study"
         )
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = FrequencyGrid(args.grid_points, 1.0)
     multi = {name: _floats(getattr(args, name)) for name in ("b", "c", "d")}
     swept = [name for name, vals in multi.items() if len(vals) > 1]
     if len(swept) > 1:
         raise SystemExit("error: at most one of --b/--c/--d may be a sweep list")
+    for name in swept:  # a value's directory is named by %.15g: a repeat would overwrite it
+        labels = [f"{value:.15g}" for value in multi[name]]
+        twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if twice:
+            raise SystemExit(f"error: --{name} value {twice[0]} is given twice")
     base = SimSpec(
         system=args.system,
         n=2,
@@ -218,6 +222,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
     )
     if not swept:
         profiles, report = theoretical_profiles(base, grid, args.q)
+        outdir.mkdir(parents=True, exist_ok=True)
         _write_profiles(profiles, outdir)
         _write_json(report.to_dict(), outdir / "report.json")
         _write_json(build_true_model(base).to_dict(), outdir / "true_model.json")
@@ -225,15 +230,15 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         return 0
     param = swept[0]
     rows = ["parameter,value,F_xy,F_y,A_y"]
-    for value, profiles, report in theoretical_sweep(
-        base, param, multi[param], grid, args.q
-    ):
-        subdir = outdir / f"{param}_{value:g}"
+    points = theoretical_sweep(base, param, multi[param], grid, args.q)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for value, profiles, report in points:
+        subdir = outdir / f"{param}_{value:.15g}"
         subdir.mkdir(exist_ok=True)
         _write_profiles(profiles, subdir)
         _write_json(report.to_dict(), subdir / "report.json")
-        rows.append(f"{param},{value:g},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
-        print(f"{param} = {value:g}: F_xy = {_fmt(report.f_xy)}, "
+        rows.append(f"{param},{value:.15g},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
+        print(f"{param} = {value:.15g}: F_xy = {_fmt(report.f_xy)}, "
               f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
     write_text(outdir / "sweep_summary.csv", "\n".join(rows) + "\n")
     return 0
@@ -241,7 +246,6 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
 
 def cmd_confounded_study(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = FrequencyGrid(args.grid_points, 1.0)
     profiles, failures = run_confounded_study(
         a=args.a,
@@ -253,6 +257,7 @@ def cmd_confounded_study(args: argparse.Namespace) -> int:
         p_max=args.p_max,
         q=args.q,
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_profiles(profiles, outdir)
     _write_json(
         {
@@ -287,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--delimiter", default=",")
     p_an.add_argument(
         "--detrend-cutoff",
-        default="0.0156",
-        help="high-pass cutoff in Hz, or 'off' to skip detrending",
+        default="off",
+        help="high-pass cutoff in Hz, or 'off' (the default) to skip detrending",
     )
     p_an.add_argument("--order", default="aic", help="model order: integer or 'aic'")
     p_an.add_argument("--p-max", type=int, default=14, help="largest order scanned by AIC")

@@ -38,7 +38,7 @@ NEAR_EXACT_WARN = 1e-5  # residual variance over mean square, far above the fit'
 class AnalysisConfig:
     """Knobs of the full analysis pipeline."""
 
-    detrend_cutoff: float | None = 0.0156
+    detrend_cutoff: float | None = None  # a high-pass's zero at f = 0 drives AIC to p_max
     order: int | str = "aic"
     p_max: int = 14
     q: int = 20

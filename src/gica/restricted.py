@@ -12,14 +12,16 @@ past,
 
     coeffs = r @ inv(Sigma_past),      resid_var = Gamma_yy(0) - r @ coeffs.
 
-Direct least-squares refits on long realizations are used only as test
-oracles for this route. :func:`restricted_stack` identifies one kind for a
-stack, its ``(B, q, q)`` Toeplitz systems built by index and solved at once.
-:func:`derive_restricted` is the only entry from full models: it takes
-stacks ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with
-an optional ``2q`` truncation check. Its one caller is
+Direct least-squares refits on long realizations are used only as test oracles
+for this route. :func:`restricted_stack` identifies one kind for a stack, its
+``(B, q, q)`` Toeplitz systems built by index and solved at once.
+:func:`derive_restricted` is the only entry from full models: it takes stacks
+``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with an
+optional ``2q`` truncation check. Its one caller is
 :func:`gica.spectral.measure_stack`, for an analysis and a surrogate block
-alike. :class:`RestrictedModel` is the record an analysis writes.
+alike. :class:`RestrictedModel` is the record an analysis writes. Under the full
+driver row, a kind is a model, :func:`restricted_lags`: the mixed model of
+autonomy, or a surrogate generator.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .varmodel import autocovariance_stack
 
 AR_ON_Y = "ar_on_y"
 X_ON_Y = "x_on_y"
+PAST = {AR_ON_Y: 1, X_ON_Y: 0}  # kind -> the channel whose past it regresses on
 TRUNCATION_SHIFT_WARN = 1e-4
 
 
@@ -42,8 +45,7 @@ class RestrictedModel:
     Parameters
     ----------
     kind : str
-        ``"ar_on_y"`` (Y regressed on its own past) or ``"x_on_y"``
-        (Y regressed on the driver's past).
+        A key of :data:`PAST`: ``"ar_on_y"`` (Y on its own past) or ``"x_on_y"`` (Y on X's past).
     coeffs : ndarray
         Lag coefficients, shape ``(q,)``.
     resid_var : float
@@ -55,7 +57,7 @@ class RestrictedModel:
     resid_var: float
 
     def __post_init__(self) -> None:
-        if self.kind not in (AR_ON_Y, X_ON_Y):
+        if self.kind not in PAST:
             raise ValueError(f"unknown restricted model kind {self.kind!r}")
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
@@ -87,7 +89,7 @@ def restricted_stack(gammas: np.ndarray, q: int, kind: str) -> tuple[np.ndarray,
     ``gammas`` stacks ``(B, Q + 1, 2, 2)`` autocovariances, ``Q >= q``; any
     row's singular system or non-positive residual variance fails the stack.
     """
-    past = 1 if kind == AR_ON_Y else 0  # channel whose past is regressed on
+    past = PAST[kind]
     col = gammas[:, :q, past, past]
     cross = gammas[:, 1 : q + 1, 1, past]
     lags = np.arange(q)
@@ -105,6 +107,15 @@ def restricted_stack(gammas: np.ndarray, q: int, kind: str) -> tuple[np.ndarray,
             f"non-positive residual variance {np.min(resid_var):.6g} in {kind} identification"
         )
     return coeffs, resid_var
+
+
+def restricted_lags(coeffs: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
+    """Lags ``(B, max(p, q), 2, 2)``: the driver rows of ``coeffs`` ``(B, p, 2, 2)`` over Y on
+    ``target`` ``(B, q)`` taps of the past of the channel ``kind`` names."""
+    lags = np.zeros((len(coeffs), max(coeffs.shape[1], target.shape[-1]), 2, 2))
+    lags[:, : coeffs.shape[1], 0] = coeffs[:, :, 0]
+    lags[:, : target.shape[-1], 1, PAST[kind]] = target
+    return lags
 
 
 def derive_restricted(

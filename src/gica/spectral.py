@@ -29,9 +29,9 @@ model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 :func:`measure_stack` is the one place models become measures: it takes a
 stack of full models ``(coeffs, sigma)``, derives both restricted models with
 :func:`gica.restricted.derive_restricted`, a cached DFT table per grid gives
-``E`` and the scalar ``det F`` of the whole stack, the mixed models pass the
-Schur-Cohn gate, and every band mean and ``F_y`` come from one product with a
-cached weight matrix per grid and band set. :func:`assemble_profiles` is its
+``E`` and ``det F = E_xx + E_xy B_yx`` of the whole stack, the mixed models pass
+the gate every model does, and every band mean and ``F_y`` come from one product
+with a cached weight matrix per grid and band set. :func:`assemble_profiles` is its
 batch of one, plus display spectra from the ``E``, ``det E`` and shares it returns.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted
+from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted, restricted_lags
 from .timeseries import json_number
 from .varmodel import BivariateVarModel, UnstableModelError, require_stable
 
@@ -137,22 +137,11 @@ def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return np.moveaxis(parts.view(complex).reshape(b, k, k, -1), -1, 1)
 
 
-def _det(e: np.ndarray, what: str) -> np.ndarray:
-    """Determinants of ``(..., k, k)`` matrices, ``k`` 1 or 2; a zero one raises."""
-    det = e[..., 0, 0] if e.shape[-1] == 1 else (
-        e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0])
+def _nonsingular(det: np.ndarray, what: str) -> np.ndarray:
+    """``det``, a model's transfer determinants on the grid, unless one is zero."""
     if np.any(det == 0):
         raise UnstableModelError(f"{what} transfer is singular on the frequency grid")
     return det
-
-
-def _mixed_det_lags(a_xx: np.ndarray, a_xy: np.ndarray, b_yx: np.ndarray) -> np.ndarray:
-    """Lags ``(B, p+q)`` of the mixed model's ``det F(z) = 1 - A_xx(z) - A_xy(z) B_yx(z)``."""
-    lags = np.zeros((b_yx.shape[0], a_xx.shape[-1] + b_yx.shape[-1]))
-    lags[:, : a_xx.shape[-1]] = a_xx
-    for i, a in enumerate(a_xy.T):  # A_xy lag i+1 times B_yx lag j+1 lands on lag i+j+2
-        lags[:, i + 1 : i + 1 + b_yx.shape[-1]] += a[:, None] * b_yx
-    return lags
 
 
 def _nonnegative(value: np.ndarray, name: str) -> np.ndarray:
@@ -307,18 +296,18 @@ def measure_stack(
     :func:`gica.restricted.derive_restricted` gates the models and returns
     ``restricted``, ``(ar_coeffs, ar_var, x_coeffs, x_var)``: the self-past and the
     driver-only regressions, with the ``2q`` truncation check when given ``warnings``.
-    The mixed models enter as ``det F(z)``, gated here as the scalar lag polynomial
-    of degree ``p + q`` it is. A row whose ``A_yx`` lags are all exactly 0 takes
-    ``ar_var = sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
+    The mixed models, :func:`gica.restricted.restricted_lags` of ``x_coeffs``, are gated, and
+    ``det F = E_xx + E_xy B_yx``. A row whose ``A_yx`` lags are all exactly 0 takes ``ar_var =
+    sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
     """
     sigma = sigma * np.eye(2)
     restricted = derive_restricted(coeffs, sigma, q, warnings)
     _, ar_var, x_coeffs, x_var = restricted
     e = _lag_transform(coeffs, grid)
-    det_e = _det(e, "full model")
-    mixed = _mixed_det_lags(coeffs[:, :, 0, 0], coeffs[:, :, 0, 1], x_coeffs)[..., None, None]
-    require_stable(mixed, "mixed model for autonomy")
-    det_f = _det(_lag_transform(mixed, grid), "mixed model")
+    det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
+    require_stable(restricted_lags(coeffs, x_coeffs, X_ON_Y), "mixed model for autonomy")
+    minus_b = (x_coeffs @ _dft_table(grid, q)[:q]).view(complex)  # -B_yx(f), as E_yx is -A_yx(f)
+    det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
     s2_x, s2_y = sigma[:, 0, 0], sigma[:, 1, 1]
     causal = s2_x[:, None] * np.abs(e[..., 1, 0]) ** 2
     internal = s2_y[:, None] * np.abs(e[..., 0, 0]) ** 2

@@ -9,10 +9,10 @@ target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
 initial conditions with a 100-sample burn-in. The driver equation is the
 analysed model's row 0; only the null target equation is fitted, by
-:func:`gica.varmodel.gated_lstsq`. The generator is gated by
-:func:`gica.varmodel.require_stable`; the whole batch's channel-major drive
-is filtered by one call of :func:`gica.varmodel.simulate_var`, and the
-batch is returned as that channel-major ``(2, B, n)`` array, which
+:func:`gica.varmodel.gated_lstsq`. The generator, :func:`gica.restricted.restricted_lags`
+of the two, is gated by :func:`gica.varmodel.require_stable`; the whole batch's
+channel-major drive is filtered by one call of :func:`gica.varmodel.simulate_var`,
+and the batch is returned as that channel-major ``(2, B, n)`` array, which
 :func:`gica.pipeline.surrogate_values` slices into blocks without a copy.
 
 Verdict rules on the surrogate distribution of each measure: causality is
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .restricted import AR_ON_Y, X_ON_Y
+from .restricted import AR_ON_Y, PAST, X_ON_Y, restricted_lags
 from .timeseries import TimeSeriesPair, json_number
 from .varmodel import BivariateVarModel, gated_lstsq, lag_matrix, require_stable, simulate_var
 
@@ -39,6 +39,7 @@ SURROGATE_BURN_IN = 100
 
 H1 = "h1"
 H2 = "h2"
+NULL_KIND = {H1: AR_ON_Y, H2: X_ON_Y}  # hypothesis -> its null target equation's regression
 
 # measure -> (required hypothesis, rejection tail)
 TAILS = {
@@ -53,12 +54,12 @@ def fit_restricted_direct(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares restricted fit of the target directly on data.
 
-    ``kind`` selects the regressor past: ``"ar_on_y"`` uses the target's own
-    past, ``"x_on_y"`` the driver's past. Returns ``(coeffs, residuals)``.
+    ``kind`` selects the regressor past, :data:`gica.restricted.PAST`; the hypothesis
+    picks it through :data:`NULL_KIND` alone. Returns ``(coeffs, residuals)``.
     """
-    if kind not in (AR_ON_Y, X_ON_Y):
+    if kind not in PAST:
         raise ValueError(f"unknown restricted model kind {kind!r}")
-    z = lag_matrix([y if kind == AR_ON_Y else x], q)[q:]  # the source's lags 1..q, then ..
+    z = lag_matrix([(x, y)[PAST[kind]]], q)[q:]  # the source's lags 1..q, then ..
     z[:, -1] = y[q:]  # .. the target Y_n in place of the source's present
     coeffs, resid = gated_lstsq(z, q, f"the {kind} regression")
     return coeffs[:, 0], resid[:, 0]
@@ -76,17 +77,13 @@ def generate_surrogates(
     Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream keyed by
     ``(seed, i)``, so results are reproducible and order-independent.
     """
-    if hypothesis not in (H1, H2):
+    if hypothesis not in NULL_KIND:
         raise ValueError(f"hypothesis must be {H1!r} or {H2!r}, got {hypothesis!r}")
     p = model.p
     z = lag_matrix([pair.x, pair.y], p)[p:]  # [X_{n-1}, Y_{n-1} .. X_{n-p}, Y_{n-p}, X_n, Y_n]
     u = z[:, 2 * p] - z[:, : 2 * p] @ model.coeffs[:, 0].ravel()
-    target_kind = AR_ON_Y if hypothesis == H1 else X_ON_Y
-    b, v = fit_restricted_direct(pair.x, pair.y, target_kind, q)
-
-    coeffs = np.zeros((max(p, q), 2, 2))
-    coeffs[:p, 0] = model.coeffs[:, 0]
-    coeffs[:q, 1, 1 if hypothesis == H1 else 0] = b  # H1 self past, H2 driver past
+    b, v = fit_restricted_direct(pair.x, pair.y, NULL_KIND[hypothesis], q)
+    coeffs = restricted_lags(model.coeffs[None], b[None], NULL_KIND[hypothesis])[0]
     require_stable(coeffs, "fitted surrogate generator")
 
     # burn-in reuses the permuted residuals cyclically, the retained

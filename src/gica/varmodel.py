@@ -178,9 +178,12 @@ def require_stable(coeffs: np.ndarray, what: str) -> None:
     """Raise :class:`UnstableModelError` naming ``what`` unless all of ``coeffs`` is stable.
 
     Lags ``(..., m, k, k)`` are stable when :func:`schur_cohn_stable` passes their
-    :func:`det_polynomial`; the companion radius is computed only to word a failure.
+    :func:`det_polynomial`, its all-zero trailing taps (of zero-padded lags) cut, each an idle
+    step; the companion radius is computed only to word a failure.
     """
-    if not schur_cohn_stable(det_polynomial(coeffs)).all():
+    taps = det_polynomial(coeffs)
+    width = np.trim_zeros(taps.reshape(-1, taps.shape[-1]).any(axis=0), "b").size
+    if not schur_cohn_stable(taps[..., :width]).all():
         rho = np.max(spectral_radius(coeffs))
         raise UnstableModelError(
             f"{what} is unstable: companion spectral radius {rho:.6g} >= 1"

@@ -4,10 +4,13 @@ One test per shipped guarantee: pointwise spectral identities, integral
 consistency with the time-domain measures, the autonomy null, oracle
 equivalence of the projection route against direct least squares, the
 open-loop trend and peak structure, the closed-loop autonomy drop, the
-averaged confounded study, surrogate calibration, and the four-setting
-benchmark matrix. Known numerical gaps are pinned by strict xfail tests
-right next to the guarantee they qualify.
+averaged confounded study, surrogate calibration, the four-setting
+benchmark matrix, and the default configuration's convergence to theory.
+Known numerical gaps are pinned by strict xfail tests right next to the
+guarantee they qualify.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +18,9 @@ from scipy.stats import binom, chi2
 
 from gica.pipeline import AnalysisConfig, analyze_pair, surrogate_values
 from gica.restricted import derive_restricted
-from gica.simulate import SimSpec, build_true_model, run_confounded_study, simulate
+from gica.simulate import (
+    SimSpec, build_true_model, run_confounded_study, simulate, theoretical_profiles
+)
 from gica.spectral import (
     DEFAULT_BANDS,
     FrequencyGrid,
@@ -345,3 +350,20 @@ def test_acceptance_09_causality_silent_without_coupling(benchmark_matrix):
         values = results[setting].profiles["gc"].values
         freq = GRID.values[np.argmax(values)]
         assert abs(freq - 0.3) > 0.02, setting
+
+
+def test_acceptance_10_default_config_converges_to_theory():
+    # the default analysis of eight open-loop records: each time-domain measure and band
+    # mean lies within 4 standard errors of its exact value. A default high-pass put a
+    # double zero at f = 0: AIC ran to p_max, and A_y and the VLF ga fell 6 and 15 errors low
+    spec = SimSpec(system="open_loop", n=5000, b=1.0, c=0.5)
+    _, theory = theoretical_profiles(spec, GRID)
+    results = [analyze_pair(simulate(replace(spec, seed=seed)), AnalysisConfig())
+               for seed in range(8)]
+    for measure in ("gc", "gi", "ga"):
+        for scope in ("time", *DEFAULT_BANDS):
+            values = np.array([r.report.value(measure, scope) for r in results])
+            error = values.std(ddof=1) / np.sqrt(values.size)
+            z = (values.mean() - theory.value(measure, scope)) / error
+            assert abs(z) < 4, (measure, scope, z)
+    assert max(r.order for r in results) < AnalysisConfig().p_max

@@ -223,6 +223,27 @@ def test_each_model_is_gated_once(sim_pair, monkeypatch):
     assert sum(gated) == 1 + 1 + 1 + 10 + 10
 
 
+def test_every_gate_takes_model_lags(sim_pair, monkeypatch):
+    # the full models, the mixed models of autonomy and both surrogate generators are
+    # gated alike: require_stable of lags (..., max(p, q), 2, 2) for the mixed and null ones
+    gated = []
+    gate = gica.varmodel.require_stable
+
+    def recording(coeffs, what):
+        gated.append((what, np.shape(coeffs)))
+        return gate(coeffs, what)
+
+    for module in (gica.varmodel, gica.spectral, gica.surrogates):
+        monkeypatch.setattr(module, "require_stable", recording)
+    config = AnalysisConfig(detrend_cutoff=None, order=2, grid_points=129, n_surrogates=2)
+    analyze_pair(sim_pair, config)
+    assert all(shape[-2:] == (2, 2) for _, shape in gated), gated
+    assert {(what, shape[-3]) for what, shape in gated} == {
+        ("model", 2), ("mixed model for autonomy", 20), ("fitted surrogate generator", 20)
+    }
+    assert [what for what, _ in gated].count("fitted surrogate generator") == 2
+
+
 def test_long_memory_model_warns_about_truncation(sim_pair):
     config = AnalysisConfig(detrend_cutoff=None, order=14, grid_points=257)
     result = analyze_pair(sim_pair, config)
@@ -439,6 +460,41 @@ def test_cli_theoretical_rejects_multi_sweep(tmp_path):
 def test_cli_theoretical_rejects_confounded(tmp_path):
     with pytest.raises(SystemExit, match="confounded-study"):
         run_cli(["theoretical", "--system", "confounded", "--out", tmp_path / "x"])
+
+
+def test_cli_sweep_names_each_value_by_15_digits(tmp_path, capsys):
+    # two values that agree to 6 digits get a directory and a summary row each
+    outdir = tmp_path / "sweep"
+    assert run_cli(["theoretical", "--system", "open_loop", "--c", "0.1234561,0.1234562",
+                    "--grid-points", "33", "--out", outdir]) == 0
+    assert "c = 0.1234561:" in capsys.readouterr().out
+    rows = [line.split(",") for line in (outdir / "sweep_summary.csv").read_text().splitlines()]
+    assert [row[1] for row in rows[1:]] == ["0.1234561", "0.1234562"]
+    for row in rows[1:]:
+        report = json.loads((outdir / f"c_{row[1]}" / "report.json").read_text())
+        assert_allclose(float(row[2]), report["F_xy"], rtol=1e-14, atol=0)
+    assert rows[1][2] != rows[2][2]
+
+
+@pytest.mark.parametrize("values", ["0.5,0.5", "0.25,0.5,0.50"])
+def test_cli_sweep_rejects_a_value_given_twice(tmp_path, values):
+    # the second point's files would replace the first's
+    outdir = tmp_path / "twice"
+    with pytest.raises(SystemExit, match="--c value 0.5 is given twice"):
+        run_cli(["theoretical", "--system", "open_loop", "--c", values, "--out", outdir])
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["theoretical", "--system", "open_loop", "--d", "0.5"],
+    ["theoretical", "--system", "open_loop", "--c", "0,2"],
+    ["confounded-study", "--a", "0.8", "--runs", "0"],
+])
+def test_cli_refused_run_creates_no_directory(tmp_path, capsys, args):
+    outdir = tmp_path / "D"
+    assert run_cli([*args, "--out", outdir]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
 
 
 def test_cli_confounded_study(tmp_path, capsys):

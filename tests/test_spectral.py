@@ -5,7 +5,7 @@ import pytest
 import gica.spectral
 from numpy.testing import assert_allclose
 
-from gica.restricted import derive_restricted
+from gica.restricted import X_ON_Y, derive_restricted, restricted_lags
 from gica.simulate import SimSpec, build_true_model
 from gica.spectral import (
     DEFAULT_BANDS,
@@ -16,13 +16,8 @@ from gica.spectral import (
     full_band_integral,
     integrate_band,
 )
-from gica.spectral import _band_stack, _lag_transform, _mixed_det_lags
-from gica.varmodel import (
-    BivariateVarModel,
-    UnstableModelError,
-    autocovariance_stack,
-    spectral_radius,
-)
+from gica.spectral import _band_stack, _lag_transform, measure_stack
+from gica.varmodel import BivariateVarModel, UnstableModelError, autocovariance_stack
 
 GRID = FrequencyGrid(2049)
 
@@ -44,15 +39,31 @@ def measures(model, grid=GRID, q=20):
 def test_assemble_profiles_forms_each_determinant_once(monkeypatch):
     # det E for ga and the PSD scale, det F for ga: two determinants, not three
     dets = []
-    det = gica.spectral._det
+    nonsingular = gica.spectral._nonsingular
 
-    def counting(e, what):
+    def counting(det, what):
         dets.append(what)
-        return det(e, what)
+        return nonsingular(det, what)
 
-    monkeypatch.setattr(gica.spectral, "_det", counting)
+    monkeypatch.setattr(gica.spectral, "_nonsingular", counting)
     measures(build_true_model(SimSpec(system="open_loop", n=2, b=1.0, c=0.5)))
     assert dets == ["full model", "mixed model"]
+
+
+def mixed_determinant(monkeypatch, model, grid):
+    """``E(f)``, ``det F(f)`` and ``x_coeffs`` of one model, ``det F`` as measure_stack forms it."""
+    dets = {}
+    nonsingular = gica.spectral._nonsingular
+
+    def keeping(det, what):
+        dets[what] = det[0]
+        return nonsingular(det, what)
+
+    monkeypatch.setattr(gica.spectral, "_nonsingular", keeping)
+    spectra, _, _, restricted = measure_stack(model.coeffs[None], model.sigma[None], 20, grid, {})
+    monkeypatch.undo()
+    return spectra[0][0], dets["mixed model"], restricted[2][0]
+
 
 def direct_transfer(coeffs, grid):
     # reference: invert I - sum_k A_k e^(-2i pi f k) built term by term
@@ -169,35 +180,27 @@ def test_transfers_match_direct_inverse(random_model_factory):
             assert_allclose(g, direct_transfer(mixed, grid), rtol=0, atol=1e-12)
 
 
-def test_mixed_determinant_matches_block_model(random_model_factory):
-    # det F(z) as one scalar lag polynomial of degree p + q: its companion
-    # radius is that of the block companion, its transform det G(f)^(-1)
+def test_mixed_determinant_matches_block_model(monkeypatch, random_model_factory):
+    # det F(f) = E_xx + E_xy B_yx of measure_stack is det G(f)^(-1) of the block
+    # mixed model, whose lags restricted_lags builds
     rng = np.random.default_rng(34)
     models = [random_model_factory(rng) for _ in range(4)]
     models += [random_model_factory(rng, p=14) for _ in range(2)]
     for model in models:
-        x_coeffs = restricted(model)[2][0]
-        a_xx, a_xy = model.coeffs[:, 0, 0], model.coeffs[:, 0, 1]
-        lags = _mixed_det_lags(a_xx[None], a_xy[None], x_coeffs[None])
-        assert lags.shape == (1, model.p + 20)
-        mixed = mixed_coeffs(a_xx, a_xy, x_coeffs)
-        assert_allclose(
-            spectral_radius(lags[..., None, None])[0], spectral_radius(mixed), rtol=0, atol=1e-10
-        )
         for grid in (FrequencyGrid(513), FrequencyGrid(3)):
-            det_f = _lag_transform(lags[..., None, None], grid)[0, :, 0, 0]
+            _, det_f, x_coeffs = mixed_determinant(monkeypatch, model, grid)
+            mixed = mixed_coeffs(model.coeffs[:, 0, 0], model.coeffs[:, 0, 1], x_coeffs)
+            lags = restricted_lags(model.coeffs[None], x_coeffs[None], X_ON_Y)[0]
+            assert lags.shape == (max(model.p, 20), 2, 2) and np.array_equal(lags, mixed)
             g = direct_transfer(mixed, grid)
             assert_allclose(det_f, np.linalg.det(np.linalg.inv(g)), rtol=1e-12, atol=0)
 
 
-def test_open_loop_restricted_transfer_is_flat(reference_model):
+def test_open_loop_restricted_transfer_is_flat(monkeypatch, reference_model):
     # without a feedback entry in the driver row, G_yy = (1 - A_xx) / det F is
     # identically one: det F reduces to the driver's own lag polynomial
-    coeffs, x_coeffs = reference_model.coeffs, restricted(reference_model)[2]
-    lags = _mixed_det_lags(coeffs[None, :, 0, 0], coeffs[None, :, 0, 1], x_coeffs)
-    det_f = _lag_transform(lags[..., None, None], GRID)[0, :, 0, 0]
-    e_xx = _lag_transform(coeffs[None], GRID)[0, :, 0, 0]
-    assert_allclose(np.abs(e_xx / det_f), 1.0, rtol=0, atol=1e-12)
+    e, det_f, _ = mixed_determinant(monkeypatch, reference_model, GRID)
+    assert_allclose(np.abs(e[:, 0, 0] / det_f), 1.0, rtol=0, atol=1e-12)
 
 
 def test_autonomy_shape_integrates_to_zero(reference_model):

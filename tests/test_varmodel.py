@@ -517,6 +517,32 @@ def test_schur_cohn_gate_matches_companion_eigenvalues(kind, radius):
                 require_stable(coeffs, "model")
 
 
+def gate_passes(coeffs):
+    try:
+        require_stable(coeffs, "model")
+    except UnstableModelError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 14])
+def test_gate_cuts_the_zero_taps_of_padded_lags(monkeypatch, p):
+    # lags zero-padded to 20 + 3 leave det E all-zero trailing taps: the gate cuts them,
+    # so the step-down runs on the unpadded taps and gives the unpadded verdict
+    rng = np.random.default_rng(9 + p)
+    widths, stable = [], gica.varmodel.schur_cohn_stable
+    monkeypatch.setattr(gica.varmodel, "schur_cohn_stable",
+                        lambda taps: widths.append(np.shape(taps)[-1]) or stable(taps))
+    for radius in (0.5, 0.99, 1.01, 1.5):
+        coeffs = lags_at_radius(rng.standard_normal((4, p, 2, 2)), radius)
+        padded = np.concatenate([coeffs, np.zeros((4, 23 - p, 2, 2))], axis=1)
+        for one, pad in zip(coeffs, padded):
+            assert gate_passes(pad) == gate_passes(one) == (radius < 1)
+        mixed = np.concatenate([padded[:2], lags_at_radius(padded[2:], 0.9)])
+        assert gate_passes(mixed) == (radius < 1)
+    assert set(widths) == {2 * p + 1}
+
+
 def test_det_polynomial_roots_are_inverse_companion_eigenvalues():
     rng = np.random.default_rng(8)
     for k in (1, 2, 3):
