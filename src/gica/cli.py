@@ -138,8 +138,11 @@ def _add_sim_params(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _floats(name: str, raw: str) -> list[float]:
+    values = [float(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"--{name} needs at least one value")
+    return values
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -202,7 +205,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         )
     outdir = Path(args.out)
     grid = FrequencyGrid(args.grid_points, 1.0)
-    multi = {name: _floats(getattr(args, name)) for name in ("b", "c", "d")}
+    multi = {name: _floats(name, getattr(args, name)) for name in ("b", "c", "d")}
     swept = [name for name, vals in multi.items() if len(vals) > 1]
     if len(swept) > 1:
         raise SystemExit("error: at most one of --b/--c/--d may be a sweep list")

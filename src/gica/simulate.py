@@ -25,7 +25,7 @@ three-process confounded one, of which the observed pair (X, Y) is kept.
 Theoretical profiles take an analysis's one call from a model to its
 measures, :func:`gica.spectral.assemble_profiles`; each confounded-study run
 takes a surrogate block's, :func:`gica.spectral.measure_stack` of the model
-:func:`gica.varmodel.fit_var` reads off its AIC scan.
+:func:`gica.varmodel.fit_var_aic_stack` reads off the AIC scan of its block.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_stack
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, fit_var, poles_to_ar_coeffs, require_stable, simulate_var
+from .varmodel import BivariateVarModel, fit_var_aic_stack, poles_to_ar_coeffs, require_stable
+from .varmodel import simulate_var
 
 BURN_IN = 1000
 
@@ -217,9 +218,11 @@ def run_confounded_study(
     """Average estimated causality/isolation/autonomy over repeated runs.
 
     The confounded system is built and gated once and simulated ``SURROGATE_BLOCK`` runs at a
-    time, each from its ``(seed, run)`` stream; each run fits a bivariate model on the observed
-    (X, Y) with AIC order selection and computes the spectral measures; profiles are averaged
-    pointwise. Runs whose fit fails the stability gates are skipped; more than 5% failures aborts.
+    time, each from its ``(seed, run)`` stream. Each block's observed (X, Y) pairs take one
+    stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`); each run's bivariate model, the
+    one :func:`gica.varmodel.fit_var` would fit alone, gives its spectral measures, and profiles
+    are averaged pointwise. A run whose fit or measures fail a gate is skipped; more than 5%
+    failures aborts.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -230,9 +233,11 @@ def run_confounded_study(
     sums = {name: np.zeros(grid.n_points) for name in ("gc", "gi", "ga")}
     failures = 0
     for start in range(0, n_runs, SURROGATE_BLOCK):
-        for x, y in _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]):
+        x, y = _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]).swapaxes(0, 1)
+        for model in fit_var_aic_stack(x, y, p_max):
             try:
-                model = fit_var(x, y, "aic", p_max)
+                if isinstance(model, ValueError):
+                    raise model
                 profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
             except ValueError:
                 failures += 1

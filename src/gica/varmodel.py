@@ -17,10 +17,12 @@ included, runs :func:`simulate_var`.
 Every least-squares fit is the R factor of ``[design | targets]`` from the
 lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
 its ``R11`` and a triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack`
-(one batched R per block) and :func:`aic_curve` (one R plus one small QR per
-order) read rank, ``Sigma`` and exact equations off R through one per-order
-gate. :func:`fit_var`, the one entry from a pair to a model, takes at ``"aic"``
-the scan's R and ``Sigma_p`` of the chosen order, gated once. :func:`autocovariance_stack`
+(one batched R per block) and the AIC scan (one R plus one small QR per order,
+for a whole block of pairs at once) read rank, ``Sigma`` and exact equations
+off R through one per-order gate. :func:`fit_var_aic_stack` takes each pair's
+R and ``Sigma_p`` at its chosen order from one scan of its block;
+:func:`fit_var`, the one entry from a pair to a model, is at ``"aic"`` its
+batch of one and :func:`aic_curve` that scan's row. :func:`autocovariance_stack`
 gates, solves and recurses a whole block at once.
 """
 
@@ -293,24 +295,42 @@ def _order_gate(r: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def fit_var(x: np.ndarray, y: np.ndarray, order: int | str, p_max: int = 14) -> BivariateVarModel:
     """Least-squares fit of a bivariate AR model: :func:`fit_var_stack` of one pair at an integer
-    ``order``; at ``"aic"``, the order ``1 .. p_max`` minimizing :func:`aic_curve` (ties go to
-    the smaller), its ``R11^-1 R12`` and ``Sigma_p`` those the scan formed and gated for it."""
+    ``order``; at ``"aic"``, :func:`fit_var_aic_stack` of the pair as a batch of one."""
     if order == "aic":
-        aics, fits = _aic_scan(x, y, p_max)
-        if np.isneginf(aics).any():  # a lower order would only misfit an exact relation
-            raise ValueError(
-                f"no order could be fitted: at order {np.argmin(aics) + 1} a channel is an "
-                "exact function of the past, its residual variance at rounding level"
-            )
-        if not np.isfinite(aics).any():
-            raise ValueError("no order could be fitted; series too short or degenerate")
-        order = int(np.argmin(aics)) + 1
-        r, sigma = fits[order - 1]  # the scan kept full-rank orders only
-        coeffs = _solve(r, 2 * order, 2 * order, "the full model").reshape(order, 2, 2)
-        return BivariateVarModel(coeffs.swapaxes(-1, -2), sigma)
+        model = fit_var_aic_stack(*_one_pair(x, y), p_max)[0]
+        if isinstance(model, ValueError):
+            raise model
+        return model
     x, y = np.asarray(x, float)[None], np.asarray(y, float)[None]
     coeffs, sigma = fit_var_stack(x, y, int(order))
     return BivariateVarModel(coeffs[0], sigma[0])
+
+
+def fit_var_aic_stack(
+    x: np.ndarray, y: np.ndarray, p_max: int = 14
+) -> list[BivariateVarModel | ValueError]:
+    """Per pair of stacks ``(B, N)``, the order ``1 .. p_max`` minimizing its :func:`aic_curve`
+    (ties go to the smaller) and its ``R11^-1 R12`` and ``Sigma_p``, those one :func:`_aic_scan`
+    of the block formed and gated for it; or, for a pair no order fits, the ``ValueError``
+    :func:`fit_var` raises for it at ``"aic"``."""
+    aics, fits = _aic_scan(x, y, p_max)
+    models: list[BivariateVarModel | ValueError] = []
+    for row, curve in enumerate(aics):
+        try:
+            if np.isneginf(curve).any():  # a lower order would only misfit an exact relation
+                raise ValueError(
+                    f"no order could be fitted: at order {np.argmin(curve) + 1} a channel is an "
+                    "exact function of the past, its residual variance at rounding level"
+                )
+            if not np.isfinite(curve).any():
+                raise ValueError("no order could be fitted; series too short or degenerate")
+            order = int(np.argmin(curve)) + 1
+            r, sigma = fits[order - 1]  # the scan kept this row alive through its order
+            coeffs = _solve(r[row], 2 * order, 2 * order, "the full model").reshape(order, 2, 2)
+            models.append(BivariateVarModel(coeffs.swapaxes(-1, -2), sigma[row]))
+        except ValueError as err:
+            models.append(err)
+    return models
 
 
 def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,49 +365,76 @@ def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
     """``AIC(p) = N ln det(Sigma_p) + 2 (4 p)`` for ``p = 1 .. p_max``, N the pair length.
 
     ``Sigma_p`` is :func:`fit_var`'s, each order on its own sample ``p+1 ..
-    N``, from one R factor instead of a fit per order. With ``Z`` the
-    :func:`lag_matrix` of ``P`` lags, ``R0`` of ``Z[P:]`` covers the rows all
-    orders share; order p's columns of ``R0`` over its extra rows ``Z[p:P]``
-    take one small QR to its R factor, read by :func:`fit_var_stack`'s gate.
-    The scan stops at the first order with ``N <= 4p + 2``, non-finite
-    values, a rank-deficient design or a ``Sigma_p`` that is not positive
-    definite: it and all larger orders get ``inf``, as does one whose ``det
-    Sigma_p`` is not positive. An exact order gets ``-inf`` and ends the scan.
+    N``, from one R factor instead of a fit per order: the pair's row of
+    :func:`_aic_scan`, as a batch of one. With ``Z`` the :func:`lag_matrix`
+    of ``P`` lags, ``R0`` of ``Z[P:]`` covers the rows all orders share;
+    order p's columns of ``R0`` over its extra rows ``Z[p:P]`` take one
+    small QR to its R factor, read by :func:`fit_var_stack`'s gate. The curve
+    ends at the first order with ``N <= 4p + 2``, non-finite values, a
+    rank-deficient design or a ``Sigma_p`` that is not positive definite: it
+    and all larger orders get ``inf``, as does one whose ``det Sigma_p`` is
+    not positive. An exact order gets ``-inf`` and ends the curve.
     """
-    return _aic_scan(x, y, p_max)[0]
+    return _aic_scan(*_one_pair(x, y), p_max)[0][0]
 
 
-def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, list[tuple]]:
-    """:func:`aic_curve` and ``(R, Sigma_p)`` of each full-rank order it fitted, from 1."""
-    if p_max < 1:
-        raise ValueError(f"p_max must be >= 1, got {p_max}")
+def _one_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pair of one-dimensional series as stacks ``(1, N)``."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be one-dimensional series of equal length")
-    n = x.size
+    return x[None], y[None]
+
+
+def _aic_scan(x: np.ndarray, y: np.ndarray, p_max: int) -> tuple[np.ndarray, list[tuple]]:
+    """:func:`aic_curve` ``(B, p_max)`` of pairs of stacks ``(B, N)``, and per order from 1 the
+    stacks ``(R, Sigma_p)`` it formed: one batched small QR and one gate per order for the block.
+
+    A row stays alive while its R is finite and its design has full rank: a non-finite R is
+    swapped for zeros, of rank 0, before the gate, and the scan ends when no row is alive. An
+    exact order or a ``Sigma_p`` that is not positive definite ends a row's curve after the
+    scan, through the same running mask. Each row's curve, R and ``Sigma_p`` are those of the
+    row scanned alone.
+    """
+    if p_max < 1:
+        raise ValueError(f"p_max must be >= 1, got {p_max}")
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError("x and y must be equal-shape stacks of one-dimensional series")
+    n = x.shape[-1]
     top = max(0, min(p_max, (n - 3) // 4))  # largest order with n > 4p + 2
-    z = lag_matrix([x, y], top)
-    r0 = _r_factor(z[top:])
-    fits, exacts = [], []
+    pairs = np.stack([x, y], axis=-2)
+    # R0 row by row: a block's whole lag matrix would be held twice during its QR
+    r0 = np.stack([_r_factor(lag_matrix(pair, top)[top:]) for pair in pairs])
+    z = lag_matrix(pairs[..., :top], top)  # rows 0 .. top-1: the extra rows of lower orders
+    alive = np.ones(len(x), dtype=bool)
+    fits, full, exacts = [], [], []
     for p in range(1, top + 1):
-        cols = np.r_[: 2 * p, -2, -1]
-        r = np.linalg.qr(np.vstack([r0[:, cols], z[p:top, cols]]), mode="r")
+        rows = np.concatenate([r0, z[:, p:top]], axis=-2).take([*range(2 * p), -2, -1], axis=-1)
+        r = np.linalg.qr(rows, mode="r")
         if not np.isfinite(r).all():
-            break
+            r = np.where(np.isfinite(r).all(axis=(-2, -1))[:, None, None], r, 0.0)
         rank, sigma, exact = _order_gate(r, n - p)
-        if rank < 2 * p:
-            break
+        alive = alive & (rank == 2 * p)
         fits.append((r, sigma))
+        full.append(alive)
         exacts.append(exact)
-    sigma = np.reshape([s for _, s in fits], (-1, 2, 2))
-    exact = np.reshape(exacts, (-1, 2)).any(axis=-1)
-    # orders up to the first Sigma_p that is exact or not positive definite
-    fitted = int(np.cumprod(~exact & (np.linalg.eigvalsh(sigma).min(axis=-1) > 0)).sum())
-    sign, logdet = np.linalg.slogdet(sigma[:fitted])
-    aics = np.full(p_max, np.inf)
-    aics[:fitted] = np.where(sign > 0, n * logdet + 2 * (4 * np.arange(1, fitted + 1)), np.inf)
-    if fitted < exact.size and exact[fitted]:
-        aics[fitted] = -np.inf  # the limit of ln det Sigma_p: this order fits exactly
+        if not alive.any():
+            break
+    aics = np.full((len(x), p_max), np.inf)
+    if fits:
+        sigma = np.stack([s for _, s in fits], axis=1)
+        full = np.stack(full, axis=-1)
+        exact = np.stack(exacts, axis=1).any(axis=-1) & full
+        # orders up to the first that is exact, rank-deficient or not positive definite
+        fitted = np.logical_and.accumulate(
+            full & ~exact & (np.linalg.eigvalsh(sigma)[..., 0] > 0), axis=-1
+        )
+        sign, logdet = np.linalg.slogdet(sigma)
+        penalty = 2 * (4 * np.arange(1, len(fits) + 1))
+        aics[:, : len(fits)] = np.where(fitted & (sign > 0), n * logdet + penalty, np.inf)
+        # the limit of ln det Sigma_p at an exact order that ends a curve
+        ends = exact & np.pad(fitted, ((0, 0), (1, 0)), constant_values=True)[:, :-1]
+        aics[:, : len(fits)][ends] = -np.inf
     return aics, fits
 
 

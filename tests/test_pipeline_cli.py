@@ -497,6 +497,14 @@ def test_cli_refused_run_creates_no_directory(tmp_path, capsys, args):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flag, values", [("--b", ""), ("--c", ",")])
+def test_cli_theoretical_rejects_a_list_without_values(tmp_path, capsys, flag, values):
+    outdir = tmp_path / "D"
+    assert run_cli(["theoretical", "--system", "open_loop", flag, values, "--out", outdir]) == 1
+    assert capsys.readouterr().err == f"error: {flag} needs at least one value\n"
+    assert not outdir.exists()
+
+
 def test_cli_confounded_study(tmp_path, capsys):
     outdir = tmp_path / "study"
     rc = run_cli(["confounded-study", "--a", "0.8", "--runs", "3", "--n", "300",

@@ -24,6 +24,7 @@ from gica.spectral import (
     MeasureReport,
     assemble_profiles,
     full_band_integral,
+    measure_stack,
 )
 from gica.restricted import derive_restricted
 from gica.varmodel import autocovariance_stack, fit_var
@@ -347,7 +348,7 @@ def test_confounded_study_matches_assemble_profiles_path(seed):
 def test_confounded_study_gates_its_system_once(monkeypatch, n_runs):
     # the three-process system once per study, then each run's model and mixed model
     gated, pairs = [], []
-    stable, fit = gica.varmodel.schur_cohn_stable, gica.varmodel.fit_var
+    stable, fit = gica.varmodel.schur_cohn_stable, gica.varmodel.fit_var_aic_stack
 
     def counting(taps):
         gated.append(int(np.prod(np.shape(taps)[:-1])))
@@ -358,17 +359,34 @@ def test_confounded_study_gates_its_system_once(monkeypatch, n_runs):
     assert sum(gated) == 1 + 2 * n_runs
     monkeypatch.undo()
 
-    # each run's record is simulate()'s for its (seed, run) stream
+    # each row of each stacked scan is simulate()'s record for its (seed, run) stream
     def recording(x, y, *args):
-        pairs.append((x, y))
+        pairs.extend(zip(x, y))
         return fit(x, y, *args)
 
-    monkeypatch.setattr(gica.simulate, "fit_var", recording)
+    monkeypatch.setattr(gica.simulate, "fit_var_aic_stack", recording)
     run_confounded_study(0.8, 0.5, n_runs=n_runs, n=300, seed=7, grid=FrequencyGrid(129))
     assert len(pairs) == n_runs
     for run, (x, y) in enumerate(pairs):
         alone = simulate(SimSpec("confounded", 300, seed=(7, run), a=0.8, b=0.5))
         assert np.array_equal(x, alone.x) and np.array_equal(y, alone.y)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (6, 0)])
+def test_confounded_study_counts_failed_runs_as_a_loop_would(n, seed):
+    # 13 runs span two blocks; at n = 40 unstable fits fail in both, at n = 6 no order fits
+    grid = FrequencyGrid(129)
+    failed = []
+    for run in range(13):
+        pair = simulate(SimSpec("confounded", n, seed=(seed, run), a=0.8))
+        try:
+            model = fit_var(pair.x, pair.y, "aic", 14)
+            measure_stack(model.coeffs[None], model.sigma[None], 20, grid, {})
+        except ValueError:
+            failed.append(run)
+    assert min(failed) < 10 <= max(failed)
+    with pytest.raises(RuntimeError, match=f"aborted: {len(failed)}/13 runs failed"):
+        run_confounded_study(0.8, 0.0, n_runs=13, n=n, seed=seed, grid=grid)
 
 
 def test_confounded_study_rejects_empty_run_count():

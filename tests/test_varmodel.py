@@ -1,4 +1,6 @@
 """Full-model identification, stability handling, and autocovariance."""
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -363,6 +365,61 @@ def test_aic_scan_rank_deficient_pair(aic_loop_reference, target):
     else:
         with pytest.raises(ValueError, match="no order could be fitted"):
             fit_var(x, y, "aic", 14)
+
+
+def rows_dying_at_different_orders(n):
+    """Pairs ``(9, n)``: three closed-loop records, then a pair each whose curve ends by rank
+    (order 1), an exact target (order 1), an exact lagged copy (order 3), an exact sinusoid
+    driver (order 2), a non-finite sample (order 1) and a zero driver (order 1, by rank, though
+    its equation is exact too)."""
+    rng = np.random.default_rng(8)
+    system = SCAN_SYSTEMS[2]  # closed loop, b = 1, c = 0.5, d = 0.5
+    pairs = [simulate(SimSpec(n=n, seed=(9, s), **system)) for s in range(3)]
+    rows = [(pair.x, pair.y) for pair in pairs]
+    x = rng.standard_normal(n)
+    rows += [(x, 2 * x), (x, np.full(n, 3.0))]
+    s = simulate_var(np.array([[[0.5, 0.0], [0.0, 0.0]]]), rng.standard_normal((n + 3, 2)))[:, 0]
+    rows.append((s[3:], s[:-3]))
+    rows.append((np.sin(0.7 * np.arange(n)), rng.standard_normal(n)))
+    nan = rng.standard_normal(n)
+    nan[n // 2] = np.nan
+    rows.append((nan, rng.standard_normal(n)))
+    rows.append((np.zeros(n), rng.standard_normal(n)))
+    return np.array([x for x, _ in rows]), np.array([y for _, y in rows])
+
+
+@pytest.mark.parametrize("n", [40, 300])  # at n = 40 the live rows stop at the sample bound, 9
+def test_stacked_aic_scan_is_each_row_scanned_alone(aic_loop_reference, n):
+    x, y = rows_dying_at_different_orders(n)
+    aics, fits = gica.varmodel._aic_scan(x, y, 14)
+    assert len(fits) == min(14, (n - 3) // 4)
+    for row in range(3):
+        assert_allclose(aics[row], aic_loop_reference(x[row], y[row], 14), rtol=0, atol=1e-9)
+    models = gica.varmodel.fit_var_aic_stack(x, y, 14)
+    for row, model in enumerate(models):
+        alone, alone_fits = gica.varmodel._aic_scan(x[row : row + 1], y[row : row + 1], 14)
+        assert np.array_equal(aics[row], alone[0])
+        for (r, sigma), (r_alone, sigma_alone) in zip(fits, alone_fits):
+            assert np.array_equal(r[row], r_alone[0])
+            assert np.array_equal(sigma[row], sigma_alone[0])
+        if isinstance(model, ValueError):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(model))}$"):
+                fit_var(x[row], y[row], "aic", 14)
+        else:
+            chosen = fit_var(x[row], y[row], "aic", 14)
+            assert model.p == np.argmin(aics[row]) + 1
+            assert np.array_equal(model.coeffs, chosen.coeffs)
+            assert np.array_equal(model.sigma, chosen.sigma)
+    assert np.isfinite(aics[:3, : len(fits)]).all()
+    ends = [int(np.flatnonzero(~np.isfinite(curve))[0]) for curve in aics[3:]]
+    assert [end + 1 for end in ends] == [1, 1, 3, 2, 1, 1]
+    assert [aics[3 + row, end] for row, end in enumerate(ends)] == [
+        np.inf, -np.inf, -np.inf, -np.inf, np.inf, np.inf
+    ]
+    for curve, end in zip(aics[3:], ends):
+        assert np.all(curve[end + 1 :] == np.inf)
+    # a block whose rows all fail the rank gate at order 1 scans that order only
+    assert len(gica.varmodel._aic_scan(x[[3, 7]], y[[3, 7]], 14)[1]) == 1
 
 
 def test_aic_scan_fits_no_model(monkeypatch):
