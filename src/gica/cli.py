@@ -5,6 +5,11 @@ benchmark realization), ``theoretical`` (exact profiles from true
 parameters, single point or one-parameter sweep), and ``confounded-study``
 (averaged estimated profiles under a latent confounder). All outputs are
 deterministic for fixed inputs, flags, and seed.
+
+``simulate`` and ``theoretical`` build every :class:`gica.simulate.SimSpec` with
+:func:`_spec`, so a flag the system does not use is refused alike. A theoretical
+point is a sweep of one value; only the layout of its outputs differs. Every output
+directory is written by :func:`_write_outputs`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .simulate import (
     run_confounded_study,
     simulate,
     theoretical_profiles,
-    theoretical_sweep,
 )
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .surrogates import TAILS
@@ -71,11 +75,10 @@ def _parse_bands(specs: list[str] | None) -> dict[str, tuple[float, float]]:
     return bands
 
 
-def _write_json(data: dict, path: Path) -> None:
-    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _write_profiles(profiles: dict[str, SpectralProfile], outdir: Path) -> None:
+def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records: dict) -> None:
+    """Make ``outdir`` and write a ``profile_<name>.csv`` per profile and a ``<name>.json`` per
+    record, every profile on one grid formatting its frequencies once."""
+    outdir.mkdir(parents=True, exist_ok=True)
     freqs: dict[FrequencyGrid, list[str]] = {}
     for name, profile in profiles.items():
         if profile.grid not in freqs:
@@ -83,6 +86,8 @@ def _write_profiles(profiles: dict[str, SpectralProfile], outdir: Path) -> None:
         columns = [freqs[profile.grid], format_column(profile.values)]
         text = delimited_text(["frequency_hz", "value"], columns, ",")
         write_text(outdir / f"profile_{name}.csv", text)
+    for name, data in records.items():
+        write_text(outdir / f"{name}.json", json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_plot_data(profiles: dict[str, SpectralProfile], path: Path) -> None:
@@ -145,17 +150,15 @@ def _floats(name: str, raw: str) -> list[float]:
     return values
 
 
+def _spec(args: argparse.Namespace, n: int, seed: int, **values: float) -> SimSpec:
+    """The :class:`SimSpec` of ``--system``, ``--setting``, ``--a`` and ``--b/--c/--d``, with
+    ``values`` in place of the flags they name, so its unused-parameter check sees every flag."""
+    flags = {name: float(getattr(args, name)) for name in "bcd" if name not in values}
+    return SimSpec(args.system, n, seed, a=args.a, setting=args.setting, **flags, **values)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = SimSpec(
-        system=args.system,
-        n=args.n,
-        seed=args.seed,
-        b=float(args.b),
-        c=float(args.c),
-        d=float(args.d),
-        a=args.a,
-        setting=args.setting,
-    )
+    spec = _spec(args, args.n, args.seed)
     pair = simulate(spec)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_pair(pair, args.out)
@@ -185,12 +188,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pair = load_pair(args.input, args.fs, (args.x_col, args.y_col), args.delimiter)
     result = analyze_pair(pair, config)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(result.report.to_dict(), outdir / "report.json")
-    _write_json(result.model.to_dict(), outdir / "model.json")
-    _write_json(result.rest_ar.to_dict(), outdir / "restricted_ar.json")
-    _write_json(result.rest_x.to_dict(), outdir / "restricted_x.json")
-    _write_profiles(result.profiles, outdir)
+    _write_outputs(
+        outdir, result.profiles, report=result.report.to_dict(), model=result.model.to_dict(),
+        restricted_ar=result.rest_ar.to_dict(), restricted_x=result.rest_x.to_dict(),
+    )
     if args.plot_data:
         _write_plot_data(result.profiles, outdir / "plot_data.tsv")
     _print_summary(result.report, result.order)
@@ -203,45 +204,34 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
             "error: the confounded pair has no finite bivariate parameters; "
             "use confounded-study"
         )
-    outdir = Path(args.out)
     grid = FrequencyGrid(args.grid_points, 1.0)
     multi = {name: _floats(name, getattr(args, name)) for name in ("b", "c", "d")}
     swept = [name for name, vals in multi.items() if len(vals) > 1]
     if len(swept) > 1:
         raise SystemExit("error: at most one of --b/--c/--d may be a sweep list")
-    for name in swept:  # a value's directory is named by %.15g: a repeat would overwrite it
-        labels = [f"{value:.15g}" for value in multi[name]]
-        twice = [label for i, label in enumerate(labels) if label in labels[:i]]
-        if twice:
-            raise SystemExit(f"error: --{name} value {twice[0]} is given twice")
-    base = SimSpec(
-        system=args.system,
-        n=2,
-        seed=0,
-        b=multi["b"][0] if "b" not in swept else 0.0,
-        c=multi["c"][0] if "c" not in swept else 0.0,
-        d=multi["d"][0] if "d" not in swept else 0.0,
-        setting=args.setting,
-    )
+    param = (swept or ["b"])[0]  # a point is a sweep of its one --b value
+    # a value's directory is named by %.15g: a repeat would overwrite it
+    labels = [f"{value:.15g}" for value in multi[param]]
+    twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+    if twice:
+        raise SystemExit(f"error: --{param} value {twice[0]} is given twice")
+    point = {name: vals[0] for name, vals in multi.items()}
+    points = []
+    for value in multi[param]:
+        spec = _spec(args, 2, 0, **{**point, param: value})
+        points.append((spec, *theoretical_profiles(spec, grid, args.q)))
+    outdir = Path(args.out)
     if not swept:
-        profiles, report = theoretical_profiles(base, grid, args.q)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_profiles(profiles, outdir)
-        _write_json(report.to_dict(), outdir / "report.json")
-        _write_json(build_true_model(base).to_dict(), outdir / "true_model.json")
+        spec, profiles, report = points[0]
+        true_model = build_true_model(spec).to_dict()
+        _write_outputs(outdir, profiles, report=report.to_dict(), true_model=true_model)
         _print_summary(report)
         return 0
-    param = swept[0]
     rows = ["parameter,value,F_xy,F_y,A_y"]
-    points = theoretical_sweep(base, param, multi[param], grid, args.q)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for value, profiles, report in points:
-        subdir = outdir / f"{param}_{value:.15g}"
-        subdir.mkdir(exist_ok=True)
-        _write_profiles(profiles, subdir)
-        _write_json(report.to_dict(), subdir / "report.json")
-        rows.append(f"{param},{value:.15g},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
-        print(f"{param} = {value:.15g}: F_xy = {_fmt(report.f_xy)}, "
+    for label, (_, profiles, report) in zip(labels, points):
+        _write_outputs(outdir / f"{param}_{label}", profiles, report=report.to_dict())
+        rows.append(f"{param},{label},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
+        print(f"{param} = {label}: F_xy = {_fmt(report.f_xy)}, "
               f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
     write_text(outdir / "sweep_summary.csv", "\n".join(rows) + "\n")
     return 0
@@ -260,19 +250,9 @@ def cmd_confounded_study(args: argparse.Namespace) -> int:
         p_max=args.p_max,
         q=args.q,
     )
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_profiles(profiles, outdir)
-    _write_json(
-        {
-            "a": args.a,
-            "b": float(args.b),
-            "runs": args.runs,
-            "n": args.n,
-            "seed": args.seed,
-            "failed_runs": failures,
-        },
-        outdir / "study.json",
-    )
+    study = {"a": args.a, "b": float(args.b), "runs": args.runs, "n": args.n,
+             "seed": args.seed, "failed_runs": failures}
+    _write_outputs(outdir, profiles, study=study)
     print(f"averaged {args.runs - failures} runs ({failures} failed) into {outdir}")
     return 0
 

@@ -23,14 +23,15 @@ Every system runs as :func:`gica.varmodel.simulate_var` of its exact coefficient
 three-process confounded one, of which the observed pair (X, Y) is kept.
 
 Theoretical profiles take an analysis's one call from a model to its
-measures, :func:`gica.spectral.assemble_profiles`; each confounded-study run
+measures, :func:`gica.spectral.assemble_profiles`, one spec at a time (a sweep is
+one :func:`theoretical_profiles` call per value); each confounded-study run
 takes a surrogate block's, :func:`gica.spectral.measure_stack` of the model
 :func:`gica.varmodel.fit_var_aic_stack` reads off the AIC scan of its block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,24 +188,6 @@ def theoretical_profiles(
     return assemble_profiles(build_true_model(spec), q, grid, bands, [])[:2]
 
 
-def theoretical_sweep(
-    base: SimSpec,
-    param: str,
-    values: list[float],
-    grid: FrequencyGrid | None = None,
-    q: int = 20,
-    bands: dict[str, tuple[float, float]] | None = None,
-) -> list[tuple[float, dict[str, SpectralProfile], MeasureReport]]:
-    """Theoretical profiles for each value of one swept parameter."""
-    if param not in ("b", "c", "d"):
-        raise ValueError(f"sweep parameter must be b, c, or d, got {param!r}")
-    out = []
-    for value in values:
-        profiles, report = theoretical_profiles(replace(base, **{param: value}), grid, q, bands)
-        out.append((value, profiles, report))
-    return out
-
-
 def run_confounded_study(
     a: float,
     b: float,
@@ -222,7 +205,7 @@ def run_confounded_study(
     stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`); each run's bivariate model, the
     one :func:`gica.varmodel.fit_var` would fit alone, gives its spectral measures, and profiles
     are averaged pointwise. A run whose fit or measures fail a gate is skipped; more than 5%
-    failures aborts.
+    failures aborts, naming the first failed run and its error.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -231,22 +214,23 @@ def run_confounded_study(
     specs = [SimSpec("confounded", n, seed=(seed, run), a=a, b=b) for run in range(n_runs)]
     coeffs, _ = build_confounded_system(a, b)
     sums = {name: np.zeros(grid.n_points) for name in ("gc", "gi", "ga")}
-    failures = 0
+    failures, first = 0, ""
     for start in range(0, n_runs, SURROGATE_BLOCK):
         x, y = _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]).swapaxes(0, 1)
-        for model in fit_var_aic_stack(x, y, p_max):
+        for run, model in enumerate(fit_var_aic_stack(x, y, p_max), start):
             try:
                 if isinstance(model, ValueError):
                     raise model
                 profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
-            except ValueError:
+            except ValueError as exc:
                 failures += 1
+                first = first or f"first failure, run {run}: {exc}"
                 continue
             for name in sums:
                 sums[name] += profiles[name][0]
     if failures > 0.05 * n_runs:
         raise RuntimeError(
-            f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates"
+            f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates; {first}"
         )
     used = n_runs - failures
     profiles = {

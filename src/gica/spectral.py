@@ -306,7 +306,8 @@ def measure_stack(
     e = _lag_transform(coeffs, grid)
     det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
     require_stable(restricted_lags(coeffs, x_coeffs, X_ON_Y), "mixed model for autonomy")
-    minus_b = (x_coeffs @ _dft_table(grid, q)[:q]).view(complex)  # -B_yx(f), as E_yx is -A_yx(f)
+    # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
+    minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
     det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
     s2_x, s2_y = sigma[:, 0, 0], sigma[:, 1, 1]
     causal = s2_x[:, None] * np.abs(e[..., 1, 0]) ** 2

@@ -505,6 +505,16 @@ def test_cli_theoretical_rejects_a_list_without_values(tmp_path, capsys, flag, v
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("c", ["0.5", "0,0.5"])
+def test_cli_theoretical_rejects_a_parameter_its_system_does_not_use(tmp_path, capsys, c):
+    # a point and a sweep check --a as simulate does
+    outdir = tmp_path / "D"
+    assert run_cli(["theoretical", "--system", "open_loop", "--b", "1", "--c", c,
+                    "--a", "0.7", "--grid-points", "33", "--out", outdir]) == 1
+    assert capsys.readouterr().err == "error: the open_loop system does not use a, got 0.7\n"
+    assert not outdir.exists()
+
+
 def test_cli_confounded_study(tmp_path, capsys):
     outdir = tmp_path / "study"
     rc = run_cli(["confounded-study", "--a", "0.8", "--runs", "3", "--n", "300",

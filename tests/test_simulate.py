@@ -1,5 +1,6 @@
 """Benchmark system construction, simulation, and theoretical profiles."""
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gica.simulate import (
     run_confounded_study,
     simulate,
     theoretical_profiles,
-    theoretical_sweep,
 )
 from gica.spectral import (
     DEFAULT_BANDS,
@@ -297,19 +297,17 @@ def test_theoretical_profiles_reject_confounded():
 
 
 def test_sweep_records_values_and_trends():
+    # a sweep is one theoretical_profiles call per value
     base = SimSpec(system="open_loop", n=10, b=1.0, c=0.0)
-    rows = theoretical_sweep(base, "c", [0.0, 0.5, 1.0], FrequencyGrid(257))
+    rows = [
+        (c, *theoretical_profiles(replace(base, c=c), FrequencyGrid(257)))
+        for c in [0.0, 0.5, 1.0]
+    ]
     assert [value for value, _, _ in rows] == [0.0, 0.5, 1.0]
     causality = [report.f_xy for _, _, report in rows]
     assert causality[0] < causality[1] < causality[2]
     autonomy = [report.a_y for _, _, report in rows]
     assert max(autonomy) - min(autonomy) < 1e-3
-
-
-def test_sweep_rejects_unknown_parameter():
-    base = SimSpec(system="open_loop", n=10)
-    with pytest.raises(ValueError, match="sweep parameter"):
-        theoretical_sweep(base, "a", [0.0, 0.5])
 
 
 def test_confounded_study_deterministic_and_clean():
@@ -387,6 +385,15 @@ def test_confounded_study_counts_failed_runs_as_a_loop_would(n, seed):
     assert min(failed) < 10 <= max(failed)
     with pytest.raises(RuntimeError, match=f"aborted: {len(failed)}/13 runs failed"):
         run_confounded_study(0.8, 0.0, n_runs=13, n=n, seed=seed, grid=grid)
+
+
+@pytest.mark.parametrize("n, seed, reason", [
+    (6, 0, "run 0: no order could be fitted; series too short or degenerate"),
+    (40, 1, "run 1: model is unstable"),
+])
+def test_confounded_study_abort_names_its_first_failed_run(n, seed, reason):
+    with pytest.raises(RuntimeError, match=f"runs failed the fit gates; first failure, {reason}"):
+        run_confounded_study(0.8, 0.0, n_runs=13, n=n, seed=seed, grid=FrequencyGrid(129))
 
 
 def test_confounded_study_rejects_empty_run_count():

@@ -6,7 +6,7 @@ import gica.spectral
 from numpy.testing import assert_allclose
 
 from gica.restricted import X_ON_Y, derive_restricted, restricted_lags
-from gica.simulate import SimSpec, build_true_model
+from gica.simulate import SimSpec, build_true_model, simulate
 from gica.spectral import (
     DEFAULT_BANDS,
     FrequencyGrid,
@@ -17,7 +17,7 @@ from gica.spectral import (
     integrate_band,
 )
 from gica.spectral import _band_stack, _lag_transform, measure_stack
-from gica.varmodel import BivariateVarModel, UnstableModelError, autocovariance_stack
+from gica.varmodel import BivariateVarModel, UnstableModelError, autocovariance_stack, fit_var
 
 GRID = FrequencyGrid(2049)
 
@@ -405,3 +405,36 @@ def test_gc_infinite_outside_the_bands_leaves_their_means_finite(n_points):
     assert np.isinf(integrate_band(profiles["gc"], 0.0, 0.02)[1])
     assert np.isinf(full_band_integral(profiles["gc"]))
     assert_allclose(report.f_xy, 0.4949, atol=5e-5)
+
+
+def test_measure_stack_rows_equal_each_row_measured_alone():
+    # confounded-study fits grouped by order: a stack of one order measures each row with the
+    # same bits as a stack of one, on profiles, report arrays and restricted arrays
+    grid = FrequencyGrid(257)
+    by_order = {}
+    for seed in range(2):
+        for run in range(10):
+            pair = simulate(SimSpec("confounded", 500, seed=(seed, run), a=0.8))
+            model = fit_var(pair.x, pair.y, "aic", 14)
+            by_order.setdefault(model.p, []).append(model)
+    assert max(len(models) for models in by_order.values()) >= 5
+    for models in by_order.values():
+        coeffs = np.stack([model.coeffs for model in models])
+        sigma = np.stack([model.sigma for model in models])
+        _, profiles, report, rest = measure_stack(coeffs, sigma, 20, grid, DEFAULT_BANDS)
+        for i in range(len(models)):
+            _, alone, alone_report, alone_rest = measure_stack(
+                coeffs[i : i + 1], sigma[i : i + 1], 20, grid, DEFAULT_BANDS
+            )
+            for name in profiles:
+                assert np.array_equal(profiles[name][i], alone[name][0]), name
+            for field in ("f_xy", "f_y", "a_y"):
+                assert np.array_equal(getattr(report, field)[i], getattr(alone_report, field)[0])
+            for band, cells in report.bands.items():
+                for measure, pair in cells.items():
+                    for key, values in pair.items():
+                        assert np.array_equal(
+                            values[i], alone_report.bands[band][measure][key][0]
+                        ), (band, measure, key)
+            for stacked, single in zip(rest, alone_rest):
+                assert np.array_equal(stacked[i], single[0])
