@@ -24,9 +24,9 @@ three-process confounded one, of which the observed pair (X, Y) is kept.
 
 Theoretical profiles take an analysis's one call from a model to its
 measures, :func:`gica.spectral.assemble_profiles`, one spec at a time (a sweep is
-one :func:`theoretical_profiles` call per value); each confounded-study run
-takes a surrogate block's, :func:`gica.spectral.measure_stack` of the model
-:func:`gica.varmodel.fit_var_aic_stack` reads off the AIC scan of its block.
+one :func:`theoretical_profiles` call per value); a confounded-study block takes
+a surrogate block's, :func:`gica.spectral.measure_stack`, once per AIC order of
+the models :func:`gica.varmodel.fit_var_aic_stack` reads off the block's scan.
 """
 
 from __future__ import annotations
@@ -202,13 +202,18 @@ def run_confounded_study(
 
     The confounded system is built and gated once and simulated ``SURROGATE_BLOCK`` runs at a
     time, each from its ``(seed, run)`` stream. Each block's observed (X, Y) pairs take one
-    stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`); each run's bivariate model, the
-    one :func:`gica.varmodel.fit_var` would fit alone, gives its spectral measures, and profiles
-    are averaged pointwise. A run whose fit or measures fail a gate is skipped; more than 5%
-    failures aborts, naming the first failed run and its error.
+    stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`); each run's bivariate model is the
+    one :func:`gica.varmodel.fit_var` would fit alone. The block's models are grouped by order
+    and each group takes one :func:`gica.spectral.measure_stack`, whose rows do not depend on
+    the batch; a group that fails a gate is measured run by run, so each failing run keeps its
+    own error. Profiles are summed in run order, as one run at a time would, and averaged
+    pointwise. A run whose fit or measures fail a gate is skipped; more than 5% failures
+    aborts, naming the first failed run and its error.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if q < 1:  # a settings error, not a failure of every run
+        raise ValueError(f"q must be >= 1, got {q}")
     if grid is None:
         grid = FrequencyGrid.default()
     specs = [SimSpec("confounded", n, seed=(seed, run), a=a, b=b) for run in range(n_runs)]
@@ -217,17 +222,14 @@ def run_confounded_study(
     failures, first = 0, ""
     for start in range(0, n_runs, SURROGATE_BLOCK):
         x, y = _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]).swapaxes(0, 1)
-        for run, model in enumerate(fit_var_aic_stack(x, y, p_max), start):
-            try:
-                if isinstance(model, ValueError):
-                    raise model
-                profiles = measure_stack(model.coeffs[None], model.sigma[None], q, grid, {})[1]
-            except ValueError as exc:
+        models = fit_var_aic_stack(x, y, p_max)
+        for run, result in enumerate(_measure_by_order(models, q, grid), start):
+            if isinstance(result, ValueError):
                 failures += 1
-                first = first or f"first failure, run {run}: {exc}"
+                first = first or f"first failure, run {run}: {result}"
                 continue
             for name in sums:
-                sums[name] += profiles[name][0]
+                sums[name] += result[name]
     if failures > 0.05 * n_runs:
         raise RuntimeError(
             f"confounded study aborted: {failures}/{n_runs} runs failed the fit gates; {first}"
@@ -237,3 +239,32 @@ def run_confounded_study(
         name: SpectralProfile(grid, sums[name] / used, name) for name in sums
     }
     return profiles, failures
+
+
+def _measure_by_order(
+    models: list[BivariateVarModel | ValueError], q: int, grid: FrequencyGrid
+) -> list[dict[str, np.ndarray] | ValueError]:
+    """Per model, in order, its gc, gi and ga profiles or its error: one
+    :func:`gica.spectral.measure_stack` per group of models of one order, and one per model of
+    a group that fails a gate."""
+    results: list[dict[str, np.ndarray] | ValueError] = list(models)
+    groups: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
+        if not isinstance(model, ValueError):
+            groups.setdefault(model.p, []).append(i)
+    pending = list(groups.values())
+    while pending:
+        rows = pending.pop()
+        coeffs = np.stack([models[i].coeffs for i in rows])
+        sigma = np.stack([models[i].sigma for i in rows])
+        try:
+            profiles = measure_stack(coeffs, sigma, q, grid, {})[1]
+        except ValueError as err:
+            if len(rows) > 1:  # each failing run keeps its own error
+                pending.extend([i] for i in rows)
+            else:
+                results[rows[0]] = err
+            continue
+        for j, i in enumerate(rows):
+            results[i] = {name: profiles[name][j] for name in ("gc", "gi", "ga")}
+    return results

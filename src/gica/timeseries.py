@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -212,6 +211,8 @@ def highpass_detrend(series: np.ndarray, fs: float, cutoff: float = 0.0156) -> n
     cutoff : float
         High-pass cutoff in Hz; must lie in ``(0, fs/2)``.
     """
+    from scipy import signal  # deferred: scipy.signal takes most of a start-up
+
     series = np.asarray(series, dtype=float)
     if series.size < 20:
         raise ValueError("need at least 20 samples to detrend")

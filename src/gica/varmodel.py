@@ -16,14 +16,16 @@ included, runs :func:`simulate_var`.
 
 Every least-squares fit is the R factor of ``[design | targets]`` from the
 lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
-its ``R11`` and a triangular solve (:func:`gated_lstsq`). :func:`fit_var_stack`
-(one batched R per block) and the AIC scan (one R plus one small QR per order,
-for a whole block of pairs at once) read rank, ``Sigma`` and exact equations
-off R through one per-order gate. :func:`fit_var_aic_stack` takes each pair's
-R and ``Sigma_p`` at its chosen order from one scan of its block;
-:func:`fit_var`, the one entry from a pair to a model, is at ``"aic"`` its
-batch of one and :func:`aic_curve` that scan's row. :func:`autocovariance_stack`
-gates, solves and recurses a whole block at once.
+its ``R11`` and a triangular solve (:func:`gated_lstsq`); :func:`_rank` takes
+the SVD only when a Cholesky screen of ``R11^T R11`` cannot decide.
+:func:`fit_var_stack` (one batched R per block) and the AIC scan (one R plus
+one small QR per order, for a whole block of pairs at once) read rank,
+``Sigma`` and exact equations off R through one per-order gate.
+:func:`fit_var_aic_stack` takes each pair's R and ``Sigma_p`` at its chosen
+order from one scan of its block; :func:`fit_var`, the one entry from a pair
+to a model, is at ``"aic"`` its batch of one and :func:`aic_curve` that scan's
+row. :func:`autocovariance_stack` gates, solves and recurses a whole block at
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 class UnstableModelError(ValueError):
@@ -201,6 +202,8 @@ def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
     companion eigenvalues, of the drive's ``(..., T)`` rows one by one, so each row is
     bit-identical at any batch size. Zero trailing taps (exact 0s) are trimmed.
     """
+    from scipy.signal import lfilter  # deferred: scipy.signal takes most of a start-up
+
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != np.shape(drive)[-1:] * 2:  # k channels, k x k lags
         raise ValueError(f"lags {coeffs.shape}, drive {np.shape(drive)}: not (m, k, k), (.., T, k)")
@@ -251,9 +254,33 @@ def lag_matrix(s: np.ndarray, lags: int) -> np.ndarray:
 
 def _rank(r11: np.ndarray, rows: int) -> np.ndarray:
     """Ranks of designs of ``rows`` rows from their QR's ``R11`` ``(..., k, k)``, by ``lstsq``'s
-    rule: singular values up to ``eps * max(rows, k)`` times the largest count as zero."""
+    rule: singular values up to ``eps * max(rows, k)`` times the largest count as zero.
+
+    A Cholesky screen decides a stack of full rank without the SVD. With ``floor = max(1e-6,
+    1e3 eps max(rows, k))``, if every ``R11`` is finite and ``G = R11^T R11 - floor^2 |R11|_F^2
+    I`` has a Cholesky factor, every row has rank ``k``. Forming ``G`` and factoring it each
+    move it by at most ``O(k eps) |R11|_F^2`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 10.1), so success gives ``sigma_min^2 >= (floor^2 - O(k eps)) |R11|_F^2``:
+    ``sigma_min >~ floor sigma_max``, far above the rule's ``eps max(rows, k) sigma_max``. The
+    screen never changes a decision. A stack it cannot decide takes the SVD rule: a zeroed,
+    non-finite or near-singular row, or a shift below the normal range, where rounding is
+    absolute and the bound fails.
+    """
+    k = r11.shape[-1]
+    eps = np.finfo(float).eps
+    if np.isfinite(r11).all():
+        floor = max(1e-6, 1e3 * eps * max(rows, k))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the screen
+            shift = floor**2 * (r11**2).sum(axis=(-2, -1))
+            gram = np.swapaxes(r11, -1, -2) @ r11 - shift[..., None, None] * np.eye(k)
+        if shift.min(initial=np.inf) >= np.finfo(float).tiny:
+            try:
+                np.linalg.cholesky(gram)
+                return np.full(r11.shape[:-2], k)
+            except np.linalg.LinAlgError:
+                pass
     sv = np.linalg.svd(r11, compute_uv=False)
-    return (sv > np.finfo(float).eps * max(rows, r11.shape[-1]) * sv[..., :1]).sum(axis=-1)
+    return (sv > eps * max(rows, k) * sv[..., :1]).sum(axis=-1)
 
 
 def _solve(r: np.ndarray, k: int, rank: np.ndarray, what: str) -> np.ndarray:

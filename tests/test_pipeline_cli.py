@@ -1,6 +1,10 @@
 """Full analysis pipeline and the command-line interface."""
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import gica.cli
 import gica.pipeline
+import gica.simulate
 import gica.spectral
 import gica.surrogates
 import gica.varmodel
@@ -528,6 +533,38 @@ def test_cli_confounded_study(tmp_path, capsys):
     study = json.loads((outdir / "study.json").read_text())
     assert study["failed_runs"] == 0
     assert study["a"] == 0.8 and study["runs"] == 3
+
+
+def test_cli_confounded_study_refuses_q_below_one_before_simulating(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settings error must not simulate")
+
+    monkeypatch.setattr(gica.simulate, "_realizations", forbidden)
+    outdir = tmp_path / "q0"
+    rc = run_cli(["confounded-study", "--a", "0.8", "--runs", "3", "--q", "0",
+                  "--grid-points", "129", "--out", outdir])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: q must be >= 1, got 0\n"
+    assert not outdir.exists()
+
+
+def test_cli_import_and_default_analysis_leave_scipy_signal_unloaded():
+    # scipy.signal is imported by the simulation and the detrend, not at start-up
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import gica.cli
+        from gica.pipeline import AnalysisConfig, analyze_pair
+        from gica.timeseries import TimeSeriesPair
+        assert "scipy.signal" not in sys.modules, "import"
+        x, y = np.random.default_rng(0).standard_normal((2, 500))
+        analyze_pair(TimeSeriesPair(x, y, 1.0), AnalysisConfig(grid_points=65))
+        assert "scipy.signal" not in sys.modules, "analyze_pair"
+    """)
+    src = os.path.dirname(os.path.dirname(gica.cli.__file__))  # the package's own checkout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_error_exits(tmp_path, capsys):

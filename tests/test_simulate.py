@@ -1,4 +1,5 @@
 """Benchmark system construction, simulation, and theoretical profiles."""
+import re
 import types
 from dataclasses import replace
 
@@ -396,9 +397,50 @@ def test_confounded_study_abort_names_its_first_failed_run(n, seed, reason):
         run_confounded_study(0.8, 0.0, n_runs=13, n=n, seed=seed, grid=FrequencyGrid(129))
 
 
+@pytest.mark.parametrize("n, seed, n_runs", [(80, 1, 20), (40, 1, 13), (40, 2, 13)])
+def test_grouped_study_is_a_loop_of_single_runs(n, seed, n_runs):
+    # a block's models are measured once per order; a run that fails in a shared-order group
+    # fails alone, and the sum runs in run order as a loop of fit_var and assemble_profiles
+    grid = FrequencyGrid(129)
+    sums, orders, errors = dict.fromkeys(("gc", "gi", "ga"), 0.0), [], {}
+    for run in range(n_runs):
+        pair = simulate(SimSpec("confounded", n, seed=(seed, run), a=0.8))
+        try:
+            model = fit_var(pair.x, pair.y, "aic", 14)
+            orders.append(model.p)
+            profiles = assemble_profiles(model.diagonalized(), 20, grid, {})[0]
+        except ValueError as err:
+            errors[run] = err
+            continue
+        for name in sums:
+            sums[name] = sums[name] + profiles[name].values
+    first = min(errors)
+    assert len(set(orders[:10])) >= 2
+    assert orders.count(orders[first]) > 1  # the first failure shares its order with a run
+    if len(errors) > 0.05 * n_runs:
+        message = (f"aborted: {len(errors)}/{n_runs} runs failed the fit gates; "
+                   f"first failure, run {first}: {errors[first]}")
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_confounded_study(0.8, 0.0, n_runs=n_runs, n=n, seed=seed, grid=grid)
+        return
+    profiles, failures = run_confounded_study(0.8, 0.0, n_runs=n_runs, n=n, seed=seed, grid=grid)
+    assert failures == len(errors)
+    for name in sums:
+        assert np.array_equal(profiles[name].values, sums[name] / (n_runs - failures))
+
+
 def test_confounded_study_rejects_empty_run_count():
     with pytest.raises(ValueError, match="n_runs must be >= 1"):
         run_confounded_study(0.5, 0.0, n_runs=0)
+
+
+def test_confounded_study_rejects_q_below_one_before_simulating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settings error must not simulate")
+
+    monkeypatch.setattr(gica.simulate, "_realizations", forbidden)
+    with pytest.raises(ValueError, match="^q must be >= 1, got 0$"):
+        run_confounded_study(0.8, 0.0, n_runs=3, q=0)
 
 
 def test_estimated_profiles_approach_theory():

@@ -208,6 +208,59 @@ def test_rank_gate_agrees_with_lstsq(delta):
     assert (rank < 2) == (delta < 1e-13)
 
 
+def svd_rank(r11, rows):
+    """``lstsq``'s rank rule on ``R11`` ``(..., k, k)`` of ``rows`` rows, by SVD alone."""
+    sv = np.linalg.svd(r11, compute_uv=False)
+    return (sv > np.finfo(float).eps * max(rows, r11.shape[-1]) * sv[..., :1]).sum(axis=-1)
+
+
+def conditioned_r11(rng, rows, k, cond):
+    """``R11`` of a random ``rows x k`` design with singular values from 1 down to ``1/cond``."""
+    u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    design = u * np.logspace(0, -np.log10(cond), k) @ v.T
+    return np.linalg.qr(design, mode="r")
+
+
+CONDITIONS = 10.0 ** np.arange(0, 16.5, 0.5)  # 1 to 1e16 in half-decades
+
+
+@pytest.mark.parametrize("rows", [50, 2000])
+@pytest.mark.parametrize("k", [2, 6, 14, 28])
+def test_rank_screen_agrees_with_svd_rule(rows, k):
+    # the Cholesky screen decides only what the SVD rule would, row by row and for a block
+    rng = np.random.default_rng(rows + k)
+    block = np.stack([conditioned_r11(rng, rows, k, cond) for cond in CONDITIONS])
+    expected = svd_rank(block, rows)
+    assert 0 < (expected == k).sum() < len(CONDITIONS)  # both decisions are tested
+    for r11, rank in zip(block, expected):
+        assert gica.varmodel._rank(r11[None], rows).tolist() == [rank]
+        # near the underflow threshold the Gram matrix's rounding is absolute, not relative
+        for tiny in r11[None] * [[[1e-150]], [[1e-156]], [[1e-160]]]:
+            assert np.array_equal(gica.varmodel._rank(tiny[None], rows), svd_rank(tiny[None], rows))
+    assert np.array_equal(gica.varmodel._rank(block, rows), expected)
+    well = block[CONDITIONS <= 1e4]
+    assert np.array_equal(gica.varmodel._rank(well, rows), np.full(len(well), k))
+    zero = np.zeros((1, k, k))
+    assert np.array_equal(gica.varmodel._rank(zero, rows), svd_rank(zero, rows))
+    for rule in (svd_rank, gica.varmodel._rank):  # the SVD of a NaN does not converge
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            rule(np.full((1, k, k), np.nan), rows)
+    # a zeroed row among well-conditioned ones sends the whole block to the SVD rule
+    mixed = np.concatenate([well, np.zeros((1, k, k))])
+    assert np.array_equal(gica.varmodel._rank(mixed, rows), svd_rank(mixed, rows))
+
+
+def test_rank_screen_skips_the_svd_of_a_well_conditioned_block(monkeypatch):
+    block = np.linalg.qr(np.random.default_rng(3).standard_normal((10, 500, 12)), mode="r")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the screen should have decided this block")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    assert np.array_equal(gica.varmodel._rank(block, 500), np.full(10, 12))
+
+
 def test_row_chunked_r_factor_matches_lstsq(aic_loop_reference):
     # 40000 samples take three chunks of rows, the last one ragged
     pair = simulate(SimSpec(system="closed_loop", n=40_000, seed=6, b=1.0, c=0.5, d=0.5))
