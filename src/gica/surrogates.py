@@ -11,9 +11,11 @@ initial conditions with a 100-sample burn-in. The driver equation is the
 analysed model's row 0; only the null target equation is fitted, by
 :func:`gica.varmodel.gated_lstsq`. The generator, :func:`gica.restricted.restricted_lags`
 of the two, is gated by :func:`gica.varmodel.require_stable`; the whole batch's
-channel-major drive is filtered by one call of :func:`gica.varmodel.simulate_var`,
-and the batch is returned as that channel-major ``(2, B, n)`` array, which
-:func:`gica.pipeline.surrogate_values` slices into blocks without a copy.
+channel-major drive runs through one call of :func:`gica.varmodel.simulate_var`,
+a block-state matmul scan in which each surrogate is bit-identical to the same
+surrogate run alone, and the batch is returned as a channel-major ``(2, B, n)``
+array, which :func:`gica.pipeline.surrogate_values` slices into blocks without a
+copy.
 
 Verdict rules on the surrogate distribution of each measure: causality is
 significant above the upper ``1 - alpha`` percentile, isolation below the

@@ -9,10 +9,10 @@ restricted models, causality measures) is derived from ``(A, Sigma)``, so
 this module also provides the exact autocovariance sequence of a stable
 model, from one batched solve of the reverse Yule-Walker equations.
 Every stability gate is :func:`require_stable`, a Schur-Cohn step-down on
-the determinant polynomial ``det E(z)`` (:func:`det_polynomial`, whose
-Leibniz sum :func:`simulate_var` shares for ``det E`` and its adjugate), and
-every simulation, the three-process confounded system and surrogate batches
-included, runs :func:`simulate_var`.
+the determinant polynomial ``det E(z)`` (:func:`det_polynomial`), and every
+simulation, the three-process confounded system and surrogate batches
+included, runs :func:`simulate_var`: a block-state scan of the recursion in
+stacked matmuls, each row bit-identical at any batch size.
 
 Every least-squares fit is the R factor of ``[design | targets]`` from the
 lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
@@ -31,6 +31,7 @@ once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +145,10 @@ def det_polynomial(coeffs: np.ndarray) -> np.ndarray:
     e = np.zeros((*batch, k, k, m + 1))  # taps of E_ij(z)
     e[..., 0] = np.eye(k)
     e[..., 1:] = -np.moveaxis(coeffs, -3, -1)
-    return _leibniz(e)
-
-
-def _leibniz(e: np.ndarray) -> np.ndarray:
-    """Taps ``(..., k (n - 1) + 1)`` of the determinants of taps ``(..., k, k, n)``, by Leibniz."""
-    k = e.shape[-2]
+    # Leibniz: the signed sum over permutations of the products of E_{i, perm(i)}(z)
     perms = list(itertools.permutations(range(k)))
-    factors = e[..., range(k), perms, :]  # (..., k!, k, n): E_{i, perm(i)}
-    det = factors[..., 0, :] if k else np.ones(factors.shape[:-2] + (1,))
+    factors = e[..., range(k), perms, :]  # (..., k!, k, m + 1)
+    det = factors[..., 0, :]
     for i in range(1, k):
         det = _polymul(det, factors[..., i, :])
     inversions = [sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) for p in perms]
@@ -196,30 +192,41 @@ def require_stable(coeffs: np.ndarray, what: str) -> None:
 def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """Run ``s_t = sum_{l=1..m} A_l s_{t-l} + drive_t`` from zero initial conditions.
 
-    ``coeffs`` is ``(m, k, k)``, ``drive`` and the result ``(..., T, k)``. With ``E(z) = I -
-    sum_l A_l z^l``, ``S(z) = adj E(z) U(z) / det E(z)``, ``adj E`` from all minors in one
-    batched Leibniz sum: each channel is ``lfilter`` by ``det E``, whose roots are the nonzero
-    companion eigenvalues, of the drive's ``(..., T)`` rows one by one, so each row is
-    bit-identical at any batch size. Zero trailing taps (exact 0s) are trimmed.
-    """
-    from scipy.signal import lfilter  # deferred: scipy.signal takes most of a start-up
+    ``coeffs`` is ``(m, k, k)``, ``drive`` and the result ``(..., T, k)``. A block-state scan
+    (Burrus, "Block realization of digital filters", 1972): time is cut into blocks of ``L =
+    m + 16`` samples, and a block's ``L k`` outputs are its drive times the block-lower-
+    triangular Toeplitz matrix of the impulse response ``Psi_0 .. Psi_{L-1}``, plus the
+    previous block's last ``m`` outputs times an ``(m k, L k)`` state matrix. Both matrices
+    are the recursion's own responses to unit inputs, run once per call. The zero-state parts
+    of all blocks are one matmul, and the state parts follow in a loop over the blocks.
 
+    Every matmul is stacked over the drive's rows, each 2-D slice of a shape that does not
+    depend on the batch, so each row is bit-identical at any batch size. One 2-D GEMM over
+    the whole batch would not be: the BLAS kernel, and with it the rounding, depends on the
+    product's shape.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != np.shape(drive)[-1:] * 2:  # k channels, k x k lags
         raise ValueError(f"lags {coeffs.shape}, drive {np.shape(drive)}: not (m, k, k), (.., T, k)")
-    k = coeffs.shape[-1]
-    e = np.concatenate([np.eye(k)[None], -coeffs]).transpose(1, 2, 0)  # taps of E_ij(z)
-    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row j: all but j
-    minors = e[others[None, :, :, None], others[:, None, None, :]]  # [i, j]: no row j, column i
-    adj = (-1.0) ** np.add.outer(range(k), range(k))[..., None] * _leibniz(minors)
-    det = np.trim_zeros(_leibniz(e), "b")
-    drive = np.moveaxis(np.asarray(drive, dtype=float), -1, 0)  # (k, ..., T)
-    s = np.zeros(drive.shape)
-    for out, adj_row in zip(s, adj):
-        for taps, channel in zip(adj_row, drive):
-            if taps.any():
-                out += lfilter(np.trim_zeros(taps, "b"), det, channel)
-    return np.moveaxis(s, 0, -1)
+    m, k = coeffs.shape[:2]
+    size = m + 16  # L: the loop over blocks stays short, the Toeplitz product (half zeros) cheap
+    # unit responses over a block: unit r < m k is a past output, the others a drive sample
+    units = (m + size) * k
+    s = np.eye(units).reshape(units, m + size, k)
+    window = coeffs[::-1].swapaxes(-1, -2).reshape(m * k, k)  # s_{t-m} .. s_{t-1} -> s_t
+    for t in range(m, m + size):
+        s[:, t] += s[:, t - m : t].reshape(units, m * k) @ window
+    response = s[:, m:].reshape(units, size * k)
+    state, toeplitz = response[: m * k], response[m * k :]
+    drive = np.asarray(drive, dtype=float)
+    *lead, steps, _ = drive.shape
+    blocks = -(-steps // size)
+    padded = np.zeros((*lead, blocks * size, k))
+    padded[..., :steps, :] = drive
+    out = padded.reshape(math.prod(lead), blocks, size * k) @ toeplitz
+    for j in range(1, blocks):
+        out[:, j : j + 1] += out[:, j - 1 : j, (size - m) * k :] @ state
+    return out.reshape(*lead, blocks * size, k)[..., :steps, :]
 
 
 def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:
@@ -291,6 +298,14 @@ def _solve(r: np.ndarray, k: int, rank: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(r[..., :k, :k], r[..., :k, k:])
 
 
+def _require_finite(*series: np.ndarray) -> None:
+    """Refuse non-finite samples before an R factor, in the words of
+    :class:`gica.timeseries.TimeSeriesPair`; the rank gate's SVD would fail on them with a
+    ``LinAlgError`` that does not name the input."""
+    if not all(np.isfinite(s).all() for s in series):
+        raise ValueError("series contain non-finite values")
+
+
 def _r_factor(z: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
     """R of ``z`` ``(..., M, c)``, ``M >= c``: a QR per ``chunk`` rows under the running R."""
     r = np.linalg.qr(z[..., :chunk, :], mode="r")
@@ -304,6 +319,7 @@ def gated_lstsq(z: np.ndarray, k: int, what: str) -> tuple[np.ndarray, np.ndarra
     factor, the rank gate, a triangular solve. Returns solutions ``(..., k, t)`` and residuals."""
     if z.shape[-2] <= k:
         raise ValueError(f"series too short for {what}: {z.shape[-2]} rows, {k} regressors")
+    _require_finite(z)
     r = _r_factor(z)
     sol = _solve(r, k, _rank(r[..., :k, :k], z.shape[-2]), what)
     return sol, z[..., k:] - z[..., :k] @ sol
@@ -344,6 +360,7 @@ def fit_var_aic_stack(
     models: list[BivariateVarModel | ValueError] = []
     for row, curve in enumerate(aics):
         try:
+            _require_finite(x[row], y[row])  # its curve is all inf: no R of it is finite
             if np.isneginf(curve).any():  # a lower order would only misfit an exact relation
                 raise ValueError(
                     f"no order could be fitted: at order {np.argmin(curve) + 1} a channel is an "
@@ -374,6 +391,7 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
         raise ValueError(f"order must be >= 1, got {p}")
     if n <= 4 * p + 2:
         raise ValueError(f"need more than {4 * p + 2} samples to fit order {p}, got {n}")
+    _require_finite(x, y)
     r = _r_factor(lag_matrix(np.stack([x, y], axis=-2), p)[:, p:])
     rank, sigma, exact = _order_gate(r, n - p)
     # solution rows: (X, Y) at lags 1..p; columns: equations

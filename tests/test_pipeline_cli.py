@@ -567,6 +567,26 @@ def test_cli_import_and_default_analysis_leave_scipy_signal_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_simulation_study_and_surrogates_leave_scipy_signal_unloaded():
+    # the VAR recursion is a matmul scan: only the high-pass detrend imports scipy.signal
+    script = textwrap.dedent("""
+        import sys
+        from gica.pipeline import AnalysisConfig, analyze_pair
+        from gica.simulate import SimSpec, run_confounded_study, simulate
+        pair = simulate(SimSpec(system="open_loop", b=1, c=0.5, n=300, seed=0))
+        assert "scipy.signal" not in sys.modules, "simulate"
+        run_confounded_study(0.8, 0.0, n_runs=3, n=300)
+        assert "scipy.signal" not in sys.modules, "run_confounded_study"
+        config = AnalysisConfig(grid_points=65, n_surrogates=4, hypotheses=("h1", "h2"))
+        assert set(analyze_pair(pair, config).report.significance) > {"h1", "h2"}
+        assert "scipy.signal" not in sys.modules, "analyze_pair with surrogates"
+    """)
+    src = os.path.dirname(os.path.dirname(gica.cli.__file__))  # the package's own checkout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_error_exits(tmp_path, capsys):
     rc = run_cli(["analyze", "--input", tmp_path / "missing.csv", "--fs", "1",
                   "--out", tmp_path / "o"])

@@ -110,6 +110,58 @@ def test_simulate_var_near_unit_circle(var_loop_reference):
         assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def scaled_lags(rng, m, k, radius):
+    """Random lags ``(m, k, k)`` scaled to companion spectral radius ``radius``."""
+    coeffs = rng.normal(scale=0.3, size=(m, k, k))
+    return coeffs * (radius / spectral_radius(coeffs)) ** np.arange(1, m + 1)[:, None, None]
+
+
+def test_simulate_var_rows_are_batch_independent_at_the_surrogate_shape():
+    # a significance run's generator: m = max(p, q) = 20 lags, 100 surrogates of 2100 samples
+    rng = np.random.default_rng(27)
+    coeffs = scaled_lags(rng, 20, 2, 0.95)
+    drive = rng.standard_normal((100, 2100, 2))
+    together = simulate_var(coeffs, drive)
+    for row, alone in zip(together, drive):
+        assert np.array_equal(row, simulate_var(coeffs, alone))
+    assert np.array_equal(together[:7], simulate_var(coeffs, drive[:7]))
+    # one block: a row alone is a vector-matrix product, the batch's slices too
+    short = drive[:, :30]
+    for row, alone in zip(simulate_var(coeffs, short), short):
+        assert np.array_equal(row, simulate_var(coeffs, alone))
+
+
+def zero_trailing_lags(rng):
+    """Zero-padded like an H1 generator: a driver row of 2 lags and a target row of 14 on
+    itself, padded to 20, so lags 15 .. 20 are zero matrices."""
+    coeffs = np.zeros((20, 2, 2))
+    coeffs[:2, 0] = scaled_lags(rng, 2, 2, 0.9)[:, 0]
+    coeffs[:14, 1, 1] = scaled_lags(rng, 14, 1, 0.9)[:, 0, 0]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "lags",
+    [
+        lambda rng: scaled_lags(rng, 20, 2, 0.95),
+        zero_trailing_lags,
+        lambda rng: scaled_lags(rng, 20, 3, 0.9),
+        lambda rng: scaled_lags(rng, 2, 3, 0.9),
+        lambda rng: scaled_lags(rng, 1, 1, 0.5),
+    ],
+    ids=["m20-k2", "trailing-zero-lags", "m20-k3", "m2-k3", "m1-k1"],
+)
+def test_simulate_var_matches_loop_around_block_boundaries(var_loop_reference, lags):
+    rng = np.random.default_rng(3)
+    coeffs = lags(rng)
+    block = coeffs.shape[0] + 16  # simulate_var's block length L = m + 16
+    for length in (block - 1, block, block + 1, 2 * block + 1):
+        drive = rng.standard_normal((3, length, coeffs.shape[-1]))
+        for row, alone in zip(simulate_var(coeffs, drive), drive):
+            ref = var_loop_reference(coeffs, alone)
+            assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def test_simulate_var_rejects_shape_mismatch():
     for lags, channels in [((1, 2, 3), 3), ((1, 3, 2), 2), ((2, 3), 3), ((1, 2, 2), 3), ((1, 3, 3), 2)]:
         with pytest.raises(ValueError, match=r"not \(m, k, k\)"):
@@ -295,6 +347,26 @@ def test_fit_var_requires_enough_samples():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="samples"):
         fit_var(rng.normal(size=10), rng.normal(size=10), 2)
+
+
+def pair_with_a_nan():
+    x, y = np.random.default_rng(5).standard_normal((2, 300))
+    x[5] = np.nan
+    return x, y
+
+
+@pytest.mark.parametrize("order", [2, "aic"])
+def test_fit_var_refuses_non_finite_samples_by_name(order):
+    # the words of TimeSeriesPair, not the rank gate's "SVD did not converge"
+    with pytest.raises(ValueError, match="^series contain non-finite values$"):
+        fit_var(*pair_with_a_nan(), order)
+
+
+def test_gated_lstsq_refuses_non_finite_samples_and_the_scan_ends_every_order():
+    x, y = pair_with_a_nan()
+    with pytest.raises(ValueError, match="^series contain non-finite values$"):
+        gated_lstsq(lag_matrix([x, y], 3)[3:], 6, "the test regression")
+    assert np.isposinf(aic_curve(x, y)).all()
 
 
 def test_fit_var_rejects_constant_series():
