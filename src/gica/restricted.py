@@ -17,9 +17,9 @@ for this route. :func:`restricted_stack` identifies one kind for a stack, its
 ``(B, q, q)`` Toeplitz systems built by index and solved at once.
 :func:`derive_restricted` is the only entry from full models: it takes stacks
 ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with an
-optional ``2q`` truncation check. Its one caller is
-:func:`gica.spectral.measure_stack`, for an analysis and a surrogate block
-alike. :class:`RestrictedModel` is the record an analysis writes. Under the full
+optional ``2q`` truncation check. Its one caller is the model stage of
+:func:`gica.spectral.measure_stack`, for an analysis and for all of a hypothesis's
+surrogates at once. :class:`RestrictedModel` is the record an analysis writes. Under the full
 driver row, a kind is a model, :func:`restricted_lags`: the mixed model of
 autonomy, or a surrogate generator.
 """

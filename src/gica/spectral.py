@@ -27,12 +27,16 @@ The measures need only ratios: with ``E = I - A(f)`` and ``F`` the mixed
 model's matrix, ``|H_yx|^2 / |H_yy|^2 = |E_yx|^2 / |E_xx|^2`` and ``|H_yy|^2
 / |G_yy|^2 = |det F|^2 / |det E|^2``, so no transfer matrix is formed.
 :func:`measure_stack` is the one place models become measures: it takes a
-stack of full models ``(coeffs, sigma)``, derives both restricted models with
-:func:`gica.restricted.derive_restricted`, a cached DFT table per grid gives
-``E`` and ``det F = E_xx + E_xy B_yx`` of the whole stack, the mixed models pass
-the gate every model does, and every band mean and ``F_y`` come from one product
-with a cached weight matrix per grid and band set. :func:`assemble_profiles` is its
-batch of one, plus display spectra from the ``E``, ``det E`` and shares it returns.
+stack of full models ``(coeffs, sigma)`` through two stages. The model stage
+derives both restricted models with :func:`gica.restricted.derive_restricted`,
+passes the mixed models through the gate every model does, and gives ``F_xy``
+and ``A_y``; its arrays are ``(B, ...)``. The grid stage takes ``E`` and ``det F =
+E_xx + E_xy B_yx`` of the stack from a cached DFT table per grid, and every band
+mean and ``F_y`` from one product with a cached weight matrix per grid and band
+set; its arrays are ``(B, n)``. Surrogates run the model stage once on all their
+models and the grid stage in blocks of :data:`SURROGATE_BLOCK`.
+:func:`assemble_profiles` is its batch of one, plus display spectra from the
+``E``, ``det E`` and shares it returns.
 """
 
 from __future__ import annotations
@@ -190,24 +194,6 @@ def _band_integrals(
     return integrals, integrals / (2.0 * np.array([hi - lo for lo, hi in edges]))
 
 
-def full_band_integral(profile: SpectralProfile) -> float:
-    """``2 * trapezoid integral`` over the whole normalized band [0, 1/2]."""
-    return integrate_band(profile, 0.0, profile.grid.fs / 2)[0]
-
-
-def integrate_band(
-    profile: SpectralProfile, f_lo_hz: float, f_hi_hz: float
-) -> tuple[float, float]:
-    """Band integral and band mean of a profile over ``[f_lo, f_hi]`` Hz.
-
-    The integral is ``2 * trapezoid`` over normalized frequency with the
-    band edges included by linear interpolation; the mean divides by twice
-    the normalized bandwidth, giving the average profile height in nats.
-    """
-    integral, mean = _band_integrals(profile.values, profile.grid, [(f_lo_hz, f_hi_hz)])
-    return float(integral[0]), float(mean[0])
-
-
 # default analysis bands in Hz: very-low- and low-frequency
 DEFAULT_BANDS: dict[str, tuple[float, float]] = {
     "VLF": (0.02, 0.07),
@@ -281,7 +267,56 @@ class MeasureReport:
         return out
 
 
-SURROGATE_BLOCK = 10  # a measure_stack batch: near larger blocks' speed, a tenth of their memory
+SURROGATE_BLOCK = 10  # rows per grid stage: near larger blocks' speed, a tenth of their memory
+
+
+def _model_stage(
+    coeffs: np.ndarray, sigma: np.ndarray, q: int, warnings: list[str] | None = None
+) -> tuple[tuple, tuple]:
+    """The model-sized half of :func:`measure_stack`: ``restricted`` and the rows its grid stage
+    takes, ``(coeffs, sigma, x_coeffs, a_y, F_xy, A_y)``, each ``(B, ...)``, after every gate of
+    a model: the full models' in :func:`gica.restricted.derive_restricted`, the mixed models',
+    and ``F_xy, A_y >= 0``. ``sigma`` is diagonalized; ``a_y`` is ``A_y`` before its clip to 0."""
+    sigma = sigma * np.eye(2)
+    restricted = derive_restricted(coeffs, sigma, q, warnings)
+    _, ar_var, x_coeffs, x_var = restricted
+    require_stable(restricted_lags(coeffs, x_coeffs, X_ON_Y), "mixed model for autonomy")
+    s2_y = sigma[:, 1, 1]
+    # with no X -> Y lag, Y's own past predicts it with error sigma_yy by theory
+    ar_var = np.where((coeffs[:, :, 1, 0] == 0).all(axis=1), s2_y, ar_var)
+    a_y = np.log(x_var / s2_y)
+    f_xy = _nonnegative(np.log(ar_var / s2_y), "F_xy")
+    return restricted, (coeffs, sigma, x_coeffs, a_y, f_xy, _nonnegative(a_y, "A_y"))
+
+
+def _grid_stage(
+    models: tuple, grid: FrequencyGrid, bands: dict[str, tuple[float, float]]
+) -> tuple[tuple, dict[str, np.ndarray], MeasureReport]:
+    """The grid-sized half of :func:`measure_stack` on rows of :func:`_model_stage`:
+    ``(E, det E, causal, internal)``, the gc, gi and ga profiles ``(B, n)`` and the report."""
+    coeffs, sigma, x_coeffs, a_y, f_xy, a_y_report = models
+    e = _lag_transform(coeffs, grid)
+    det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
+    # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
+    q = x_coeffs.shape[-1]
+    minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
+    det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
+    causal = sigma[:, 0, 0, None] * np.abs(e[..., 1, 0]) ** 2
+    internal = sigma[:, 1, 1, None] * np.abs(e[..., 0, 0]) ** 2
+    if np.any(causal + internal == 0):
+        raise ValueError(
+            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
+        )
+    with np.errstate(divide="ignore"):  # where one share is zero, the other measure is +inf
+        gc, gi = np.log1p(causal / internal), np.log1p(internal / causal)
+    ga_shape = 2.0 * np.log(np.abs(det_f / det_e))
+    profiles = {"gc": gc, "gi": gi, "ga_shape": ga_shape, "ga": a_y[:, None] + ga_shape}
+    for name, values in profiles.items():
+        if np.isnan(values).any():
+            raise ValueError(f"profile {name!r} contains NaN")
+    table, full = _band_stack(profiles, grid, bands)
+    report = MeasureReport(f_xy, full["gi"], a_y_report, table)
+    return (e, det_e, causal, internal), profiles, report
 
 
 def measure_stack(
@@ -292,44 +327,16 @@ def measure_stack(
     the restricted models of a stack of models ``coeffs`` ``(B, p, 2, 2)``, ``sigma`` ``(B, 2, 2)``;
     ``causal + internal``, ``s2_x |E_yx|^2 + s2_y |E_xx|^2``, is ``P_Y |det E|^2``.
 
-    ``sigma`` is diagonalized (the strictly causal convention), and
-    :func:`gica.restricted.derive_restricted` gates the models and returns
-    ``restricted``, ``(ar_coeffs, ar_var, x_coeffs, x_var)``: the self-past and the
-    driver-only regressions, with the ``2q`` truncation check when given ``warnings``.
+    :func:`_model_stage` then :func:`_grid_stage` on the same rows. ``sigma`` is diagonalized
+    (the strictly causal convention), and :func:`gica.restricted.derive_restricted` gates the
+    models and returns ``restricted``, ``(ar_coeffs, ar_var, x_coeffs, x_var)``: the self-past
+    and the driver-only regressions, with the ``2q`` truncation check when given ``warnings``.
     The mixed models, :func:`gica.restricted.restricted_lags` of ``x_coeffs``, are gated, and
     ``det F = E_xx + E_xy B_yx``. A row whose ``A_yx`` lags are all exactly 0 takes ``ar_var =
     sigma_yy``, so its ``F_xy`` is exactly 0. The report holds ``(B,)`` arrays.
     """
-    sigma = sigma * np.eye(2)
-    restricted = derive_restricted(coeffs, sigma, q, warnings)
-    _, ar_var, x_coeffs, x_var = restricted
-    e = _lag_transform(coeffs, grid)
-    det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
-    require_stable(restricted_lags(coeffs, x_coeffs, X_ON_Y), "mixed model for autonomy")
-    # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
-    minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
-    det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
-    s2_x, s2_y = sigma[:, 0, 0], sigma[:, 1, 1]
-    causal = s2_x[:, None] * np.abs(e[..., 1, 0]) ** 2
-    internal = s2_y[:, None] * np.abs(e[..., 0, 0]) ** 2
-    if np.any(causal + internal == 0):
-        raise ValueError(
-            "target PSD is exactly zero at a grid frequency; directed coherence undefined"
-        )
-    with np.errstate(divide="ignore"):  # where one share is zero, the other measure is +inf
-        gc, gi = np.log1p(causal / internal), np.log1p(internal / causal)
-    ga_shape = 2.0 * np.log(np.abs(det_f / det_e))
-    a_y = np.log(x_var / s2_y)
-    profiles = {"gc": gc, "gi": gi, "ga_shape": ga_shape, "ga": a_y[:, None] + ga_shape}
-    for name, values in profiles.items():
-        if np.isnan(values).any():
-            raise ValueError(f"profile {name!r} contains NaN")
-    # with no X -> Y lag, Y's own past predicts it with error sigma_yy by theory
-    ar_var = np.where((coeffs[:, :, 1, 0] == 0).all(axis=1), s2_y, ar_var)
-    table, full = _band_stack(profiles, grid, bands)
-    report = MeasureReport(_nonnegative(np.log(ar_var / s2_y), "F_xy"), full["gi"],
-                           _nonnegative(a_y, "A_y"), table)
-    return (e, det_e, causal, internal), profiles, report, restricted
+    restricted, models = _model_stage(coeffs, sigma, q, warnings)
+    return *_grid_stage(models, grid, bands), restricted
 
 
 def assemble_profiles(

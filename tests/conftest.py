@@ -1,10 +1,12 @@
 """Shared fixtures: reference models, a randomized stable-model factory, a
 per-sample VAR recursion used as the reference for the vectorised one, and a
-per-order AIC scan used as the reference for the one-QR scan."""
+per-order AIC scan used as the reference for the one-QR scan, and band integrals of
+one profile."""
 import numpy as np
 import pytest
 
 from gica.simulate import SimSpec, build_true_model
+from gica.spectral import _band_integrals
 from gica.varmodel import BivariateVarModel, companion_matrix, fit_var
 
 
@@ -77,3 +79,19 @@ def aic_loop(x, y, p_max=14):
 @pytest.fixture(scope="session")
 def aic_loop_reference():
     return aic_loop
+
+
+def integrate_band(profile, f_lo_hz, f_hi_hz):
+    """Band integral and band mean of a profile over ``[f_lo, f_hi]`` Hz.
+
+    The integral is ``2 * trapezoid`` over normalized frequency with the
+    band edges included by linear interpolation; the mean divides by twice
+    the normalized bandwidth, giving the average profile height in nats.
+    """
+    integral, mean = _band_integrals(profile.values, profile.grid, [(f_lo_hz, f_hi_hz)])
+    return float(integral[0]), float(mean[0])
+
+
+def full_band_integral(profile):
+    """``2 * trapezoid integral`` over the whole normalized band [0, 1/2]."""
+    return integrate_band(profile, 0.0, profile.grid.fs / 2)[0]

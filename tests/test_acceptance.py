@@ -26,10 +26,11 @@ from gica.spectral import (
     FrequencyGrid,
     _lag_transform,
     assemble_profiles,
-    full_band_integral,
 )
 from gica.surrogates import generate_surrogates, significance_test
 from gica.varmodel import fit_var, lag_matrix
+
+from conftest import full_band_integral
 
 GRID = FrequencyGrid(2049)
 

@@ -24,11 +24,12 @@ from gica.spectral import (
     FrequencyGrid,
     MeasureReport,
     assemble_profiles,
-    full_band_integral,
     measure_stack,
 )
 from gica.restricted import derive_restricted
 from gica.varmodel import autocovariance_stack, fit_var
+
+from conftest import full_band_integral
 
 PROFILE_NAMES = {
     "psd_x",

@@ -13,11 +13,11 @@ from gica.spectral import (
     MeasureReport,
     SpectralProfile,
     assemble_profiles,
-    full_band_integral,
-    integrate_band,
 )
 from gica.spectral import _band_stack, _lag_transform, measure_stack
 from gica.varmodel import BivariateVarModel, UnstableModelError, autocovariance_stack, fit_var
+
+from conftest import full_band_integral, integrate_band
 
 GRID = FrequencyGrid(2049)
 

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.spectral
 from gica.pipeline import SURROGATE_BLOCK, AnalysisConfig, surrogate_values
 from gica.simulate import SimSpec, simulate
-from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles
+from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles, measure_stack
 from gica.surrogates import (
     H1,
     H2,
@@ -16,7 +17,7 @@ from gica.surrogates import (
     significance_test,
 )
 from gica.timeseries import TimeSeriesPair
-from gica.varmodel import UnstableModelError, fit_var
+from gica.varmodel import UnstableModelError, fit_var, fit_var_stack
 
 
 def lag1_xcorr(x, y):
@@ -234,6 +235,45 @@ def test_block_values_do_not_depend_on_block_size(coupled_pair, coupled_model, h
     for key, row in small.items():
         assert row.shape == (7,) and large[key].shape == (23,)
         assert np.array_equal(row, large[key][:7]), key
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+@pytest.mark.parametrize("p", [2, 14])
+def test_surrogate_values_equal_measure_stack_per_block(coupled_pair, hypothesis, p):
+    # two full blocks and a partial one, against fit_var_stack -> measure_stack block by block
+    series = generate_surrogates(
+        coupled_pair, fit_var(coupled_pair.x, coupled_pair.y, p), hypothesis, 23, 5, 20
+    )
+    reports = []
+    for start in range(0, 23, SURROGATE_BLOCK):
+        x, y = series[:, start : start + SURROGATE_BLOCK]
+        reports.append(measure_stack(*fit_var_stack(x, y, p), 20, BLOCK_GRID, DEFAULT_BANDS)[2])
+    values = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS)
+    assert set(values) == {(m, scope) for m in ("gc", "gi", "ga") for scope in SCOPES}
+    for (measure, scope), row in values.items():
+        loop = np.concatenate([r.value(measure, scope) for r in reports])
+        assert np.array_equal(row, loop), (measure, scope)
+
+
+def test_models_are_measured_at_once_and_grids_in_blocks(coupled_pair, coupled_model, monkeypatch):
+    # the model stage takes all 23 models in one call; no grid array holds more than a block
+    derived, transformed = [], []
+    derive, transform = gica.spectral.derive_restricted, gica.spectral._lag_transform
+
+    def recording_derive(coeffs, *args):
+        derived.append(len(coeffs))
+        return derive(coeffs, *args)
+
+    def recording_transform(coeffs, grid):
+        transformed.append(len(coeffs))
+        return transform(coeffs, grid)
+
+    monkeypatch.setattr(gica.spectral, "derive_restricted", recording_derive)
+    monkeypatch.setattr(gica.spectral, "_lag_transform", recording_transform)
+    series = generate_surrogates(coupled_pair, coupled_model, H2, 23, 5, 20)
+    surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+    assert derived == [23]
+    assert sum(transformed) == 23 and max(transformed) <= SURROGATE_BLOCK
 
 
 def surrogate_block_with(coupled_pair, bad_x):
