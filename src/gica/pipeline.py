@@ -7,10 +7,10 @@ stability gate, the restricted models derived analytically from the model's
 autocovariance, every spectral profile and the band summaries. It optionally
 attaches surrogate significance verdicts, whose settings are checked when
 :class:`AnalysisConfig` is built. The analysed model is a stack of one;
-surrogates take the two stages of :func:`gica.spectral.measure_stack` on the
-array :func:`gica.surrogates.generate_surrogates` returns (:func:`surrogate_values`):
-the model stage once on all their models, the grid stage in blocks of
-:data:`gica.spectral.SURROGATE_BLOCK` rows, which bounds its memory. The fitted
+surrogates are fitted in blocks of :data:`gica.spectral.SURROGATE_BLOCK` rows of
+the array :func:`gica.surrogates.generate_surrogates` returns and measured by
+:func:`gica.spectral.measure_blocks` (:func:`surrogate_values`), whose two stages
+each hold no more than a grid block's memory. The fitted
 innovation covariance is generally not diagonal; all derived quantities use
 the strictly causal convention (off-diagonal dropped), and a warning is
 attached when the implied residual correlation exceeds 0.2, when AIC picks
@@ -26,7 +26,7 @@ import numpy as np
 
 from .restricted import RestrictedModel
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import SURROGATE_BLOCK, _grid_stage, _model_stage, assemble_profiles
+from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_blocks
 from .surrogates import H1, H2, TAILS, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
 from .varmodel import BivariateVarModel, fit_var, fit_var_stack
@@ -122,18 +122,15 @@ def surrogate_values(
 ) -> dict[tuple[str, str], np.ndarray]:
     """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
-    :func:`gica.spectral.measure_stack`'s two stages, split by what bounds them: each block of
-    ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a copy, is fitted by
-    :func:`gica.varmodel.fit_var_stack`; the model stage (gates, autocovariance, restricted
-    models) then runs once on all the models, and the grid stage per block, which keeps only
-    its report. Any gate fails the whole call, and every fit runs before any gate of a model.
-    Each row equals ``measure_stack`` of its block bit for bit.
+    Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a copy, is fitted
+    by :func:`gica.varmodel.fit_var_stack` and measured by :func:`gica.spectral.measure_blocks`,
+    which gates and derives the models of a chunk of blocks at once and keeps only each block's
+    report. Any gate fails the whole call. Each row equals ``measure_stack`` of its block bit
+    for bit.
     """
-    blocks = [slice(i, i + SURROGATE_BLOCK) for i in range(0, series.shape[1], SURROGATE_BLOCK)]
-    fits = [fit_var_stack(*series[:, rows], order) for rows in blocks]
-    coeffs, sigma = (np.concatenate(parts) for parts in zip(*fits))
-    models = _model_stage(coeffs, sigma, q)[1]
-    reports = [_grid_stage(tuple(v[rows] for v in models), grid, bands)[2] for rows in blocks]
+    starts = range(0, series.shape[1], SURROGATE_BLOCK)
+    fits = (fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order) for i in starts)
+    reports = measure_blocks(fits, q, grid, bands)
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS

@@ -18,10 +18,10 @@ for this route. :func:`restricted_stack` identifies one kind for a stack, its
 :func:`derive_restricted` is the only entry from full models: it takes stacks
 ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with an
 optional ``2q`` truncation check. Its one caller is the model stage of
-:func:`gica.spectral.measure_stack`, for an analysis and for all of a hypothesis's
-surrogates at once. :class:`RestrictedModel` is the record an analysis writes. Under the full
-driver row, a kind is a model, :func:`restricted_lags`: the mixed model of
-autonomy, or a surrogate generator.
+:func:`gica.spectral.measure_stack`, for an analysis, for a study's order group and
+for a chunk of surrogate blocks. :class:`RestrictedModel` is the record an analysis
+writes. Under the full driver row, a kind is a model, :func:`restricted_lags`: the
+mixed model of autonomy, or a surrogate generator.
 """
 
 from __future__ import annotations

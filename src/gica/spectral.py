@@ -33,8 +33,9 @@ passes the mixed models through the gate every model does, and gives ``F_xy``
 and ``A_y``; its arrays are ``(B, ...)``. The grid stage takes ``E`` and ``det F =
 E_xx + E_xy B_yx`` of the stack from a cached DFT table per grid, and every band
 mean and ``F_y`` from one product with a cached weight matrix per grid and band
-set; its arrays are ``(B, n)``. Surrogates run the model stage once on all their
-models and the grid stage in blocks of :data:`SURROGATE_BLOCK`.
+set; its arrays are ``(B, n)``. Surrogates take :func:`measure_blocks`: the grid stage
+per block of :data:`SURROGATE_BLOCK`, the model stage per chunk of whole blocks whose
+model arrays are no larger than a grid block's.
 :func:`assemble_profiles` is its batch of one, plus display spectra from the
 ``E``, ``det E`` and shares it returns.
 """
@@ -42,6 +43,8 @@ models and the grid stage in blocks of :data:`SURROGATE_BLOCK`.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,9 +277,9 @@ def _model_stage(
     coeffs: np.ndarray, sigma: np.ndarray, q: int, warnings: list[str] | None = None
 ) -> tuple[tuple, tuple]:
     """The model-sized half of :func:`measure_stack`: ``restricted`` and the rows its grid stage
-    takes, ``(coeffs, sigma, x_coeffs, a_y, F_xy, A_y)``, each ``(B, ...)``, after every gate of
-    a model: the full models' in :func:`gica.restricted.derive_restricted`, the mixed models',
-    and ``F_xy, A_y >= 0``. ``sigma`` is diagonalized; ``a_y`` is ``A_y`` before its clip to 0."""
+    takes, ``(coeffs, sigma, x_coeffs, A_y, F_xy)``, each ``(B, ...)``, after every gate of a
+    model: the full models' in :func:`gica.restricted.derive_restricted`, the mixed models',
+    and ``F_xy, A_y >= 0``. ``sigma`` is diagonalized; ``A_y`` is not yet clipped to 0."""
     sigma = sigma * np.eye(2)
     restricted = derive_restricted(coeffs, sigma, q, warnings)
     _, ar_var, x_coeffs, x_var = restricted
@@ -286,7 +289,8 @@ def _model_stage(
     ar_var = np.where((coeffs[:, :, 1, 0] == 0).all(axis=1), s2_y, ar_var)
     a_y = np.log(x_var / s2_y)
     f_xy = _nonnegative(np.log(ar_var / s2_y), "F_xy")
-    return restricted, (coeffs, sigma, x_coeffs, a_y, f_xy, _nonnegative(a_y, "A_y"))
+    _nonnegative(a_y, "A_y")
+    return restricted, (coeffs, sigma, x_coeffs, a_y, f_xy)
 
 
 def _grid_stage(
@@ -294,7 +298,7 @@ def _grid_stage(
 ) -> tuple[tuple, dict[str, np.ndarray], MeasureReport]:
     """The grid-sized half of :func:`measure_stack` on rows of :func:`_model_stage`:
     ``(E, det E, causal, internal)``, the gc, gi and ga profiles ``(B, n)`` and the report."""
-    coeffs, sigma, x_coeffs, a_y, f_xy, a_y_report = models
+    coeffs, sigma, x_coeffs, a_y, f_xy = models
     e = _lag_transform(coeffs, grid)
     det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
     # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
@@ -315,7 +319,7 @@ def _grid_stage(
         if np.isnan(values).any():
             raise ValueError(f"profile {name!r} contains NaN")
     table, full = _band_stack(profiles, grid, bands)
-    report = MeasureReport(f_xy, full["gi"], a_y_report, table)
+    report = MeasureReport(f_xy, full["gi"], np.maximum(a_y, 0.0), table)
     return (e, det_e, causal, internal), profiles, report
 
 
@@ -337,6 +341,31 @@ def measure_stack(
     """
     restricted, models = _model_stage(coeffs, sigma, q, warnings)
     return *_grid_stage(models, grid, bands), restricted
+
+
+def measure_blocks(
+    fits: Iterable[tuple[np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid,
+    bands: dict[str, tuple[float, float]],
+) -> list[MeasureReport]:
+    """The report of each block of models ``(coeffs, sigma)`` that ``fits`` yields, each block
+    at most :data:`SURROGATE_BLOCK` rows and its report :func:`measure_stack`'s bit for bit.
+
+    The grid stage runs per block. The model stage runs once per chunk of whole blocks, as many
+    as keep its arrays near a grid block's: per row, the ``(4 (p + 1))**2`` autocovariance
+    system and the two ``q**2`` Toeplitz systems against the ``8 n`` floats of ``E(f)``, and at
+    least one block. Blocks are drawn from ``fits`` a chunk at a time, so a chunk is fitted
+    before any of its models is gated.
+    """
+    reports, fits = [], iter(fits)
+    for first in fits:
+        row = (4 * (first[0].shape[1] + 1)) ** 2 + 2 * q**2
+        chunk = [first, *itertools.islice(fits, max(0, 8 * grid.n_points // row - 1))]
+        coeffs, sigma = (np.concatenate(parts) for parts in zip(*chunk))
+        models = _model_stage(coeffs, sigma, q)[1]
+        ends = np.cumsum([len(block) for block, _ in chunk])
+        for start, end in zip([0, *ends[:-1]], ends):
+            reports.append(_grid_stage(tuple(v[start:end] for v in models), grid, bands)[2])
+    return reports
 
 
 def assemble_profiles(

@@ -1,4 +1,6 @@
 """Surrogate generation and percentile-based significance verdicts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -256,7 +258,8 @@ def test_surrogate_values_equal_measure_stack_per_block(coupled_pair, hypothesis
 
 
 def test_models_are_measured_at_once_and_grids_in_blocks(coupled_pair, coupled_model, monkeypatch):
-    # the model stage takes all 23 models in one call; no grid array holds more than a block
+    # at order 2 on 513 points the model stage takes all 23 models in one call; no grid array
+    # holds more than a block
     derived, transformed = [], []
     derive, transform = gica.spectral.derive_restricted, gica.spectral._lag_transform
 
@@ -274,6 +277,25 @@ def test_models_are_measured_at_once_and_grids_in_blocks(coupled_pair, coupled_m
     surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
     assert derived == [23]
     assert sum(transformed) == 23 and max(transformed) <= SURROGATE_BLOCK
+
+
+def test_model_stage_memory_does_not_grow_with_surrogates(coupled_pair):
+    # at order 14 a model's systems outweigh its row of a 513-point grid, so the model stage
+    # runs per block and 120 surrogates peak where one block does
+    series = generate_surrogates(
+        coupled_pair, fit_var(coupled_pair.x, coupled_pair.y, 14), H2, 120, 5, 20
+    )
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            surrogate_values(series[:, :rows], 14, 20, BLOCK_GRID, DEFAULT_BANDS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    surrogate_values(series[:, :1], 14, 20, BLOCK_GRID, DEFAULT_BANDS)  # fills the grid's caches
+    assert peak(120) < 1.1 * peak(SURROGATE_BLOCK)
 
 
 def surrogate_block_with(coupled_pair, bad_x):
