@@ -8,9 +8,9 @@ autocovariance, every spectral profile and the band summaries. It optionally
 attaches surrogate significance verdicts, whose settings are checked when
 :class:`AnalysisConfig` is built. The analysed model is a stack of one;
 surrogates are fitted in blocks of :data:`gica.spectral.SURROGATE_BLOCK` rows of
-the array :func:`gica.surrogates.generate_surrogates` returns and measured by
-:func:`gica.spectral.measure_blocks` (:func:`surrogate_values`), whose two stages
-each hold no more than a grid block's memory. The fitted
+the array :func:`gica.surrogates.generate_surrogates` returns and measured by the
+one batch driver, :func:`gica.spectral.measure_blocks` (:func:`surrogate_values`),
+where the first failing surrogate fails the analysis with its own error. The fitted
 innovation covariance is generally not diagonal; all derived quantities use
 the strictly causal convention (off-diagonal dropped), and a warning is
 attached when the implied residual correlation exceeds 0.2, when AIC picks
@@ -60,6 +60,8 @@ class AnalysisConfig:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if "time" in self.bands:
             raise ValueError("a band may not be named 'time', the time-domain scope's key")
+        if self.p_max < 1:
+            raise ValueError(f"p_max must be >= 1, got {self.p_max}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.n_surrogates < 0:
@@ -123,14 +125,18 @@ def surrogate_values(
     """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a copy, is fitted
-    by :func:`gica.varmodel.fit_var_stack` and measured by :func:`gica.spectral.measure_blocks`,
-    which gates and derives the models of a chunk of blocks at once and keeps only each block's
-    report. Any gate fails the whole call. Each row equals ``measure_stack`` of its block bit
-    for bit.
+    by :func:`gica.varmodel.fit_var_stack` and measured by :func:`gica.spectral.measure_blocks`;
+    only its report is kept, ``measure_stack``'s of the block bit for bit. The first surrogate
+    that fails a gate fails the call with its own error.
     """
     starts = range(0, series.shape[1], SURROGATE_BLOCK)
     fits = (fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order) for i in starts)
-    reports = measure_blocks(fits, q, grid, bands)
+    blocks = ((range(i, i + len(fit[0])), *fit) for i, fit in zip(starts, fits))
+    reports = []
+    for _, outcome in measure_blocks(blocks, q, grid, bands):
+        if isinstance(outcome, ValueError):
+            raise outcome
+        reports.append(outcome[1])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
         for measure in TAILS

@@ -22,11 +22,10 @@ Every system runs as :func:`gica.varmodel.simulate_var` of its exact coefficient
 :func:`build_true_model`'s for two processes, :func:`build_confounded_system`'s for the
 three-process confounded one, of which the observed pair (X, Y) is kept.
 
-Theoretical profiles take an analysis's one call from a model to its
-measures, :func:`gica.spectral.assemble_profiles`, one spec at a time (a sweep is
-one :func:`theoretical_profiles` call per value); a confounded-study block takes
-a surrogate block's, :func:`gica.spectral.measure_stack`, once per AIC order of
-the models :func:`gica.varmodel.fit_var_aic_stack` reads off the block's scan.
+Theoretical profiles take :func:`gica.spectral.assemble_profiles`, one spec at a time (a
+sweep is one :func:`theoretical_profiles` call per value). A confounded-study block's models,
+read off its AIC scan (:func:`gica.varmodel.fit_var_aic_stack`), take the surrogates' batch
+driver, :func:`gica.spectral.measure_blocks`, one block per order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_stack
+from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_blocks
 from .timeseries import TimeSeriesPair
 from .varmodel import BivariateVarModel, fit_var_aic_stack, poles_to_ar_coeffs, require_stable
 from .varmodel import simulate_var
@@ -202,18 +201,15 @@ def run_confounded_study(
 
     The confounded system is built and gated once and simulated ``SURROGATE_BLOCK`` runs at a
     time, each from its ``(seed, run)`` stream. Each block's observed (X, Y) pairs take one
-    stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`); each run's bivariate model is the
-    one :func:`gica.varmodel.fit_var` would fit alone. The block's models are grouped by order
-    and each group takes one :func:`gica.spectral.measure_stack`, whose rows do not depend on
-    the batch; a group that fails a gate is measured run by run, so each failing run keeps its
-    own error. Profiles are summed in run order, as one run at a time would, and averaged
-    pointwise. A run whose fit or measures fail a gate is skipped; more than 5% failures
-    aborts, naming the first failed run and its error.
+    stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`), which fits each run as
+    :func:`gica.varmodel.fit_var` alone would, and :func:`gica.spectral.measure_blocks` measures
+    its models one order at a time. Profiles are summed in run order and averaged. A run whose
+    fit or measures fail a gate is skipped; more than 5% failures aborts, naming the first
+    failed run and its own error.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if q < 1:  # a settings error, not a failure of every run
-        raise ValueError(f"q must be >= 1, got {q}")
+    for name, value in (("n_runs", n_runs), ("q", q), ("p_max", p_max)):
+        if value < 1:  # a settings error, not a failure of every run
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if grid is None:
         grid = FrequencyGrid.default()
     specs = [SimSpec("confounded", n, seed=(seed, run), a=a, b=b) for run in range(n_runs)]
@@ -222,8 +218,17 @@ def run_confounded_study(
     failures, first = 0, ""
     for start in range(0, n_runs, SURROGATE_BLOCK):
         x, y = _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]).swapaxes(0, 1)
-        models = fit_var_aic_stack(x, y, p_max)
-        for run, result in enumerate(_measure_by_order(models, q, grid), start):
+        results = dict(enumerate(fit_var_aic_stack(x, y, p_max), start))  # a model or its error
+        groups: dict[int, list] = {}
+        for run, model in results.items():
+            if not isinstance(model, ValueError):
+                groups.setdefault(model.p, []).append((run, model.coeffs, model.sigma))
+        blocks = [[np.stack(v) for v in zip(*group)] for group in groups.values()]
+        for runs, outcome in measure_blocks(blocks, q, grid, {}):
+            failed = isinstance(outcome, ValueError)
+            for j, run in enumerate(runs):
+                results[run] = outcome if failed else {k: outcome[0][k][j] for k in sums}
+        for run, result in results.items():
             if isinstance(result, ValueError):
                 failures += 1
                 first = first or f"first failure, run {run}: {result}"
@@ -239,32 +244,3 @@ def run_confounded_study(
         name: SpectralProfile(grid, sums[name] / used, name) for name in sums
     }
     return profiles, failures
-
-
-def _measure_by_order(
-    models: list[BivariateVarModel | ValueError], q: int, grid: FrequencyGrid
-) -> list[dict[str, np.ndarray] | ValueError]:
-    """Per model, in order, its gc, gi and ga profiles or its error: one
-    :func:`gica.spectral.measure_stack` per group of models of one order, and one per model of
-    a group that fails a gate."""
-    results: list[dict[str, np.ndarray] | ValueError] = list(models)
-    groups: dict[int, list[int]] = {}
-    for i, model in enumerate(models):
-        if not isinstance(model, ValueError):
-            groups.setdefault(model.p, []).append(i)
-    pending = list(groups.values())
-    while pending:
-        rows = pending.pop()
-        coeffs = np.stack([models[i].coeffs for i in rows])
-        sigma = np.stack([models[i].sigma for i in rows])
-        try:
-            profiles = measure_stack(coeffs, sigma, q, grid, {})[1]
-        except ValueError as err:
-            if len(rows) > 1:  # each failing run keeps its own error
-                pending.extend([i] for i in rows)
-            else:
-                results[rows[0]] = err
-            continue
-        for j, i in enumerate(rows):
-            results[i] = {name: profiles[name][j] for name in ("gc", "gi", "ga")}
-    return results

@@ -33,18 +33,18 @@ passes the mixed models through the gate every model does, and gives ``F_xy``
 and ``A_y``; its arrays are ``(B, ...)``. The grid stage takes ``E`` and ``det F =
 E_xx + E_xy B_yx`` of the stack from a cached DFT table per grid, and every band
 mean and ``F_y`` from one product with a cached weight matrix per grid and band
-set; its arrays are ``(B, n)``. Surrogates take :func:`measure_blocks`: the grid stage
-per block of :data:`SURROGATE_BLOCK`, the model stage per chunk of whole blocks whose
-model arrays are no larger than a grid block's.
-:func:`assemble_profiles` is its batch of one, plus display spectra from the
-``E``, ``det E`` and shares it returns.
+set; its arrays are ``(B, n)``. :func:`measure_blocks` is the one batch driver, for
+surrogates and study runs alike: the model stage per chunk of blocks, the grid stage per
+block, and a block that fails a gate model by model. :func:`assemble_profiles` is
+:func:`measure_stack`'s batch of one, plus display spectra from its ``E``, ``det E`` and shares.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,28 +344,45 @@ def measure_stack(
 
 
 def measure_blocks(
-    fits: Iterable[tuple[np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid,
+    blocks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid,
     bands: dict[str, tuple[float, float]],
-) -> list[MeasureReport]:
-    """The report of each block of models ``(coeffs, sigma)`` that ``fits`` yields, each block
-    at most :data:`SURROGATE_BLOCK` rows and its report :func:`measure_stack`'s bit for bit.
+) -> Iterator[tuple[Sequence, tuple[dict[str, np.ndarray], MeasureReport] | ValueError]]:
+    """``(rows, (profiles, report))`` per block ``(rows, coeffs, sigma)`` of at most
+    :data:`SURROGATE_BLOCK` models of one order, in order and :func:`measure_stack`'s bit for
+    bit. A block that fails a gate is measured model by model, and a model that fails alone
+    gives ``((row,), error)``.
 
-    The grid stage runs per block. The model stage runs once per chunk of whole blocks, as many
-    as keep its arrays near a grid block's: per row, the ``(4 (p + 1))**2`` autocovariance
-    system and the two ``q**2`` Toeplitz systems against the ``8 n`` floats of ``E(f)``, and at
-    least one block. Blocks are drawn from ``fits`` a chunk at a time, so a chunk is fitted
-    before any of its models is gated.
+    The model stage runs once per chunk of consecutive blocks of one order, as many as keep its
+    arrays near a grid block's (per row, the ``(4 (p + 1))**2`` autocovariance system and two
+    ``q**2`` Toeplitz systems against the ``8 n`` floats of ``E(f)``), and at least one; the
+    grid stage runs per block. A chunk is drawn whole before any of its models is gated, and
+    one block's profiles are held at a time.
     """
-    reports, fits = [], iter(fits)
-    for first in fits:
-        row = (4 * (first[0].shape[1] + 1)) ** 2 + 2 * q**2
-        chunk = [first, *itertools.islice(fits, max(0, 8 * grid.n_points // row - 1))]
-        coeffs, sigma = (np.concatenate(parts) for parts in zip(*chunk))
-        models = _model_stage(coeffs, sigma, q)[1]
-        ends = np.cumsum([len(block) for block, _ in chunk])
-        for start, end in zip([0, *ends[:-1]], ends):
-            reports.append(_grid_stage(tuple(v[start:end] for v in models), grid, bands)[2])
-    return reports
+    for p, same in itertools.groupby(blocks, lambda block: block[1].shape[1]):
+        size = max(1, 8 * grid.n_points // ((4 * (p + 1)) ** 2 + 2 * q**2))
+        while chunk := list(itertools.islice(same, size)):
+            models, end = None, 0
+            if len(chunk) > 1:
+                _, coeffs, sigma = zip(*chunk)
+                with contextlib.suppress(ValueError):  # if it fails, each block takes its own
+                    models = _model_stage(np.concatenate(coeffs), np.concatenate(sigma), q)[1]
+            for block in chunk:
+                start, end = end, end + len(block[0])
+                stage = models and tuple(v[start:end] for v in models)
+                yield from _measured(block, stage, q, grid, bands)
+
+
+def _measured(block: tuple, models: tuple | None, q: int, grid: FrequencyGrid, bands: dict) -> list:
+    """:func:`measure_blocks` of one block from its model stage ``models``, or its own if None:
+    a block that fails a gate is measured model by model, and a model alone gives its error."""
+    rows, coeffs, sigma = block
+    try:
+        return [(rows, _grid_stage(models or _model_stage(coeffs, sigma, q)[1], grid, bands)[1:])]
+    except ValueError as err:
+        if len(rows) == 1:
+            return [(rows, err)]
+    singles = zip([(row,) for row in rows], coeffs[:, None], sigma[:, None])
+    return [_measured(single, None, q, grid, bands)[0] for single in singles]
 
 
 def assemble_profiles(

@@ -86,6 +86,13 @@ def test_config_takes_integer_orders_and_aic(order):
     assert AnalysisConfig(order=order).order == order
 
 
+@pytest.mark.parametrize("order, p_max", [("aic", 0), (2, -3)])
+def test_config_refuses_p_max_below_one(order, p_max):
+    # refused when the config is built, also at a fixed order, which never scans
+    with pytest.raises(ValueError, match=f"^p_max must be >= 1, got {p_max}$"):
+        AnalysisConfig(order=order, p_max=p_max)
+
+
 def test_config_rejects_a_band_named_time():
     # "time" keys the time-domain scope of the report and of the surrogate values
     with pytest.raises(ValueError, match="may not be named 'time'"):
@@ -545,6 +552,17 @@ def test_cli_confounded_study_refuses_q_below_one_before_simulating(tmp_path, ca
                   "--grid-points", "129", "--out", outdir])
     assert rc == 1
     assert capsys.readouterr().err == "error: q must be >= 1, got 0\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "confounded-study"])
+def test_cli_refuses_p_max_below_one_with_no_output(tmp_path, capsys, command):
+    csv = tmp_path / "pair.csv"
+    run_cli(["simulate", "--system", "open_loop", "--n", "200", "--out", csv])
+    args = {"analyze": ["--input", csv, "--fs", "1"], "confounded-study": ["--a", "0.8"]}[command]
+    outdir = tmp_path / "p0"
+    assert run_cli([command, *args, "--p-max", "0", "--grid-points", "33", "--out", outdir]) == 1
+    assert capsys.readouterr().err == "error: p_max must be >= 1, got 0\n"
     assert not outdir.exists()
 
 

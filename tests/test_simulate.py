@@ -444,6 +444,16 @@ def test_confounded_study_rejects_q_below_one_before_simulating(monkeypatch):
         run_confounded_study(0.8, 0.0, n_runs=3, q=0)
 
 
+def test_confounded_study_rejects_p_max_below_one_before_simulating(monkeypatch):
+    # a settings error, not a failure of every run, and found before the first block
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settings error must not simulate")
+
+    monkeypatch.setattr(gica.simulate, "_realizations", forbidden)
+    with pytest.raises(ValueError, match="^p_max must be >= 1, got 0$"):
+        run_confounded_study(0.8, 0.0, n_runs=3, p_max=0)
+
+
 def test_estimated_profiles_approach_theory():
     # long-sample fits should land close to exact spectra in sup norm
     grid = FrequencyGrid(513)

@@ -14,7 +14,7 @@ from gica.spectral import (
     SpectralProfile,
     assemble_profiles,
 )
-from gica.spectral import _band_stack, _lag_transform, measure_stack
+from gica.spectral import _band_stack, _lag_transform, measure_blocks, measure_stack
 from gica.varmodel import BivariateVarModel, UnstableModelError, autocovariance_stack, fit_var
 
 from conftest import full_band_integral, integrate_band
@@ -438,3 +438,37 @@ def test_measure_stack_rows_equal_each_row_measured_alone():
                         ), (band, measure, key)
             for stacked, single in zip(rest, alone_rest):
                 assert np.array_equal(stacked[i], single[0])
+
+
+def test_measure_blocks_yields_blocks_in_order_and_a_failing_model_alone(random_model_factory):
+    # orders 2, 2, 3, 2: on 513 points the first two blocks share a model chunk, and the second
+    # holds an unstable model; it is measured model by model, the others block by block
+    grid, rng = FrequencyGrid(513), np.random.default_rng(4)
+    orders = [2, 2, 2, 2, 2, 2, 3, 3, 2]
+    models = [
+        random_model_factory(rng, p, 1.05 if row == 4 else None) for row, p in enumerate(orders)
+    ]
+    blocks = [
+        (rows, *(np.stack([getattr(models[r], k) for r in rows]) for k in ("coeffs", "sigma")))
+        for rows in [(0, 1, 2), (3, 4, 5), (6, 7), (8,)]
+    ]
+    outcomes = list(measure_blocks(blocks, 20, grid, DEFAULT_BANDS))
+    assert [rows for rows, _ in outcomes] == [(0, 1, 2), (3,), (4,), (5,), (6, 7), (8,)]
+    for rows, outcome in outcomes:
+        for j, row in enumerate(rows):
+            try:
+                _, alone, report, _ = measure_stack(
+                    models[row].coeffs[None], models[row].sigma[None], 20, grid, DEFAULT_BANDS
+                )
+            except ValueError as err:
+                assert row == 4 and type(outcome) is type(err) and str(outcome) == str(err)
+                continue
+            profiles, block_report = outcome
+            assert set(profiles) == set(alone)
+            for name in alone:
+                assert np.array_equal(profiles[name][j], alone[name][0]), (row, name)
+            for measure in ("gc", "gi", "ga"):
+                for scope in ("time", *DEFAULT_BANDS):
+                    assert np.array_equal(
+                        block_report.value(measure, scope)[j], report.value(measure, scope)[0]
+                    ), (row, measure, scope)

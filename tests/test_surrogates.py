@@ -321,6 +321,23 @@ def test_block_with_explosive_row_is_unstable(coupled_pair):
         surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
 
 
+def test_each_failing_surrogate_keeps_its_own_error(coupled_pair, coupled_model):
+    # rows 2 and 13 explode in two blocks of one model chunk (order 2, 513 points); the call
+    # fails with row 2's own error, not with the chunk's largest radius, row 13's 1.03
+    series = generate_surrogates(coupled_pair, coupled_model, H1, 23, 5, 20)
+    rng = np.random.default_rng(2)
+    for row, growth in [(2, 1.01), (13, 1.03)]:
+        x = np.zeros(coupled_pair.n)
+        for t in range(1, x.size):
+            x[t] = growth * x[t - 1] + rng.standard_normal()
+        series[0, row] = x
+    with pytest.raises(UnstableModelError) as alone:
+        measure_stack(*fit_var_stack(*series[:, 2:3], 2), 20, BLOCK_GRID, DEFAULT_BANDS)
+    with pytest.raises(UnstableModelError, match="radius 1.00977 ") as failed:
+        surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+    assert str(failed.value) == str(alone.value)
+
+
 def test_h1_surrogates_break_coupling(coupled_pair, coupled_model):
     orig = abs(lag1_xcorr(coupled_pair.x, coupled_pair.y))
     surr = generate_surrogates(coupled_pair, coupled_model, H1, 10, 5, 20)
