@@ -75,15 +75,18 @@ def _parse_bands(specs: list[str] | None) -> dict[str, tuple[float, float]]:
     return bands
 
 
+@functools.lru_cache(maxsize=8)
+def _freq_column(grid: FrequencyGrid) -> tuple[str, ...]:
+    """``grid``'s frequencies as text, formatted once per process: every profile repeats them."""
+    return tuple(format_column(grid.freqs_hz))
+
+
 def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records: dict) -> None:
     """Make ``outdir`` and write a ``profile_<name>.csv`` per profile and a ``<name>.json`` per
-    record, every profile on one grid formatting its frequencies once."""
+    record."""
     outdir.mkdir(parents=True, exist_ok=True)
-    freqs: dict[FrequencyGrid, list[str]] = {}
     for name, profile in profiles.items():
-        if profile.grid not in freqs:
-            freqs[profile.grid] = format_column(profile.grid.freqs_hz)
-        columns = [freqs[profile.grid], format_column(profile.values)]
+        columns = [_freq_column(profile.grid), format_column(profile.values)]
         text = delimited_text(["frequency_hz", "value"], columns, ",")
         write_text(outdir / f"profile_{name}.csv", text)
     for name, data in records.items():
@@ -92,7 +95,7 @@ def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records
 
 def _write_plot_data(profiles: dict[str, SpectralProfile], path: Path) -> None:
     names = sorted(profiles)
-    columns = [format_column(profiles[names[0]].grid.freqs_hz)]
+    columns = [_freq_column(profiles[names[0]].grid)]
     columns += [format_column(profiles[n].values) for n in names]
     write_text(path, delimited_text(["frequency_hz", *names], columns, "\t"))
 

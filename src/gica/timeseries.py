@@ -4,6 +4,10 @@ Input data are two simultaneously sampled scalar series (a driver ``x`` and a
 target ``y``). Preprocessing follows common practice for short physiological
 recordings: mean removal plus an optional zero-phase high-pass detrend with a
 very low cutoff so that slow drifts do not leak into the analysis bands.
+:func:`highpass_detrend` is ``scipy.signal.filtfilt`` of a first-order
+Butterworth in numpy: closed-form coefficients, ``filtfilt``'s odd padding and
+``lfilter_zi`` start, and each pass run by :func:`gica.varmodel.simulate_var`,
+the one recursion, so :func:`preprocess` filters both channels in one stack.
 
 Text is read and written a column at a time. :func:`load_pair` parses each
 selected column with one list comprehension and checks it with one
@@ -19,10 +23,13 @@ writes a JSON report's numbers.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .varmodel import simulate_var
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def format_column(values: np.ndarray) -> list[str]:
     return ["%.15g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def delimited_text(header: list[str], columns: list[list[str]], delimiter: str) -> str:
+def delimited_text(header: list[str], columns: list[Sequence[str]], delimiter: str) -> str:
     """A header line and one line per row of the formatted ``columns``, newline-terminated."""
     return "\n".join([delimiter.join(header), *map(delimiter.join, zip(*columns))]) + "\n"
 
@@ -196,46 +203,61 @@ def remove_mean(series: np.ndarray) -> np.ndarray:
 
 
 def highpass_detrend(series: np.ndarray, fs: float, cutoff: float = 0.0156) -> np.ndarray:
-    """Zero-phase first-order high-pass filtering for slow-trend removal.
+    """Zero-phase first-order Butterworth high-pass for slow-trend removal, ``(..., N)``.
 
-    A first-order Butterworth high-pass is applied forward and backward
-    (zero phase). The signal is reflect-padded by three filter time
-    constants, capped by the series length, to suppress end transients.
+    The filter of ``scipy.signal.butter(1, cutoff, "highpass", fs=fs)`` in closed form:
+    with ``k = tan(pi cutoff / fs)``, ``b = [1, -1] / (1 + k)`` and ``a = [1, a1]``,
+    ``a1 = (k - 1) / (k + 1)``. It runs as ``scipy.signal.filtfilt`` runs it: the
+    series is extended at both ends by an odd reflection of ``padlen = int(min(3 tau,
+    N - 2))`` samples, ``tau = fs / (2 pi cutoff)`` the time constant in samples, then
+    filtered forward and the result backward, each pass started from
+    ``lfilter_zi``'s steady state ``zi = (b1 - a1 b0) / (1 + a1)`` scaled by the pass's
+    first sample, and the padding is cut off again (none at ``padlen`` 0).
+
+    Each pass is the recursion ``y_t = -a1 y_{t-1} + b0 v_t + b1 v_{t-1}`` with
+    ``zi v_0`` added to its first drive sample, run by :func:`simulate_var`, so rows of
+    a stack are filtered in one call each way, each bit-identical to the row alone.
 
     Parameters
     ----------
     series : ndarray
-        Input samples.
+        Input samples, shape ``(..., N)``; the last axis is time.
     fs : float
         Sampling frequency in Hz.
     cutoff : float
         High-pass cutoff in Hz; must lie in ``(0, fs/2)``.
     """
-    from scipy import signal  # deferred: scipy.signal takes most of a start-up
-
     series = np.asarray(series, dtype=float)
-    if series.size < 20:
+    if series.ndim == 0 or series.shape[-1] < 20:
         raise ValueError("need at least 20 samples to detrend")
     if not 0 < cutoff < fs / 2:
         raise ValueError(
             f"cutoff must lie in (0, {fs / 2}), got {cutoff}"
         )
-    b, a = signal.butter(1, cutoff, btype="highpass", fs=fs)
+    k = np.tan(np.pi * cutoff / fs)
+    b0, b1, a1 = 1 / (1 + k), -1 / (1 + k), (k - 1) / (k + 1)
+    zi = (b1 - a1 * b0) / (1 + a1)
     tau = fs / (2 * np.pi * cutoff)  # time constant in samples
-    padlen = int(min(3 * tau, series.size - 2))
-    return signal.filtfilt(b, a, series, padlen=padlen)
+    pad = int(min(3 * tau, series.shape[-1] - 2))
+    head = 2 * series[..., :1] - series[..., pad:0:-1]  # odd reflections, empty at pad 0
+    tail = 2 * series[..., -1:] - series[..., -2 : -pad - 2 : -1]
+    v = np.concatenate([head, series, tail], axis=-1)
+    lags = np.array([[[-a1]]])
+    for _ in range(2):  # each pass runs forward and reverses, so the second undoes the first's
+        drive = b0 * v
+        drive[..., 1:] += b1 * v[..., :-1]
+        drive[..., 0] += zi * v[..., 0]
+        v = simulate_var(lags, drive[..., None])[..., 0][..., ::-1]
+    return v[..., pad : v.shape[-1] - pad]
 
 
-def preprocess(
-    pair: TimeSeriesPair, detrend_cutoff: float | None = 0.0156
-) -> TimeSeriesPair:
-    """Detrend (optional) and demean both channels.
+def preprocess(pair: TimeSeriesPair, detrend_cutoff: float | None) -> TimeSeriesPair:
+    """High-pass both channels at ``detrend_cutoff`` Hz, in one stack, then demean them.
 
     ``detrend_cutoff=None`` skips the high-pass stage and only removes the
     mean.
     """
     x, y = pair.x, pair.y
     if detrend_cutoff is not None:
-        x = highpass_detrend(x, pair.fs, detrend_cutoff)
-        y = highpass_detrend(y, pair.fs, detrend_cutoff)
+        x, y = highpass_detrend(np.stack([x, y]), pair.fs, detrend_cutoff)
     return TimeSeriesPair(remove_mean(x), remove_mean(y), pair.fs)

@@ -566,38 +566,55 @@ def test_cli_refuses_p_max_below_one_with_no_output(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
-def test_cli_import_and_default_analysis_leave_scipy_signal_unloaded():
-    # scipy.signal is imported by the simulation and the detrend, not at start-up
+def test_cli_import_and_default_analysis_leave_scipy_signal_unloaded(tmp_path):
+    # gica's runtime is numpy alone: the high-pass detrend included, nothing imports scipy
     script = textwrap.dedent("""
         import sys
         import numpy as np
         import gica.cli
         from gica.pipeline import AnalysisConfig, analyze_pair
-        from gica.timeseries import TimeSeriesPair
-        assert "scipy.signal" not in sys.modules, "import"
+        from gica.timeseries import TimeSeriesPair, write_pair
+
+        def no_scipy(stage):
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, f"{stage}: {len(loaded)} scipy modules, first {loaded[:3]}"
+
+        no_scipy("import")
         x, y = np.random.default_rng(0).standard_normal((2, 500))
         analyze_pair(TimeSeriesPair(x, y, 1.0), AnalysisConfig(grid_points=65))
-        assert "scipy.signal" not in sys.modules, "analyze_pair"
+        no_scipy("analyze_pair")
+        csv, out = sys.argv[1:]
+        write_pair(TimeSeriesPair(x, y, 1.0), csv)
+        args = ["analyze", "--input", csv, "--fs", "1", "--grid-points", "65", "--out", out]
+        assert gica.cli.main([*args, "--detrend-cutoff", "0.0156"]) == 0
+        no_scipy("gica analyze --detrend-cutoff")
     """)
     src = os.path.dirname(os.path.dirname(gica.cli.__file__))  # the package's own checkout
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    argv = [sys.executable, "-c", script, str(tmp_path / "pair.csv"), str(tmp_path / "out")]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_simulation_study_and_surrogates_leave_scipy_signal_unloaded():
-    # the VAR recursion is a matmul scan: only the high-pass detrend imports scipy.signal
+    # the VAR recursion is a matmul scan, and nothing in gica imports scipy
     script = textwrap.dedent("""
         import sys
         from gica.pipeline import AnalysisConfig, analyze_pair
         from gica.simulate import SimSpec, run_confounded_study, simulate
+
+        def no_scipy(stage):
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, f"{stage}: {len(loaded)} scipy modules, first {loaded[:3]}"
+
         pair = simulate(SimSpec(system="open_loop", b=1, c=0.5, n=300, seed=0))
-        assert "scipy.signal" not in sys.modules, "simulate"
+        no_scipy("simulate")
         run_confounded_study(0.8, 0.0, n_runs=3, n=300)
-        assert "scipy.signal" not in sys.modules, "run_confounded_study"
+        no_scipy("run_confounded_study")
         config = AnalysisConfig(grid_points=65, n_surrogates=4, hypotheses=("h1", "h2"))
         assert set(analyze_pair(pair, config).report.significance) > {"h1", "h2"}
-        assert "scipy.signal" not in sys.modules, "analyze_pair with surrogates"
+        no_scipy("analyze_pair with surrogates")
     """)
     src = os.path.dirname(os.path.dirname(gica.cli.__file__))  # the package's own checkout
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

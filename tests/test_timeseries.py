@@ -1,7 +1,10 @@
 """Loading, validation, and preprocessing of paired series."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import signal
 
 from gica.timeseries import (
     TimeSeriesPair,
@@ -150,6 +153,70 @@ def test_highpass_removes_slow_drift_keeps_fast_oscillation():
 def test_highpass_needs_enough_samples():
     with pytest.raises(ValueError, match="at least"):
         highpass_detrend(np.ones(10), fs=1.0)
+    with pytest.raises(ValueError, match="at least"):
+        highpass_detrend(np.ones((2, 10)), fs=1.0)  # 20 values, 10 samples a row
+
+
+def scipy_highpass(x, fs, cutoff):
+    """Oracle: scipy's first-order Butterworth through ``filtfilt`` at the detrend's padlen."""
+    b, a = signal.butter(1, cutoff, btype="highpass", fs=fs)
+    padlen = int(min(3 * fs / (2 * np.pi * cutoff), x.shape[-1] - 2))
+    return signal.filtfilt(b, a, x, padlen=padlen), padlen
+
+
+@pytest.mark.parametrize("cutoff", [1e-4, 0.0156, 0.2, 0.45, 0.49])
+def test_closed_form_coefficients_match_scipy_butter(cutoff):
+    k = np.tan(np.pi * cutoff)
+    b, a = signal.butter(1, cutoff, btype="highpass", fs=1.0)
+    assert np.abs(b - np.array([1, -1]) / (1 + k)).max() <= 1e-15
+    assert np.abs(a - np.array([1, (k - 1) / (k + 1)])).max() <= 1e-15
+
+
+def test_highpass_keeps_every_sample_when_padlen_is_zero():
+    # above 3 fs / (2 pi) the time constant is under a third of a sample: no padding to cut
+    x = np.random.default_rng(6).standard_normal(64)
+    ref, padlen = scipy_highpass(x, 1.0, 0.49)
+    assert padlen == 0
+    out = highpass_detrend(x, 1.0, 0.49)
+    assert out.shape == (64,)
+    assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(20, 5000),
+    fs=st.sampled_from([0.5, 1.0, 4.0, 250.0]),
+    padding=st.sampled_from(["none", "middle", "whole"]),
+    u=st.floats(0.0, 1.0),
+    scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_highpass_matches_scipy_filtfilt(n, fs, padding, u, scale, seed):
+    # cutoff / fs placed so that padlen is 0, strictly between 0 and N - 2, or N - 2
+    low, high = 3 / (2 * np.pi * (n - 2)), 3 / (2 * np.pi)  # padlen reaches N - 2, leaves 0
+    ratio = {
+        "none": high + (0.4999 - high) * (0.001 + 0.999 * u),
+        "middle": 1.01 * low * (0.98 * high / (1.01 * low)) ** u,  # log-uniform in between
+        "whole": low * (0.05 + 0.94 * u),
+    }[padding]
+    rng = np.random.default_rng(seed)
+    x = 10.0**scale * (rng.standard_normal(n).cumsum() + rng.uniform(-100, 100))
+    ref, padlen = scipy_highpass(x, fs, ratio * fs)
+    assert {"none": padlen == 0, "whole": padlen == n - 2, "middle": 0 < padlen < n - 2}[padding]
+    out = highpass_detrend(x, fs, ratio * fs)
+    # both recursions round alike, and rounding grows with the time constant tau (in samples):
+    # in 3000 random draws of these settings the largest gap was 0.42 eps (1 + tau) max|x|
+    tau = 1 / (2 * np.pi * ratio)
+    assert out.shape == x.shape
+    assert np.abs(out - ref).max() <= 2 * np.finfo(float).eps * (1 + tau) * np.abs(x).max()
+
+
+def test_highpass_rows_of_a_stack_match_each_row_alone():
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2, 2000)).cumsum(axis=-1)
+    out = highpass_detrend(stack, 1.0, 0.0156)
+    for row, alone in zip(out, stack):
+        assert np.array_equal(row, highpass_detrend(alone, 1.0, 0.0156))
 
 
 def test_preprocess_none_cutoff_only_centers():
@@ -162,11 +229,20 @@ def test_preprocess_none_cutoff_only_centers():
     assert np.ptp(pair.x - out.x) < 1e-12
 
 
-def test_preprocess_default_filters_both_channels():
+def test_preprocess_cutoff_detrends_and_centers_both_channels():
     rng = np.random.default_rng(4)
     t = np.arange(2048)
     drift = np.sin(2 * np.pi * 0.0005 * t) * 5
     pair = TimeSeriesPair(rng.normal(size=2048) + drift, rng.normal(size=2048) + drift, fs=1.0)
-    out = preprocess(pair)
-    assert np.std(out.x) < np.std(pair.x)
+    out = preprocess(pair, detrend_cutoff=0.0156)
+    for raw, clean in [(pair.x, out.x), (pair.y, out.y)]:
+        assert np.std(clean) < 0.5 * np.std(raw)
+        assert abs(clean.mean()) < 1e-12
+        assert np.array_equal(clean, remove_mean(highpass_detrend(raw, 1.0, 0.0156)))
     assert out.fs == pair.fs
+
+
+def test_preprocess_has_no_default_cutoff():
+    pair = TimeSeriesPair(np.arange(32.0), np.ones(32), fs=1.0)
+    with pytest.raises(TypeError):
+        preprocess(pair)
