@@ -107,8 +107,14 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
     print(f"  causality  F_xy = {_fmt(report.f_xy)}")
     print(f"  isolation  F_y  = {_fmt(report.f_y, 'gi')}")
     print(f"  autonomy   A_y  = {_fmt(report.a_y)}")
+    # a measure whose hypothesis was not run is untested, which a blank mark would not say
+    untested = {}
+    if report.significance is not None:
+        untested = {m: hyp for m, (hyp, _) in TAILS.items() if hyp not in report.significance}
     if report.bands:
-        print("band means (nats):")
+        not_run = " and ".join(sorted(set(untested.values())))
+        note = f"; {', '.join(untested)} not tested, {not_run} not run" if untested else ""
+        print(f"band means (nats{note}):")
         # a space between cells: "inf (isolated)" and long band names overflow their width
         print("  " + " ".join([f"{'band':<8}", *(f"{m:>12}" for m in ("gc", "gi", "ga"))]))
         for band, measures in report.bands.items():
@@ -122,6 +128,9 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
     if report.significance is not None:
         print("significance (*: outside surrogate thresholds):")
         for measure, label in (("gc", "F_xy"), ("gi", "F_y"), ("ga", "A_y")):
+            if measure in untested:
+                print(f"  {label:<5} not tested ({untested[measure]} not run)")
+                continue
             mark = "*" if _is_significant(report, measure, "time") else " "
             print(f"  {label:<5} {mark}")
     for warning in report.warnings:

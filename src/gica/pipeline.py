@@ -10,7 +10,9 @@ attaches surrogate significance verdicts, whose settings are checked when
 surrogates are fitted in blocks of :data:`gica.spectral.SURROGATE_BLOCK` rows of
 the array :func:`gica.surrogates.generate_surrogates` returns and measured by the
 one batch driver, :func:`gica.spectral.measure_blocks` (:func:`surrogate_values`),
-where the first failing surrogate fails the analysis with its own error. The fitted
+where the first failing surrogate fails the analysis with its own error. Each hypothesis's
+surrogates form only the measures :data:`gica.surrogates.TAILS` tests on them: gc and gi for
+H1, ga for H2; every surrogate passes every model-stage gate. The fitted
 innovation covariance is generally not diagonal; all derived quantities use
 the strictly causal convention (off-diagonal dropped), and a warning is
 attached when the implied residual correlation exceeds 0.2, when AIC picks
@@ -20,12 +22,13 @@ mean square.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .restricted import RestrictedModel
-from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
+from .spectral import DEFAULT_BANDS, MEASURES, FrequencyGrid, MeasureReport, SpectralProfile
 from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_blocks
 from .surrogates import H1, H2, TAILS, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
@@ -120,26 +123,33 @@ def analyze_pair(pair: TimeSeriesPair, config: AnalysisConfig) -> AnalysisResult
 
 
 def surrogate_values(
-    series: np.ndarray, order: int, q: int, grid: FrequencyGrid, bands: dict
+    series: np.ndarray, order: int, q: int, grid: FrequencyGrid, bands: dict,
+    measures: Collection[str] = MEASURES,
 ) -> dict[tuple[str, str], np.ndarray]:
-    """gc, gi and ga of every pair of ``series`` ``(2, B, n)``, keyed by ``(measure, scope)``.
+    """``measures`` (gc, gi and ga by default) of every pair of ``series`` ``(2, B, n)``, keyed
+    by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a copy, is fitted
     by :func:`gica.varmodel.fit_var_stack` and measured by :func:`gica.spectral.measure_blocks`;
-    only its report is kept, ``measure_stack``'s of the block bit for bit. The first surrogate
-    that fails a gate fails the call with its own error.
+    only its report is kept, ``measure_stack``'s of the block bit for bit. The grid stage forms
+    only what ``measures`` read: without ga no ``det E``, ``det F`` or ga profile, without gc
+    and gi neither of their profiles. Every surrogate still passes every model-stage gate (the
+    full model's and the mixed model's Schur-Cohn gates, ``F_xy, A_y >= 0``); those imply the
+    singular-transfer checks an H1 block skips, as a polynomial with no root in the closed unit
+    disk has no zero on the circle. The first surrogate that fails a gate fails the call with
+    its own error.
     """
     starts = range(0, series.shape[1], SURROGATE_BLOCK)
     fits = (fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order) for i in starts)
     blocks = ((range(i, i + len(fit[0])), *fit) for i, fit in zip(starts, fits))
     reports = []
-    for _, outcome in measure_blocks(blocks, q, grid, bands):
+    for _, outcome in measure_blocks(blocks, q, grid, bands, measures):
         if isinstance(outcome, ValueError):
             raise outcome
         reports.append(outcome[1])
     return {
         (measure, scope): np.concatenate([r.value(measure, scope) for r in reports])
-        for measure in TAILS
+        for measure in measures
         for scope in ("time", *bands)
     }
 
@@ -153,7 +163,8 @@ def _significance(
         series = generate_surrogates(
             result.pair, result.model, hyp, config.n_surrogates, config.seed, config.q
         )
-        values = surrogate_values(series, result.order, config.q, grid, config.bands)
+        measures = [measure for measure, (needed, _) in TAILS.items() if needed == hyp]
+        values = surrogate_values(series, result.order, config.q, grid, config.bands, measures)
         out[hyp] = {
             measure: {
                 scope: significance_test(
@@ -162,7 +173,6 @@ def _significance(
                 )
                 for scope in ("time", *config.bands)
             }
-            for measure, (needed, _) in TAILS.items()
-            if needed == hyp
+            for measure in measures
         }
     return out

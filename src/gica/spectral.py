@@ -35,8 +35,12 @@ E_xx + E_xy B_yx`` of the stack from a cached DFT table per grid, and every band
 mean and ``F_y`` from one product with a cached weight matrix per grid and band
 set; its arrays are ``(B, n)``. :func:`measure_blocks` is the one batch driver, for
 surrogates and study runs alike: the model stage per chunk of blocks, the grid stage per
-block, and a block that fails a gate model by model. :func:`assemble_profiles` is
-:func:`measure_stack`'s batch of one, plus display spectra from its ``E``, ``det E`` and shares.
+block, and a block that fails a gate model by model. The grid stage forms only the
+measures its caller reads: H1 surrogates form the shares and gc and gi, H2 surrogates the
+shares, ``det E``, ``det F`` and ga, and every model passes every model-stage gate, whose
+Schur-Cohn tests imply the singular-transfer checks an H1 block skips.
+:func:`assemble_profiles` is :func:`measure_stack`'s batch of one, plus display spectra from
+its ``E``, ``det E`` and shares.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,6 +201,8 @@ def _band_integrals(
     return integrals, integrals / (2.0 * np.array([hi - lo for lo, hi in edges]))
 
 
+MEASURES = ("gc", "gi", "ga")  # causality, isolation, autonomy: the measures a report holds
+
 # default analysis bands in Hz: very-low- and low-frequency
 DEFAULT_BANDS: dict[str, tuple[float, float]] = {
     "VLF": (0.02, 0.07),
@@ -205,9 +211,9 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 
 
 def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dict) -> tuple:
-    """Band table of the ``(B, n)`` gc, gi and ga profiles and their full-band integrals
-    ``{m: (B,)}``, from one :func:`_band_integrals`."""
-    measures = ("gc", "gi", "ga")
+    """Band table of the ``(B, n)`` profiles of :data:`MEASURES` in ``profiles`` and their
+    full-band integrals ``{m: (B,)}``, from one :func:`_band_integrals`."""
+    measures = [m for m in MEASURES if m in profiles]
     integrals, means = _band_integrals(
         np.stack([profiles[m] for m in measures]), grid, [*bands.values(), (0.0, grid.fs / 2)]
     )
@@ -294,32 +300,44 @@ def _model_stage(
 
 
 def _grid_stage(
-    models: tuple, grid: FrequencyGrid, bands: dict[str, tuple[float, float]]
+    models: tuple, grid: FrequencyGrid, bands: dict[str, tuple[float, float]],
+    measures: Collection[str] = MEASURES,
 ) -> tuple[tuple, dict[str, np.ndarray], MeasureReport]:
     """The grid-sized half of :func:`measure_stack` on rows of :func:`_model_stage`:
-    ``(E, det E, causal, internal)``, the gc, gi and ga profiles ``(B, n)`` and the report."""
+    ``(E, det E, causal, internal)``, the ``(B, n)`` profiles of ``measures`` and the report.
+
+    Only what ``measures`` read is formed. The shares of ``P_Y`` and their zero-PSD gate always;
+    gc and gi from them; ``det E``, ``det F`` with their singular-transfer gates, ``ga_shape``
+    and ga only for ga (``det E`` is None without it). The report's band table holds the formed
+    measures, and its ``f_y`` is None without gi.
+    """
     coeffs, sigma, x_coeffs, a_y, f_xy = models
     e = _lag_transform(coeffs, grid)
-    det_e = _nonsingular(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0], "full model")
-    # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
-    q = x_coeffs.shape[-1]
-    minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
-    det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
+    det_e = None
+    if "ga" in measures:
+        det_e = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
+        det_e = _nonsingular(det_e, "full model")
+        # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
+        q = x_coeffs.shape[-1]
+        minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
+        det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
     causal = sigma[:, 0, 0, None] * np.abs(e[..., 1, 0]) ** 2
     internal = sigma[:, 1, 1, None] * np.abs(e[..., 0, 0]) ** 2
     if np.any(causal + internal == 0):
         raise ValueError(
             "target PSD is exactly zero at a grid frequency; directed coherence undefined"
         )
+    shares = {"gc": (causal, internal), "gi": (internal, causal)}
     with np.errstate(divide="ignore"):  # where one share is zero, the other measure is +inf
-        gc, gi = np.log1p(causal / internal), np.log1p(internal / causal)
-    ga_shape = 2.0 * np.log(np.abs(det_f / det_e))
-    profiles = {"gc": gc, "gi": gi, "ga_shape": ga_shape, "ga": a_y[:, None] + ga_shape}
+        profiles = {m: np.log1p(a / b) for m, (a, b) in shares.items() if m in measures}
+    if det_e is not None:
+        ga_shape = 2.0 * np.log(np.abs(det_f / det_e))
+        profiles.update(ga_shape=ga_shape, ga=a_y[:, None] + ga_shape)
     for name, values in profiles.items():
         if np.isnan(values).any():
             raise ValueError(f"profile {name!r} contains NaN")
     table, full = _band_stack(profiles, grid, bands)
-    report = MeasureReport(f_xy, full["gi"], np.maximum(a_y, 0.0), table)
+    report = MeasureReport(f_xy, full.get("gi"), np.maximum(a_y, 0.0), table)
     return (e, det_e, causal, internal), profiles, report
 
 
@@ -345,12 +363,13 @@ def measure_stack(
 
 def measure_blocks(
     blocks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid,
-    bands: dict[str, tuple[float, float]],
+    bands: dict[str, tuple[float, float]], measures: Collection[str] = MEASURES,
 ) -> Iterator[tuple[Sequence, tuple[dict[str, np.ndarray], MeasureReport] | ValueError]]:
     """``(rows, (profiles, report))`` per block ``(rows, coeffs, sigma)`` of at most
     :data:`SURROGATE_BLOCK` models of one order, in order and :func:`measure_stack`'s bit for
     bit. A block that fails a gate is measured model by model, and a model that fails alone
-    gives ``((row,), error)``.
+    gives ``((row,), error)``. The grid stage forms only what ``measures`` read (all of
+    :data:`MEASURES` by default), and every model passes every model-stage gate.
 
     The model stage runs once per chunk of consecutive blocks of one order, as many as keep its
     arrays near a grid block's (per row, the ``(4 (p + 1))**2`` autocovariance system and two
@@ -358,6 +377,9 @@ def measure_blocks(
     grid stage runs per block. A chunk is drawn whole before any of its models is gated, and
     one block's profiles are held at a time.
     """
+    # checked up front: in the grid stage it would fail every model, one by one
+    if not measures or not set(measures) <= set(MEASURES):
+        raise ValueError(f"measures must be some of {MEASURES}, got {tuple(measures)}")
     for p, same in itertools.groupby(blocks, lambda block: block[1].shape[1]):
         size = max(1, 8 * grid.n_points // ((4 * (p + 1)) ** 2 + 2 * q**2))
         while chunk := list(itertools.islice(same, size)):
@@ -369,20 +391,24 @@ def measure_blocks(
             for block in chunk:
                 start, end = end, end + len(block[0])
                 stage = models and tuple(v[start:end] for v in models)
-                yield from _measured(block, stage, q, grid, bands)
+                yield from _measured(block, stage, q, grid, bands, measures)
 
 
-def _measured(block: tuple, models: tuple | None, q: int, grid: FrequencyGrid, bands: dict) -> list:
+def _measured(
+    block: tuple, models: tuple | None, q: int, grid: FrequencyGrid, bands: dict,
+    measures: Collection[str],
+) -> list:
     """:func:`measure_blocks` of one block from its model stage ``models``, or its own if None:
     a block that fails a gate is measured model by model, and a model alone gives its error."""
     rows, coeffs, sigma = block
     try:
-        return [(rows, _grid_stage(models or _model_stage(coeffs, sigma, q)[1], grid, bands)[1:])]
+        stage = models or _model_stage(coeffs, sigma, q)[1]
+        return [(rows, _grid_stage(stage, grid, bands, measures)[1:])]
     except ValueError as err:
         if len(rows) == 1:
             return [(rows, err)]
     singles = zip([(row,) for row in rows], coeffs[:, None], sigma[:, None])
-    return [_measured(single, None, q, grid, bands)[0] for single in singles]
+    return [_measured(single, None, q, grid, bands, measures)[0] for single in singles]
 
 
 def assemble_profiles(

@@ -93,6 +93,13 @@ def test_config_refuses_p_max_below_one(order, p_max):
         AnalysisConfig(order=order, p_max=p_max)
 
 
+def test_config_accepts_p_max_one_and_aic_picks_order_one(sim_pair):
+    config = AnalysisConfig(detrend_cutoff=None, p_max=1, grid_points=129)
+    result = analyze_pair(sim_pair, config)
+    assert result.order == 1
+    assert any("order 1 = p_max" in w for w in result.report.warnings)
+
+
 def test_config_rejects_a_band_named_time():
     # "time" keys the time-domain scope of the report and of the surrogate values
     with pytest.raises(ValueError, match="may not be named 'time'"):
@@ -196,6 +203,39 @@ def test_surrogates_take_the_driver_equation_of_the_analysed_model(sim_pair, mon
     result = analyze_pair(sim_pair, config)
     assert fitted == ["the ar_on_y regression", "the x_on_y regression"]
     assert set(result.report.significance) >= {"h1", "h2"}
+
+
+def test_each_hypothesis_alone_gives_the_verdicts_it_gives_with_both(sim_pair):
+    def significance(hypotheses):
+        config = AnalysisConfig(
+            detrend_cutoff=None, order=2, grid_points=129, n_surrogates=23, hypotheses=hypotheses
+        )
+        return analyze_pair(sim_pair, config).report.significance
+
+    both = significance(("h1", "h2"))
+    for hyp in ("h1", "h2"):
+        alone = significance((hyp,))
+        assert set(alone) == {"n_surrogates", "alpha", "seed", hyp}
+        assert alone[hyp] == both[hyp]
+
+
+@pytest.mark.parametrize("hypothesis, blocks", [("h1", 0), ("h2", 2)])
+def test_surrogates_form_determinants_only_for_autonomy(sim_pair, monkeypatch, hypothesis, blocks):
+    # the analysed model forms det E and det F once; of 20 surrogates in two blocks only
+    # H2's, whose verdicts read ga, form them again
+    dets = []
+    nonsingular = gica.spectral._nonsingular
+
+    def counting(det, what):
+        dets.append(what)
+        return nonsingular(det, what)
+
+    monkeypatch.setattr(gica.spectral, "_nonsingular", counting)
+    config = AnalysisConfig(
+        detrend_cutoff=None, order=2, grid_points=129, n_surrogates=20, hypotheses=(hypothesis,)
+    )
+    analyze_pair(sim_pair, config)
+    assert dets == ["full model", "mixed model"] * (1 + blocks)
 
 
 def test_aic_at_p_max_warns():
@@ -713,6 +753,34 @@ def test_cli_summary_calls_only_an_infinite_isolation_isolated(capsys):
     out = capsys.readouterr().out
     assert "F_xy = inf\n" in out and "F_y  = inf (isolated)\n" in out
     assert re.search(r"\n  LF +inf inf \(isolated\) +0\.5000\n", out), out
+
+
+@pytest.mark.parametrize(
+    "hypothesis, untested, header",
+    [
+        ("h1", {"A_y": "h2"}, "band means (nats; ga not tested, h2 not run):"),
+        ("h2", {"F_xy": "h1", "F_y": "h1"}, "band means (nats; gc, gi not tested, h1 not run):"),
+        ("both", {}, "band means (nats):"),
+    ],
+)
+def test_cli_summary_names_the_measures_of_a_hypothesis_not_run(
+    tmp_path, capsys, hypothesis, untested, header
+):
+    # a measure whose hypothesis did not run reads "not tested", not a blank mark
+    csv = tmp_path / "pair.csv"
+    run_cli(["simulate", "--system", "open_loop", "--b", "1", "--c", "0.5",
+             "--n", "300", "--seed", "8", "--out", csv])
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--order", "2", "--grid-points", "129",
+                  "--surrogates", "20", "--hypothesis", hypothesis, "--out", tmp_path / "out"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert header in lines
+    significance = lines[lines.index("significance (*: outside surrogate thresholds):") + 1 :]
+    for label, line in zip(("F_xy", "F_y", "A_y"), significance):
+        if label in untested:
+            assert line == f"  {label:<5} not tested ({untested[label]} not run)"
+        else:
+            assert re.fullmatch(rf"  {label:<5} [* ]", line), line
 
 
 def test_cli_simulate_creates_output_directory(tmp_path, capsys):

@@ -257,6 +257,59 @@ def test_surrogate_values_equal_measure_stack_per_block(coupled_pair, hypothesis
         assert np.array_equal(row, loop), (measure, scope)
 
 
+def hypothesis_measures(hypothesis):
+    return [measure for measure, (needed, _) in TAILS.items() if needed == hypothesis]
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+@pytest.mark.parametrize("p", [2, 14])
+def test_surrogate_values_of_a_hypothesis_equal_the_all_measures_call(coupled_pair, hypothesis, p):
+    # two full blocks and a partial one: the hypothesis's measures alone, bit for bit
+    series = generate_surrogates(
+        coupled_pair, fit_var(coupled_pair.x, coupled_pair.y, p), hypothesis, 23, 5, 20
+    )
+    measures = hypothesis_measures(hypothesis)
+    values = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS, measures)
+    every = surrogate_values(series, p, 20, BLOCK_GRID, DEFAULT_BANDS)
+    assert set(values) == {(m, scope) for m in measures for scope in SCOPES}
+    for key, row in values.items():
+        assert np.array_equal(row, every[key]), key
+
+
+@pytest.mark.parametrize("measures", [["GC"], [], ["gc", "F_y"]])
+def test_surrogate_values_refuses_measures_it_does_not_know(coupled_pair, coupled_model, measures):
+    # refused up front, not as an error of every block's models
+    series = generate_surrogates(coupled_pair, coupled_model, H1, 3, 5, 20)
+    with pytest.raises(ValueError, match=r"^measures must be some of \('gc', 'gi', 'ga'\), got"):
+        surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS, measures)
+
+
+@pytest.mark.parametrize(
+    "hypothesis, dets, profiles",
+    [(H1, [], ["gc", "gi"]), (H2, ["full model", "mixed model"], ["ga_shape", "ga"])],
+)
+def test_hypothesis_blocks_form_only_what_their_verdicts_read(
+    coupled_pair, coupled_model, monkeypatch, hypothesis, dets, profiles
+):
+    # H1 blocks form no det E, det F or ga; H2 blocks form no gc or gi profile
+    formed, integrated = [], []
+    nonsingular, band_stack = gica.spectral._nonsingular, gica.spectral._band_stack
+
+    def recording_nonsingular(det, what):
+        formed.append(what)
+        return nonsingular(det, what)
+
+    def recording_band_stack(stack, *args):
+        integrated.append(list(stack))
+        return band_stack(stack, *args)
+
+    monkeypatch.setattr(gica.spectral, "_nonsingular", recording_nonsingular)
+    monkeypatch.setattr(gica.spectral, "_band_stack", recording_band_stack)
+    series = generate_surrogates(coupled_pair, coupled_model, hypothesis, 23, 5, 20)
+    surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS, hypothesis_measures(hypothesis))
+    assert formed == dets * 3 and integrated == [profiles] * 3
+
+
 def test_models_are_measured_at_once_and_grids_in_blocks(coupled_pair, coupled_model, monkeypatch):
     # at order 2 on 513 points the model stage takes all 23 models in one call; no grid array
     # holds more than a block

@@ -547,6 +547,17 @@ def test_stacked_aic_scan_is_each_row_scanned_alone(aic_loop_reference, n):
     assert len(gica.varmodel._aic_scan(x[[3, 7]], y[[3, 7]], 14)[1]) == 1
 
 
+@pytest.mark.parametrize(
+    "x_shape, y_shape", [((2, 100), (3, 100)), ((2, 100), (2, 99)), ((100,), (100,))]
+)
+def test_fit_var_stack_refuses_unequal_or_one_dimensional_stacks(x_shape, y_shape):
+    # its own message, not a later np.stack error
+    rng = np.random.default_rng(0)
+    message = "^x and y must be equal-shape stacks of one-dimensional series$"
+    with pytest.raises(ValueError, match=message):
+        fit_var_stack(rng.standard_normal(x_shape), rng.standard_normal(y_shape), 2)
+
+
 def test_aic_scan_fits_no_model(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the AIC scan must not fit a model per order")
