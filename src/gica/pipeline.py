@@ -8,9 +8,11 @@ autocovariance, every spectral profile and the band summaries. It optionally
 attaches surrogate significance verdicts, whose settings are checked when
 :class:`AnalysisConfig` is built. The analysed model is a stack of one;
 surrogates are fitted in blocks of :data:`gica.spectral.SURROGATE_BLOCK` rows of
-the array :func:`gica.surrogates.generate_surrogates` returns and measured by the
-one batch driver, :func:`gica.spectral.measure_blocks` (:func:`surrogate_values`),
-where the first failing surrogate fails the analysis with its own error. Each hypothesis's
+the array :func:`gica.surrogates.generate_surrogates` returns, and the joined fits are
+measured by the one batch driver, :func:`gica.spectral.measure_blocks`
+(:func:`surrogate_values`). Every block is fitted before any is measured, so a failing fit
+fails the analysis first, with its block's error; otherwise the first surrogate that fails
+a measuring gate fails it with its own error. Each hypothesis's
 surrogates form only the measures :data:`gica.surrogates.TAILS` tests on them: gc and gi for
 H1, ga for H2; every surrogate passes every model-stage gate. The fitted
 innovation covariance is generally not diagonal; all derived quantities use
@@ -130,20 +132,22 @@ def surrogate_values(
     by ``(measure, scope)``.
 
     Each block of ``SURROGATE_BLOCK`` pairs, sliced from ``series`` without a copy, is fitted
-    by :func:`gica.varmodel.fit_var_stack` and measured by :func:`gica.spectral.measure_blocks`;
-    only its report is kept, ``measure_stack``'s of the block bit for bit. The grid stage forms
+    by :func:`gica.varmodel.fit_var_stack`, and the joined fits take one
+    :func:`gica.spectral.measure_blocks` call; only each block's report is kept,
+    ``measure_stack``'s of the block bit for bit. The grid stage forms
     only what ``measures`` read: without ga no ``det E``, ``det F`` or ga profile, without gc
     and gi neither of their profiles. Every surrogate still passes every model-stage gate (the
     full model's and the mixed model's Schur-Cohn gates, ``F_xy, A_y >= 0``); those imply the
     singular-transfer checks an H1 block skips, as a polynomial with no root in the closed unit
-    disk has no zero on the circle. The first surrogate that fails a gate fails the call with
-    its own error.
+    disk has no zero on the circle. Every block is fitted before any is measured, so the first
+    block whose fit fails fails the call with its block's error. Otherwise the first surrogate
+    that fails a measuring gate fails the call with its own error.
     """
     starts = range(0, series.shape[1], SURROGATE_BLOCK)
     fits = (fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order) for i in starts)
-    blocks = ((range(i, i + len(fit[0])), *fit) for i, fit in zip(starts, fits))
+    coeffs, sigma = map(np.concatenate, zip(*fits))
     reports = []
-    for _, outcome in measure_blocks(blocks, q, grid, bands, measures):
+    for _, outcome in measure_blocks(coeffs, sigma, q, grid, bands, measures):
         if isinstance(outcome, ValueError):
             raise outcome
         reports.append(outcome[1])

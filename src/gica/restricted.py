@@ -19,7 +19,7 @@ for this route. :func:`restricted_stack` identifies one kind for a stack, its
 ``(B, p, 2, 2)``, ``(B, 2, 2)`` and returns both kinds as arrays, with an
 optional ``2q`` truncation check. Its one caller is the model stage of
 :func:`gica.spectral.measure_stack`: an analysis's, or, through
-:func:`gica.spectral.measure_blocks`, a chunk of study or surrogate blocks'.
+:func:`gica.spectral.measure_blocks`, a chunk of a study's or the surrogates' stack.
 :class:`RestrictedModel` is the record an analysis writes. Under the full driver
 row, a kind is a model, :func:`restricted_lags`: the mixed model of autonomy, or
 a surrogate generator.

@@ -25,7 +25,7 @@ three-process confounded one, of which the observed pair (X, Y) is kept.
 Theoretical profiles take :func:`gica.spectral.assemble_profiles`, one spec at a time (a
 sweep is one :func:`theoretical_profiles` call per value). A confounded-study block's models,
 read off its AIC scan (:func:`gica.varmodel.fit_var_aic_stack`), take the surrogates' batch
-driver, :func:`gica.spectral.measure_blocks`, one block per order.
+driver, :func:`gica.spectral.measure_blocks`, one stack per order.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def run_confounded_study(
     time, each from its ``(seed, run)`` stream. Each block's observed (X, Y) pairs take one
     stacked AIC scan (:func:`gica.varmodel.fit_var_aic_stack`), which fits each run as
     :func:`gica.varmodel.fit_var` alone would, and :func:`gica.spectral.measure_blocks` measures
-    its models one order at a time. Profiles are summed in run order and averaged. A run whose
-    fit or measures fail a gate is skipped; more than 5% failures aborts, naming the first
+    its models of each order as one stack. Profiles are summed in run order and averaged. A run
+    whose fit or measures fail a gate is skipped; more than 5% failures aborts, naming the first
     failed run and its own error.
     """
     for name, value in (("n_runs", n_runs), ("q", q), ("p_max", p_max)):
@@ -222,12 +222,13 @@ def run_confounded_study(
         groups: dict[int, list] = {}
         for run, model in results.items():
             if not isinstance(model, ValueError):
-                groups.setdefault(model.p, []).append((run, model.coeffs, model.sigma))
-        blocks = [[np.stack(v) for v in zip(*group)] for group in groups.values()]
-        for runs, outcome in measure_blocks(blocks, q, grid, {}):
-            failed = isinstance(outcome, ValueError)
-            for j, run in enumerate(runs):
-                results[run] = outcome if failed else {k: outcome[0][k][j] for k in sums}
+                groups.setdefault(model.p, []).append(run)
+        for runs in groups.values():
+            stack = (np.stack([getattr(results[r], k) for r in runs]) for k in ("coeffs", "sigma"))
+            for rows, outcome in measure_blocks(*stack, q, grid, {}):
+                failed = isinstance(outcome, ValueError)
+                for j, row in enumerate(rows):
+                    results[runs[row]] = outcome if failed else {k: outcome[0][k][j] for k in sums}
         for run, result in results.items():
             if isinstance(result, ValueError):
                 failures += 1

@@ -34,21 +34,19 @@ and ``A_y``; its arrays are ``(B, ...)``. The grid stage takes ``E`` and ``det F
 E_xx + E_xy B_yx`` of the stack from a cached DFT table per grid, and every band
 mean and ``F_y`` from one product with a cached weight matrix per grid and band
 set; its arrays are ``(B, n)``. :func:`measure_blocks` is the one batch driver, for
-surrogates and study runs alike: the model stage per chunk of blocks, the grid stage per
-block, and a block that fails a gate model by model. The grid stage forms only the
-measures its caller reads: H1 surrogates form the shares and gc and gi, H2 surrogates the
-shares, ``det E``, ``det F`` and ga, and every model passes every model-stage gate, whose
-Schur-Cohn tests imply the singular-transfer checks an H1 block skips.
+surrogates and study runs alike: on one order's stack, the model stage per chunk of rows, the
+grid stage per block, and every row of a chunk or block that fails a gate alone. The grid
+stage forms only the measures its caller reads: H1 surrogates form the shares and gc and gi,
+H2 surrogates the shares, ``det E``, ``det F`` and ga, and every model passes every model-stage
+gate, whose Schur-Cohn tests imply the singular-transfer checks an H1 block skips.
 :func:`assemble_profiles` is :func:`measure_stack`'s batch of one, plus display spectra from
 its ``E``, ``det E`` and shares.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,53 +360,50 @@ def measure_stack(
 
 
 def measure_blocks(
-    blocks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid,
+    coeffs: np.ndarray, sigma: np.ndarray, q: int, grid: FrequencyGrid,
     bands: dict[str, tuple[float, float]], measures: Collection[str] = MEASURES,
-) -> Iterator[tuple[Sequence, tuple[dict[str, np.ndarray], MeasureReport] | ValueError]]:
-    """``(rows, (profiles, report))`` per block ``(rows, coeffs, sigma)`` of at most
-    :data:`SURROGATE_BLOCK` models of one order, in order and :func:`measure_stack`'s bit for
-    bit. A block that fails a gate is measured model by model, and a model that fails alone
-    gives ``((row,), error)``. The grid stage forms only what ``measures`` read (all of
-    :data:`MEASURES` by default), and every model passes every model-stage gate.
+) -> Iterator[tuple[range, tuple[dict[str, np.ndarray], MeasureReport] | ValueError]]:
+    """``(rows, (profiles, report))`` of a stack of models of one order, ``coeffs`` ``(B, p,
+    2, 2)``, ``sigma`` ``(B, 2, 2)``, in row order and :func:`measure_stack`'s bit for bit. The
+    grid stage forms only what ``measures`` read (all of :data:`MEASURES` by default), and
+    every model passes every model-stage gate.
 
-    The model stage runs once per chunk of consecutive blocks of one order, as many as keep its
+    The model stage runs per chunk of :data:`SURROGATE_BLOCK` rows times as many as keep its
     arrays near a grid block's (per row, the ``(4 (p + 1))**2`` autocovariance system and two
     ``q**2`` Toeplitz systems against the ``8 n`` floats of ``E(f)``), and at least one; the
-    grid stage runs per block. A chunk is drawn whole before any of its models is gated, and
-    one block's profiles are held at a time.
+    grid stage runs per block of :data:`SURROGATE_BLOCK` rows, one block's profiles held at a
+    time. Every row of a chunk or block that fails a gate is measured alone, and a row that
+    fails alone gives ``(range(row, row + 1), error)``.
     """
     # checked up front: in the grid stage it would fail every model, one by one
     if not measures or not set(measures) <= set(MEASURES):
         raise ValueError(f"measures must be some of {MEASURES}, got {tuple(measures)}")
-    for p, same in itertools.groupby(blocks, lambda block: block[1].shape[1]):
-        size = max(1, 8 * grid.n_points // ((4 * (p + 1)) ** 2 + 2 * q**2))
-        while chunk := list(itertools.islice(same, size)):
-            models, end = None, 0
-            if len(chunk) > 1:
-                _, coeffs, sigma = zip(*chunk)
-                with contextlib.suppress(ValueError):  # if it fails, each block takes its own
-                    models = _model_stage(np.concatenate(coeffs), np.concatenate(sigma), q)[1]
-            for block in chunk:
-                start, end = end, end + len(block[0])
-                stage = models and tuple(v[start:end] for v in models)
-                yield from _measured(block, stage, q, grid, bands, measures)
 
+    def outcome(rows: range, models: tuple | None = None) -> tuple | ValueError:
+        """The profiles and report of ``rows`` from their model stage (their own if None), or
+        the error of the first gate they fail."""
+        try:
+            part = slice(rows.start, rows.stop)
+            models = models or _model_stage(coeffs[part], sigma[part], q)[1]
+            return _grid_stage(models, grid, bands, measures)[1:]
+        except ValueError as err:
+            return err
 
-def _measured(
-    block: tuple, models: tuple | None, q: int, grid: FrequencyGrid, bands: dict,
-    measures: Collection[str],
-) -> list:
-    """:func:`measure_blocks` of one block from its model stage ``models``, or its own if None:
-    a block that fails a gate is measured model by model, and a model alone gives its error."""
-    rows, coeffs, sigma = block
-    try:
-        stage = models or _model_stage(coeffs, sigma, q)[1]
-        return [(rows, _grid_stage(stage, grid, bands, measures)[1:])]
-    except ValueError as err:
-        if len(rows) == 1:
-            return [(rows, err)]
-    singles = zip([(row,) for row in rows], coeffs[:, None], sigma[:, None])
-    return [_measured(single, None, q, grid, bands, measures)[0] for single in singles]
+    p = coeffs.shape[1]
+    size = SURROGATE_BLOCK * max(1, 8 * grid.n_points // ((4 * (p + 1)) ** 2 + 2 * q**2))
+    for start in range(0, len(coeffs), size):
+        chunk = range(start, min(start + size, len(coeffs)))
+        try:
+            models = _model_stage(coeffs[start : chunk.stop], sigma[start : chunk.stop], q)[1]
+        except ValueError:
+            models = None
+        for i in range(0, len(chunk), SURROGATE_BLOCK):
+            rows, block = chunk[i : i + SURROGATE_BLOCK], slice(i, i + SURROGATE_BLOCK)
+            measured = models and outcome(rows, tuple(v[block] for v in models))
+            if isinstance(measured, tuple):
+                yield rows, measured
+            else:  # the chunk or the block failed a gate
+                yield from ((range(r, r + 1), outcome(range(r, r + 1))) for r in rows)
 
 
 def assemble_profiles(

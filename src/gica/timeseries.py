@@ -143,17 +143,14 @@ def load_pair(
         clean = np.isfinite(x).all() and np.isfinite(y).all()
     except (ValueError, IndexError):
         clean = False
-    if not clean:  # walk the rows in file order to name the first bad one
-        xs: list[float] = []
-        ys: list[float] = []
+    if not clean:  # a bad cell: walk the rows in file order to name the first one
         for i, row in enumerate(body, start=start + 1):
             if len(row) <= max(cx, cy):
                 raise ValueError(
                     f"row {i} has {len(row)} columns, need at least {max(cx, cy) + 1}"
                 )
-            xs.append(_parse_cell(row[cx].strip(), i, cx))
-            ys.append(_parse_cell(row[cy].strip(), i, cy))
-        x, y = np.array(xs), np.array(ys)
+            for col in (cx, cy):
+                _parse_cell(row[col].strip(), i, col)
     return TimeSeriesPair(x, y, fs)
 
 

@@ -28,7 +28,7 @@ from gica.spectral import (
     assemble_profiles,
 )
 from gica.surrogates import generate_surrogates, significance_test
-from gica.varmodel import fit_var, lag_matrix
+from gica.varmodel import BivariateVarModel, fit_var, lag_matrix
 
 from conftest import full_band_integral
 
@@ -74,6 +74,21 @@ def test_acceptance_02_integrals_match_time_domain(random_model_factory):
         assert gc_gap < 1e-3
         assert ga_gap < 1e-3
         assert abs(full_band_integral(shape)) < 5e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="E_yx(0) = 0 makes gi infinite at f = 0 alone, an integrable log singularity, "
+    "but the full-band integral behind F_y is inf for any inf in the row",
+)
+def test_acceptance_02_isolation_finite_at_a_single_zero_of_the_coupling():
+    model = BivariateVarModel(
+        np.array([[[0.5, 0.0], [0.5, 0.2]], [[0.0, 0.0], [-0.5, 0.0]]]), np.eye(2)
+    )
+    profiles, report = _exact_measures(model, 20)
+    assert np.flatnonzero(np.isinf(profiles["gi"].values)).tolist() == [0]
+    assert report.f_xy == pytest.approx(0.2819, abs=5e-5)
+    assert np.isfinite(report.f_y)
 
 
 def test_acceptance_03_autonomy_vanishes_without_self_dynamics():

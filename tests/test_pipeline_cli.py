@@ -1,4 +1,6 @@
 """Full analysis pipeline and the command-line interface."""
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -98,6 +100,50 @@ def test_config_accepts_p_max_one_and_aic_picks_order_one(sim_pair):
     result = analyze_pair(sim_pair, config)
     assert result.order == 1
     assert any("order 1 = p_max" in w for w in result.report.warnings)
+
+
+def test_every_copy_of_a_default_agrees():
+    # p_max, q and the grid size are each written into several signatures, the config and the
+    # CLI flags; a copy that drifts would give a library call and the CLI different answers
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    config = {field.name: field.default for field in dataclasses.fields(AnalysisConfig)}
+    parser = gica.cli.build_parser()
+    analyze = parser.parse_args(["analyze", "--input", "in.csv", "--fs", "1", "--out", "out"])
+    theory = parser.parse_args(["theoretical", "--system", "open_loop", "--out", "out"])
+    study = parser.parse_args(["confounded-study", "--a", "0.8", "--out", "out"])
+    copies = {
+        "p_max": [
+            default(gica.varmodel.fit_var, "p_max"),
+            default(gica.varmodel.fit_var_aic_stack, "p_max"),
+            default(gica.varmodel.aic_curve, "p_max"),
+            config["p_max"],
+            default(gica.simulate.run_confounded_study, "p_max"),
+            analyze.p_max,
+            study.p_max,
+        ],
+        "q": [
+            config["q"],
+            default(gica.simulate.theoretical_profiles, "q"),
+            default(gica.simulate.run_confounded_study, "q"),
+            default(gica.surrogates.generate_surrogates, "q"),
+            default(gica.surrogates.fit_restricted_direct, "q"),
+            analyze.q,
+            theory.q,
+            study.q,
+        ],
+        "grid points": [
+            default(gica.spectral.FrequencyGrid.default, "n_points"),
+            config["grid_points"],
+            analyze.grid_points,
+            theory.grid_points,
+            study.grid_points,
+        ],
+    }
+    assert copies == {
+        "p_max": [14] * 7, "q": [20] * 8, "grid points": [2049] * 5
+    }
 
 
 def test_config_rejects_a_band_named_time():

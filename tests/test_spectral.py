@@ -441,19 +441,16 @@ def test_measure_stack_rows_equal_each_row_measured_alone():
 
 
 def test_measure_blocks_yields_blocks_in_order_and_a_failing_model_alone(random_model_factory):
-    # orders 2, 2, 3, 2: on 513 points the first two blocks share a model chunk, and the second
-    # holds an unstable model; it is measured model by model, the others block by block
+    # 85 models of order 2 on 513 points: model chunks of 40 rows, grid blocks of 10; row 43
+    # is unstable, so its chunk is measured model by model and the others block by block
     grid, rng = FrequencyGrid(513), np.random.default_rng(4)
-    orders = [2, 2, 2, 2, 2, 2, 3, 3, 2]
-    models = [
-        random_model_factory(rng, p, 1.05 if row == 4 else None) for row, p in enumerate(orders)
+    models = [random_model_factory(rng, 2, 1.05 if row == 43 else None) for row in range(85)]
+    coeffs, sigma = (np.stack([getattr(m, k) for m in models]) for k in ("coeffs", "sigma"))
+    outcomes = list(measure_blocks(coeffs, sigma, 20, grid, DEFAULT_BANDS))
+    blocks = [range(i, i + 10) for i in range(0, 40, 10)]
+    assert [rows for rows, _ in outcomes] == [
+        *blocks, *(range(r, r + 1) for r in range(40, 80)), range(80, 85)
     ]
-    blocks = [
-        (rows, *(np.stack([getattr(models[r], k) for r in rows]) for k in ("coeffs", "sigma")))
-        for rows in [(0, 1, 2), (3, 4, 5), (6, 7), (8,)]
-    ]
-    outcomes = list(measure_blocks(blocks, 20, grid, DEFAULT_BANDS))
-    assert [rows for rows, _ in outcomes] == [(0, 1, 2), (3,), (4,), (5,), (6, 7), (8,)]
     for rows, outcome in outcomes:
         for j, row in enumerate(rows):
             try:
@@ -461,7 +458,7 @@ def test_measure_blocks_yields_blocks_in_order_and_a_failing_model_alone(random_
                     models[row].coeffs[None], models[row].sigma[None], 20, grid, DEFAULT_BANDS
                 )
             except ValueError as err:
-                assert row == 4 and type(outcome) is type(err) and str(outcome) == str(err)
+                assert row == 43 and type(outcome) is type(err) and str(outcome) == str(err)
                 continue
             profiles, block_report = outcome
             assert set(profiles) == set(alone)

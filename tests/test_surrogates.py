@@ -391,6 +391,24 @@ def test_each_failing_surrogate_keeps_its_own_error(coupled_pair, coupled_model)
     assert str(failed.value) == str(alone.value)
 
 
+def test_a_failing_fit_comes_before_any_surrogate_is_measured(coupled_pair, coupled_model):
+    # row 2's explosive driver fails a measuring gate and row 13's constant driver fails its
+    # block's fit; every block is fitted before any is measured, so the block's error wins
+    series = generate_surrogates(coupled_pair, coupled_model, H1, 23, 5, 20)
+    rng = np.random.default_rng(2)
+    x = np.zeros(coupled_pair.n)
+    for t in range(1, x.size):
+        x[t] = 1.02 * x[t - 1] + rng.standard_normal()
+    series[0, 2], series[0, 13] = x, np.ones(coupled_pair.n)
+    with pytest.raises(UnstableModelError):
+        measure_stack(*fit_var_stack(*series[:, 2:3], 2), 20, BLOCK_GRID, DEFAULT_BANDS)
+    with pytest.raises(ValueError) as block:
+        fit_var_stack(*series[:, 10:20], 2)
+    with pytest.raises(ValueError, match=r"^rank-deficient .* \(rank 3\)$") as failed:
+        surrogate_values(series, 2, 20, BLOCK_GRID, DEFAULT_BANDS)
+    assert str(failed.value) == str(block.value)
+
+
 def test_h1_surrogates_break_coupling(coupled_pair, coupled_model):
     orig = abs(lag1_xcorr(coupled_pair.x, coupled_pair.y))
     surr = generate_surrogates(coupled_pair, coupled_model, H1, 10, 5, 20)
