@@ -35,7 +35,14 @@ from .simulate import (
 )
 from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
 from .surrogates import TAILS
-from .timeseries import delimited_text, format_column, load_pair, write_pair, write_text
+from .timeseries import (
+    fill_templates,
+    format_column,
+    load_pair,
+    row_templates,
+    write_pair,
+    write_text,
+)
 
 ENV_SEED = "GICA_SEED"
 
@@ -76,9 +83,10 @@ def _parse_bands(specs: list[str] | None) -> dict[str, tuple[float, float]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _freq_column(grid: FrequencyGrid) -> tuple[str, ...]:
-    """``grid``'s frequencies as text, formatted once per process: every profile repeats them."""
-    return tuple(format_column(grid.freqs_hz))
+def _grid_templates(grid: FrequencyGrid, width: int, delimiter: str) -> tuple[str, ...]:
+    """The row templates of a table labelled by ``grid``'s frequencies, built once per
+    process: every profile repeats them."""
+    return row_templates(format_column(grid.freqs_hz), width, delimiter)
 
 
 def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records: dict) -> None:
@@ -86,8 +94,8 @@ def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records
     record."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, profile in profiles.items():
-        columns = [_freq_column(profile.grid), format_column(profile.values)]
-        text = delimited_text(["frequency_hz", "value"], columns, ",")
+        templates = _grid_templates(profile.grid, 1, ",")
+        text = fill_templates("frequency_hz,value\n", templates, [profile.values])
         write_text(outdir / f"profile_{name}.csv", text)
     for name, data in records.items():
         write_text(outdir / f"{name}.json", json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -95,9 +103,9 @@ def _write_outputs(outdir: Path, profiles: dict[str, SpectralProfile], **records
 
 def _write_plot_data(profiles: dict[str, SpectralProfile], path: Path) -> None:
     names = sorted(profiles)
-    columns = [_freq_column(profiles[names[0]].grid)]
-    columns += [format_column(profiles[n].values) for n in names]
-    write_text(path, delimited_text(["frequency_hz", *names], columns, "\t"))
+    templates = _grid_templates(profiles[names[0]].grid, len(names), "\t")
+    header = "\t".join(["frequency_hz", *names]) + "\n"
+    write_text(path, fill_templates(header, templates, [profiles[n].values for n in names]))
 
 
 def _print_summary(report: MeasureReport, order: int | None = None) -> None:
@@ -180,10 +188,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cutoff = None if args.detrend_cutoff == "off" else float(args.detrend_cutoff)
-    if args.order == "aic":
-        order: int | str = "aic"
-    else:
-        order = int(args.order)
+    try:
+        order: int | str = int(args.order)
+    except ValueError:  # "aic", or refused by AnalysisConfig in its own words
+        order = args.order
     hypotheses = ("h1", "h2") if args.hypothesis == "both" else (args.hypothesis,)
     config = AnalysisConfig(
         detrend_cutoff=cutoff,

@@ -13,11 +13,15 @@ Text is read and written a column at a time. :func:`load_pair` parses each
 selected column with one list comprehension and checks it with one
 ``np.isfinite``; only a file that fails that (a non-numeric, non-finite or
 missing cell) is walked row by row, so that the error names its row and
-column. :func:`format_column` prints a column with ``%.15g`` and
-:func:`delimited_text` joins columns into a file's text; :func:`write_pair`
-and the CLI's profile and plot-data writers share them, and every output
-file is created anew, with LF line ends, by :func:`write_text`. :func:`json_number`
-writes a JSON report's numbers.
+column. Tables are written from row templates: :func:`row_templates` builds,
+for chunks of at most ``CHUNK_ROWS`` rows, one string holding each row's
+label and a ``%.15g`` per value cell, and :func:`fill_templates` formats a
+chunk's values with one ``%``, in C, with no string object per value.
+:func:`write_pair` and the CLI's profile and plot-data writers share them
+(the CLI builds a grid's templates once per process, its labels printed by
+:func:`format_column`), and every output file is created anew, with LF line
+ends, by :func:`write_text`. :func:`json_number` writes a JSON report's
+numbers.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from .varmodel import simulate_var
+
+# rows per ``%``: one template for a whole 2049-row file formats as fast, but then
+# peak RSS grew with the number of files written
+CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,33 @@ def format_column(values: np.ndarray) -> list[str]:
     return ["%.15g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def delimited_text(header: list[str], columns: list[Sequence[str]], delimiter: str) -> str:
-    """A header line and one line per row of the formatted ``columns``, newline-terminated."""
-    return "\n".join([delimiter.join(header), *map(delimiter.join, zip(*columns))]) + "\n"
+def row_templates(labels: Sequence[str] | int, width: int, delimiter: str) -> tuple[str, ...]:
+    """The ``%`` templates of a table's rows, one per chunk of at most ``CHUNK_ROWS`` rows.
+
+    A row is its label, ``%`` escaped as ``%%``, then ``width`` ``%.15g`` cells, the
+    delimiter between cells, and a newline. ``labels`` is each row's pre-formatted
+    first cell, or, for a table without a label column, its row count; such a table
+    repeats one row, so all its full chunks share one template string.
+    """
+    cells = delimiter.join(["%.15g"] * width) + "\n"
+    if isinstance(labels, int):
+        full, rest = divmod(labels, CHUNK_ROWS)
+        return (cells * CHUNK_ROWS,) * full + (cells * rest,) * (rest > 0)
+    rows = [label.replace("%", "%%") + delimiter + cells for label in labels]
+    return tuple("".join(rows[i : i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS))
+
+
+def fill_templates(header: str, templates: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """``header``, then each chunk template of :func:`row_templates` ``%`` its rows' values.
+
+    ``columns`` are the value columns, read row by row; a template whose cells do not
+    match its chunk's values raises ``TypeError``, and a chunk count that does not
+    match raises ``ValueError``.
+    """
+    values = np.column_stack(columns).ravel().tolist()
+    step = CHUNK_ROWS * len(columns)
+    chunks = [tuple(values[i : i + step]) for i in range(0, len(values), step)]
+    return "".join([header, *(t % chunk for t, chunk in zip(templates, chunks, strict=True))])
 
 
 def json_number(value: float) -> float | str:
@@ -187,8 +219,7 @@ def write_pair(pair: TimeSeriesPair, path: str | Path) -> None:
     Values are printed with 15 significant digits, enough for a lossless
     round trip at the tolerances used downstream.
     """
-    text = delimited_text(["x", "y"], [format_column(pair.x), format_column(pair.y)], ",")
-    write_text(path, text)
+    write_text(path, fill_templates("x,y\n", row_templates(pair.n, 2, ","), [pair.x, pair.y]))
 
 
 def remove_mean(series: np.ndarray) -> np.ndarray:

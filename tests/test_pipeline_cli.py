@@ -652,6 +652,19 @@ def test_cli_refuses_p_max_below_one_with_no_output(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("order", ["1.5", "bic", "2e0"])
+def test_cli_refuses_an_order_that_is_not_an_integer_with_no_output(tmp_path, capsys, order):
+    # the config's words, not int()'s "invalid literal for int() with base 10"
+    csv = tmp_path / "pair.csv"
+    run_cli(["simulate", "--system", "open_loop", "--n", "200", "--out", csv])
+    outdir = tmp_path / "bad"
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--order", order,
+                  "--grid-points", "33", "--out", outdir])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: order must be an integer or 'aic', got '{order}'\n"
+    assert not outdir.exists()
+
+
 def test_cli_import_and_default_analysis_leave_scipy_signal_unloaded(tmp_path):
     # gica's runtime is numpy alone: the high-pass detrend included, nothing imports scipy
     script = textwrap.dedent("""

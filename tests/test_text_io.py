@@ -1,22 +1,29 @@
-"""Column-wise text I/O: byte identity with the per-row writers, and the
-loader's column fast path against its row-by-row fallback.
+"""Column-wise text I/O: byte identity with the per-row writers, also at the
+chunk edges of the templated writers, and the loader's column fast path against
+its row-by-row fallback.
 
 The ``rows_*`` functions below are the per-row writers and the per-row
 loader that the column-wise code replaced, kept here as the oracle.
 """
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gica.cli
-from gica.cli import main
+from gica.cli import _write_outputs, _write_plot_data, main
+from gica.spectral import FrequencyGrid, SpectralProfile
 from gica.timeseries import (
+    CHUNK_ROWS,
     TimeSeriesPair,
     _parse_cell,
+    fill_templates,
     format_column,
     load_pair,
+    row_templates,
+    write_pair,
 )
 
 
@@ -180,6 +187,109 @@ def test_format_column_prints_as_numpy_scalars():
     for values in (special, random):
         assert format_column(values) == [f"{v:.15g}" for v in values]
     assert format_column(special)[:5] == ["0", "-0", "inf", "-inf", "nan"]
+
+
+# one row, a chunk less one row, one chunk, one chunk and a row, two chunks and a row
+CHUNK_EDGES = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+# finite and infinite extremes, signed zeros and values whose %.15g rounds
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, 5e-324, np.finfo(float).max, np.finfo(float).tiny,
+           1 / 3, 1e16]
+
+
+def template_files(freqs, columns):
+    """The profile, plot-data and pair texts of the template builders, and of the per-row
+    oracles, for frequencies ``freqs`` and equally long value ``columns``."""
+    labels = format_column(freqs)
+    names = [f"m{i}" for i in range(len(columns))]
+    ours = {
+        "profile": fill_templates("frequency_hz,value\n", row_templates(labels, 1, ","),
+                                  columns[:1]),
+        "plot": fill_templates("\t".join(["frequency_hz", *names]) + "\n",
+                               row_templates(labels, len(names), "\t"), columns),
+        "pair": fill_templates("x,y\n", row_templates(len(freqs), 2, ","), columns[:2]),
+    }
+    grid = SimpleNamespace(freqs_hz=freqs)
+    profiles = {n: SimpleNamespace(grid=grid, values=v) for n, v in zip(names, columns)}
+    return ours, profiles, SimpleNamespace(x=columns[0], y=columns[1])
+
+
+@pytest.mark.parametrize("rows", CHUNK_EDGES)
+def test_templates_match_per_row_writers_at_chunk_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    freqs = np.sort(rng.uniform(0, 2, rows))
+    columns = list(rng.standard_cauchy((3, rows)))
+    ours, profiles, pair = template_files(freqs, columns)
+    rows_write_profile(profiles["m0"], tmp_path / "profile.csv")
+    rows_write_plot_data(profiles, tmp_path / "plot.tsv")
+    rows_write_pair(pair, tmp_path / "pair.csv")
+    for name, path in [("profile", "profile.csv"), ("plot", "plot.tsv"), ("pair", "pair.csv")]:
+        assert ours[name].encode() == (tmp_path / path).read_bytes(), name
+        assert ours[name].count("\n") == rows + 1, name
+    assert len(row_templates(format_column(freqs), 1, ",")) == -(-rows // CHUNK_ROWS)
+
+
+def assert_writers_match_rows(profiles, pair, tmp_path):
+    """The CLI's profile and plot-data writers and ``write_pair`` give the oracles' bytes."""
+    out, oracle = tmp_path / "out", tmp_path / "oracle"
+    _write_outputs(out, profiles)
+    _write_plot_data(profiles, out / "plot_data.tsv")
+    assert_profiles_match_rows(profiles, out, oracle)
+    rows_write_plot_data(profiles, oracle / "plot_data.tsv")
+    assert (out / "plot_data.tsv").read_bytes() == (oracle / "plot_data.tsv").read_bytes()
+    write_pair(pair, out / "pair.csv")
+    rows_write_pair(pair, oracle / "pair.csv")
+    assert (out / "pair.csv").read_bytes() == (oracle / "pair.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [2, *CHUNK_EDGES[1:]])
+def test_writers_match_per_row_writers_at_chunk_edges(tmp_path, rows):
+    # a grid and a pair hold at least 2 rows; one row is checked on the builders above
+    rng = np.random.default_rng(rows)
+    grid = FrequencyGrid(rows, 4.0)
+    profiles = {n: SpectralProfile(grid, rng.standard_cauchy(rows), n) for n in ("gc", "gi")}
+    pair = TimeSeriesPair(*rng.standard_normal((2, rows)), fs=1.0)
+    assert_writers_match_rows(profiles, pair, tmp_path)
+
+
+def test_special_values_pass_through_every_writer(tmp_path):
+    values = np.array(SPECIAL)
+    expected = ["0", "-0", "inf", "-inf", "4.94065645841247e-324", "1.79769313486232e+308",
+                "2.2250738585072e-308", "0.333333333333333", "1e+16"]
+    ours, _, _ = template_files(np.arange(len(values)) / 8, [values, values[::-1], values])
+    assert [line.split(",")[1] for line in ours["profile"].splitlines()[1:]] == expected
+    assert [line.split(",")[0] for line in ours["pair"].splitlines()[1:]] == expected
+    plot_rows = [line.split("\t") for line in ours["plot"].splitlines()[1:]]
+    assert [row[1] for row in plot_rows] == [row[3] for row in plot_rows] == expected
+    # the writers themselves: profiles on a grid, and a pair of the finite ones (it holds no inf)
+    grid = FrequencyGrid(len(values), 1.0)
+    profiles = {"gi": SpectralProfile(grid, values, "gi"),
+                "gc": SpectralProfile(grid, -values, "gc")}
+    finite = values[np.isfinite(values)]
+    assert_writers_match_rows(profiles, TimeSeriesPair(finite, finite[::-1], fs=1.0), tmp_path)
+
+
+def test_a_label_holding_percent_signs_is_written_as_given():
+    labels = ["50%", "%s", "100%%", "%.15g", "%"]
+    text = fill_templates("label,value\n", row_templates(labels, 1, ","), [np.arange(5.0)])
+    assert text == "label,value\n50%,0\n%s,1\n100%%,2\n%.15g,3\n%,4\n"
+
+
+def test_templates_refuse_values_of_another_row_count():
+    templates = row_templates(format_column(np.arange(CHUNK_ROWS + 1.0)), 1, ",")
+    for rows in (CHUNK_ROWS, CHUNK_ROWS + 2, 3 * CHUNK_ROWS):
+        with pytest.raises((TypeError, ValueError)):
+            fill_templates("", templates, [np.zeros(rows)])
+
+
+def test_each_grid_writes_its_own_frequencies(tmp_path):
+    # one process writes grids of equal size and other rates, and other sizes, in turn
+    rng = np.random.default_rng(7)
+    for i, (points, fs) in enumerate([(129, 1.0), (129, 4.0), (257, 4.0), (129, 1.0)]):
+        grid = FrequencyGrid(points, fs)
+        profiles = {n: SpectralProfile(grid, rng.standard_normal(points), n) for n in ("a", "b")}
+        pair = TimeSeriesPair(*rng.standard_normal((2, points)), fs=fs)
+        (tmp_path / str(i)).mkdir()
+        assert_writers_match_rows(profiles, pair, tmp_path / str(i))
 
 
 def loader_outcomes(path):
