@@ -9,7 +9,7 @@ deterministic for fixed inputs, flags, and seed.
 ``simulate`` and ``theoretical`` build every :class:`gica.simulate.SimSpec` with
 :func:`_spec`, so a flag the system does not use is refused alike. A theoretical
 point is a sweep of one value; only the layout of its outputs differs. Every output
-directory is written by :func:`_write_outputs`.
+directory is written by :func:`_write_outputs`. A flag's default is its library constant.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .pipeline import AnalysisConfig, analyze_pair
+from .restricted import Q
 from .simulate import (
     BENCHMARK_SETTINGS,
     SYSTEMS,
@@ -33,21 +34,17 @@ from .simulate import (
     simulate,
     theoretical_profiles,
 )
-from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .surrogates import TAILS
-from .timeseries import (
-    fill_templates,
-    format_column,
-    load_pair,
-    row_templates,
-    write_pair,
-    write_text,
-)
+from .spectral import DEFAULT_BANDS, GRID_POINTS, MEASURES, TIME_KEYS, FrequencyGrid
+from .spectral import MeasureReport, SpectralProfile
+from .surrogates import ALPHA, TAILS
+from .timeseries import fill_templates, format_column, load_pair, row_templates, write_pair
+from .timeseries import write_text
+from .varmodel import P_MAX
 
 ENV_SEED = "GICA_SEED"
 
 
-def _fmt(value: float, measure: str = "") -> str:
+def _fmt(value: float, measure: str) -> str:
     """Four decimals; an infinite isolation (``gi``, ``F_y``) reads ``inf (isolated)``."""
     if measure == "gi" and np.isinf(value):
         return "inf (isolated)"
@@ -112,9 +109,8 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
     if order is not None:
         print(f"model order: {order}")
     print("time-domain measures (nats):")
-    print(f"  causality  F_xy = {_fmt(report.f_xy)}")
-    print(f"  isolation  F_y  = {_fmt(report.f_y, 'gi')}")
-    print(f"  autonomy   A_y  = {_fmt(report.a_y)}")
+    for (measure, key), name in zip(TIME_KEYS.items(), ("causality", "isolation", "autonomy")):
+        print(f"  {name:<10} {key:<4} = {_fmt(report.value(measure, 'time'), measure)}")
     # a measure whose hypothesis was not run is untested, which a blank mark would not say
     untested = {}
     if report.significance is not None:
@@ -124,10 +120,10 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
         note = f"; {', '.join(untested)} not tested, {not_run} not run" if untested else ""
         print(f"band means (nats{note}):")
         # a space between cells: "inf (isolated)" and long band names overflow their width
-        print("  " + " ".join([f"{'band':<8}", *(f"{m:>12}" for m in ("gc", "gi", "ga"))]))
+        print("  " + " ".join([f"{'band':<8}", *(f"{m:>12}" for m in MEASURES)]))
         for band, measures in report.bands.items():
             row = [f"{band:<8}"]
-            for measure in ("gc", "gi", "ga"):
+            for measure in MEASURES:
                 mark = ""
                 if report.significance is not None:
                     mark = "*" if _is_significant(report, measure, band) else ""
@@ -135,7 +131,7 @@ def _print_summary(report: MeasureReport, order: int | None = None) -> None:
             print("  " + " ".join(row))
     if report.significance is not None:
         print("significance (*: outside surrogate thresholds):")
-        for measure, label in (("gc", "F_xy"), ("gi", "F_y"), ("ga", "A_y")):
+        for measure, label in TIME_KEYS.items():
             if measure in untested:
                 print(f"  {label:<5} not tested ({untested[measure]} not run)")
                 continue
@@ -231,7 +227,7 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         raise SystemExit("error: at most one of --b/--c/--d may be a sweep list")
     param = (swept or ["b"])[0]  # a point is a sweep of its one --b value
     # a value's directory is named by %.15g: a repeat would overwrite it
-    labels = [f"{value:.15g}" for value in multi[param]]
+    labels = format_column(multi[param])
     twice = [label for i, label in enumerate(labels) if label in labels[:i]]
     if twice:
         raise SystemExit(f"error: --{param} value {twice[0]} is given twice")
@@ -247,12 +243,13 @@ def cmd_theoretical(args: argparse.Namespace) -> int:
         _write_outputs(outdir, profiles, report=report.to_dict(), true_model=true_model)
         _print_summary(report)
         return 0
-    rows = ["parameter,value,F_xy,F_y,A_y"]
+    rows = [",".join(["parameter", "value", *TIME_KEYS.values()])]
     for label, (_, profiles, report) in zip(labels, points):
         _write_outputs(outdir / f"{param}_{label}", profiles, report=report.to_dict())
-        rows.append(f"{param},{label},{report.f_xy:.15g},{report.f_y:.15g},{report.a_y:.15g}")
-        print(f"{param} = {label}: F_xy = {_fmt(report.f_xy)}, "
-              f"F_y = {_fmt(report.f_y, 'gi')}, A_y = {_fmt(report.a_y)}")
+        times = [report.value(m, "time") for m in MEASURES]
+        rows.append(",".join([param, label, *format_column(times)]))
+        shown = [f"{TIME_KEYS[m]} = {_fmt(t, m)}" for m, t in zip(MEASURES, times)]
+        print(f"{param} = {label}: {', '.join(shown)}")
     write_text(outdir / "sweep_summary.csv", "\n".join(rows) + "\n")
     return 0
 
@@ -299,16 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="high-pass cutoff in Hz, or 'off' (the default) to skip detrending",
     )
     p_an.add_argument("--order", default="aic", help="model order: integer or 'aic'")
-    p_an.add_argument("--p-max", type=int, default=14, help="largest order scanned by AIC")
-    p_an.add_argument("--q", type=int, default=20, help="restricted-model lag count")
-    p_an.add_argument("--grid-points", type=int, default=2049)
+    p_an.add_argument("--p-max", type=int, default=P_MAX, help="largest order scanned by AIC")
+    p_an.add_argument("--q", type=int, default=Q, help="restricted-model lag count")
+    p_an.add_argument("--grid-points", type=int, default=GRID_POINTS)
     p_an.add_argument(
         "--band",
         action="append",
         help="analysis band NAME:LO-HI in Hz (repeatable; default VLF and LF)",
     )
     p_an.add_argument("--surrogates", type=int, default=0, help="surrogate count (0 = off)")
-    p_an.add_argument("--alpha", type=float, default=0.05)
+    p_an.add_argument("--alpha", type=float, default=ALPHA)
     p_an.add_argument("--hypothesis", choices=("h1", "h2", "both"), default="both")
     p_an.add_argument("--seed", type=int, default=None)
     p_an.add_argument("--out", required=True, help="output directory")
@@ -326,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         "theoretical", help="exact profiles from true parameters (point or sweep)"
     )
     _add_sim_params(p_th)
-    p_th.add_argument("--q", type=int, default=20)
-    p_th.add_argument("--grid-points", type=int, default=2049)
+    p_th.add_argument("--q", type=int, default=Q)
+    p_th.add_argument("--grid-points", type=int, default=GRID_POINTS)
     p_th.add_argument("--out", required=True, help="output directory")
     p_th.set_defaults(func=cmd_theoretical)
 
@@ -339,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--runs", type=int, default=100)
     p_cs.add_argument("--n", type=int, default=500)
     p_cs.add_argument("--seed", type=int, default=None)
-    p_cs.add_argument("--grid-points", type=int, default=2049)
-    p_cs.add_argument("--p-max", type=int, default=14)
-    p_cs.add_argument("--q", type=int, default=20)
+    p_cs.add_argument("--grid-points", type=int, default=GRID_POINTS)
+    p_cs.add_argument("--p-max", type=int, default=P_MAX)
+    p_cs.add_argument("--q", type=int, default=Q)
     p_cs.add_argument("--out", required=True, help="output directory")
     p_cs.set_defaults(func=cmd_confounded_study)
     return parser

@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .restricted import RestrictedModel
-from .spectral import DEFAULT_BANDS, MEASURES, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_blocks
-from .surrogates import H1, H2, TAILS, generate_surrogates, significance_test
+from .restricted import Q, RestrictedModel
+from .spectral import DEFAULT_BANDS, GRID_POINTS, MEASURES, FrequencyGrid, MeasureReport
+from .spectral import SURROGATE_BLOCK, SpectralProfile, assemble_profiles, measure_blocks
+from .surrogates import ALPHA, H1, H2, TAILS, generate_surrogates, significance_test
 from .timeseries import TimeSeriesPair, preprocess
-from .varmodel import BivariateVarModel, fit_var, fit_var_stack
+from .varmodel import P_MAX, BivariateVarModel, fit_var, fit_var_stack
 
 RESIDUAL_CORRELATION_WARN = 0.2
 NEAR_EXACT_WARN = 1e-5  # residual variance over mean square, far above the fit's eps gate
@@ -46,14 +46,14 @@ class AnalysisConfig:
 
     detrend_cutoff: float | None = None  # a high-pass's zero at f = 0 drives AIC to p_max
     order: int | str = "aic"
-    p_max: int = 14
-    q: int = 20
-    grid_points: int = 2049
+    p_max: int = P_MAX
+    q: int = Q
+    grid_points: int = GRID_POINTS
     bands: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_BANDS)
     )
     n_surrogates: int = 0
-    alpha: float = 0.05
+    alpha: float = ALPHA
     hypotheses: tuple[str, ...] = (H1, H2)
     seed: int = 0
 
@@ -69,6 +69,7 @@ class AnalysisConfig:
             raise ValueError(f"p_max must be >= 1, got {self.p_max}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
+        FrequencyGrid(self.grid_points)  # refuses a grid of fewer than 2 points, before the fit
         if self.n_surrogates < 0:
             raise ValueError(f"n_surrogates must be >= 0, got {self.n_surrogates}")
         for hyp in self.hypotheses:

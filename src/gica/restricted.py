@@ -22,7 +22,7 @@ optional ``2q`` truncation check. Its one caller is the model stage of
 :func:`gica.spectral.measure_blocks`, a chunk of a study's or the surrogates' stack.
 :class:`RestrictedModel` is the record an analysis writes. Under the full driver
 row, a kind is a model, :func:`restricted_lags`: the mixed model of autonomy, or
-a surrogate generator.
+a surrogate generator. :data:`Q` is the default ``q`` of the library, the config and the CLI.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ AR_ON_Y = "ar_on_y"
 X_ON_Y = "x_on_y"
 PAST = {AR_ON_Y: 1, X_ON_Y: 0}  # kind -> the channel whose past it regresses on
 TRUNCATION_SHIFT_WARN = 1e-4
+Q = 20  # default lag count q of both kinds, for the library, the config and the CLI
 
 
 @dataclass(frozen=True)

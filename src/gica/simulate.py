@@ -34,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import DEFAULT_BANDS, FrequencyGrid, MeasureReport, SpectralProfile
-from .spectral import SURROGATE_BLOCK, assemble_profiles, measure_blocks
+from .restricted import Q
+from .spectral import DEFAULT_BANDS, GRID_POINTS, MEASURES, FrequencyGrid, MeasureReport
+from .spectral import SURROGATE_BLOCK, SpectralProfile, assemble_profiles, measure_blocks
 from .timeseries import TimeSeriesPair
-from .varmodel import BivariateVarModel, fit_var_aic_stack, poles_to_ar_coeffs, require_stable
-from .varmodel import simulate_var
+from .varmodel import P_MAX, BivariateVarModel, fit_var_aic_stack, poles_to_ar_coeffs
+from .varmodel import require_stable, simulate_var
 
 BURN_IN = 1000
 
@@ -171,19 +172,15 @@ def _realizations(coeffs: np.ndarray, specs: list[SimSpec]) -> np.ndarray:
 
 def theoretical_profiles(
     spec: SimSpec,
-    grid: FrequencyGrid | None = None,
-    q: int = 20,
-    bands: dict[str, tuple[float, float]] | None = None,
+    grid: FrequencyGrid = FrequencyGrid(GRID_POINTS),
+    q: int = Q,
+    bands: dict[str, tuple[float, float]] = DEFAULT_BANDS,
 ) -> tuple[dict[str, SpectralProfile], MeasureReport]:
     """All spectral profiles and the measure report from exact parameters.
 
     The report carries the ``2q`` truncation warnings of
     :func:`gica.restricted.derive_restricted`.
     """
-    if grid is None:
-        grid = FrequencyGrid.default()
-    if bands is None:
-        bands = DEFAULT_BANDS
     return assemble_profiles(build_true_model(spec), q, grid, bands, [])[:2]
 
 
@@ -193,9 +190,9 @@ def run_confounded_study(
     n_runs: int = 100,
     n: int = 500,
     seed: int = 0,
-    grid: FrequencyGrid | None = None,
-    p_max: int = 14,
-    q: int = 20,
+    grid: FrequencyGrid = FrequencyGrid(GRID_POINTS),
+    p_max: int = P_MAX,
+    q: int = Q,
 ) -> tuple[dict[str, SpectralProfile], int]:
     """Average estimated causality/isolation/autonomy over repeated runs.
 
@@ -210,11 +207,9 @@ def run_confounded_study(
     for name, value in (("n_runs", n_runs), ("q", q), ("p_max", p_max)):
         if value < 1:  # a settings error, not a failure of every run
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if grid is None:
-        grid = FrequencyGrid.default()
     specs = [SimSpec("confounded", n, seed=(seed, run), a=a, b=b) for run in range(n_runs)]
     coeffs, _ = build_confounded_system(a, b)
-    sums = {name: np.zeros(grid.n_points) for name in ("gc", "gi", "ga")}
+    sums = {name: np.zeros(grid.n_points) for name in MEASURES}
     failures, first = 0, ""
     for start in range(0, n_runs, SURROGATE_BLOCK):
         x, y = _realizations(coeffs, specs[start : start + SURROGATE_BLOCK]).swapaxes(0, 1)

@@ -40,7 +40,7 @@ stage forms only the measures its caller reads: H1 surrogates form the shares an
 H2 surrogates the shares, ``det E``, ``det F`` and ga, and every model passes every model-stage
 gate, whose Schur-Cohn tests imply the singular-transfer checks an H1 block skips.
 :func:`assemble_profiles` is :func:`measure_stack`'s batch of one, plus display spectra from
-its ``E``, ``det E`` and shares.
+its ``E``, ``det E`` and shares. :data:`GRID_POINTS` is the default grid size.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ import numpy as np
 from .restricted import AR_ON_Y, X_ON_Y, RestrictedModel, derive_restricted, restricted_lags
 from .timeseries import json_number
 from .varmodel import BivariateVarModel, UnstableModelError, require_stable
+
+GRID_POINTS = 2049  # default grid size, for the library, the config and the CLI
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class FrequencyGrid:
         return 0.5 / (self.n_points - 1)
 
     @classmethod
-    def default(cls, fs: float = 1.0, n_points: int = 2049) -> "FrequencyGrid":
+    def default(cls, fs: float = 1.0, n_points: int = GRID_POINTS) -> "FrequencyGrid":
         return cls(n_points, fs)
 
 
@@ -200,6 +202,7 @@ def _band_integrals(
 
 
 MEASURES = ("gc", "gi", "ga")  # causality, isolation, autonomy: the measures a report holds
+TIME_KEYS = dict(zip(MEASURES, ("F_xy", "F_y", "A_y")))  # measure -> its time-domain value's key
 
 # default analysis bands in Hz: very-low- and low-frequency
 DEFAULT_BANDS: dict[str, tuple[float, float]] = {
@@ -251,15 +254,13 @@ class MeasureReport:
     def value(self, measure: str, scope: str) -> float:
         """Time-domain value (``scope == "time"``) or band mean of gc, gi or ga."""
         if scope == "time":
-            return {"gc": self.f_xy, "gi": self.f_y, "ga": self.a_y}[measure]
+            return dict(zip(MEASURES, (self.f_xy, self.f_y, self.a_y)))[measure]
         return self.bands[scope][measure]["mean"]
 
     def to_dict(self) -> dict:
         out = {
             "schema": 1,
-            "F_xy": json_number(self.f_xy),
-            "F_y": json_number(self.f_y),
-            "A_y": json_number(self.a_y),
+            **{key: json_number(self.value(m, "time")) for m, key in TIME_KEYS.items()},
             "bands": {
                 band: {
                     measure: {key: json_number(val) for key, val in pair.items()}

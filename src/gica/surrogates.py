@@ -26,18 +26,19 @@ order statistics. :func:`significance_test` returns the verdict as the dict
 
 The surrogate settings (count, ``alpha``, seed, hypotheses) are fields of
 :class:`gica.pipeline.AnalysisConfig`, which checks them when it is built;
-each function here takes only the settings it uses.
+each function here takes only the settings it uses. :data:`ALPHA` is ``alpha``'s default.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .restricted import AR_ON_Y, PAST, X_ON_Y, restricted_lags
+from .restricted import AR_ON_Y, PAST, Q, X_ON_Y, restricted_lags
 from .timeseries import TimeSeriesPair, json_number
 from .varmodel import BivariateVarModel, gated_lstsq, lag_matrix, require_stable, simulate_var
 
 SURROGATE_BURN_IN = 100
+ALPHA = 0.05  # default significance level, for the config and the CLI
 
 H1 = "h1"
 H2 = "h2"
@@ -52,7 +53,7 @@ TAILS = {
 
 
 def fit_restricted_direct(
-    x: np.ndarray, y: np.ndarray, kind: str, q: int = 20
+    x: np.ndarray, y: np.ndarray, kind: str, q: int = Q
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares restricted fit of the target directly on data.
 
@@ -69,7 +70,7 @@ def fit_restricted_direct(
 
 def generate_surrogates(
     pair: TimeSeriesPair, model: BivariateVarModel, hypothesis: str, n_surrogates: int,
-    seed: int = 0, q: int = 20,
+    seed: int = 0, q: int = Q,
 ) -> np.ndarray:
     """``n_surrogates`` pairs consistent with the null ``hypothesis``, ``(2, B, n)``.
 

@@ -25,7 +25,7 @@ one small QR per order, for a whole block of pairs at once) read rank,
 order from one scan of its block; :func:`fit_var`, the one entry from a pair
 to a model, is at ``"aic"`` its batch of one and :func:`aic_curve` that scan's
 row. :func:`autocovariance_stack` gates, solves and recurses a whole block at
-once.
+once. :data:`P_MAX` is the default ``p_max`` of the AIC entries, the config and the CLI.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+P_MAX = 14  # default largest order of the AIC scan, for the library, the config and the CLI
 
 
 class UnstableModelError(ValueError):
@@ -336,21 +338,23 @@ def _order_gate(r: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return _rank(r[..., :k, :k], rows), sigma, exact
 
 
-def fit_var(x: np.ndarray, y: np.ndarray, order: int | str, p_max: int = 14) -> BivariateVarModel:
+def fit_var(
+    x: np.ndarray, y: np.ndarray, order: int | str, p_max: int = P_MAX
+) -> BivariateVarModel:
     """Least-squares fit of a bivariate AR model: :func:`fit_var_stack` of one pair at an integer
     ``order``; at ``"aic"``, :func:`fit_var_aic_stack` of the pair as a batch of one."""
+    x, y = _one_pair(x, y)
     if order == "aic":
-        model = fit_var_aic_stack(*_one_pair(x, y), p_max)[0]
+        model = fit_var_aic_stack(x, y, p_max)[0]
         if isinstance(model, ValueError):
             raise model
         return model
-    x, y = np.asarray(x, float)[None], np.asarray(y, float)[None]
     coeffs, sigma = fit_var_stack(x, y, int(order))
     return BivariateVarModel(coeffs[0], sigma[0])
 
 
 def fit_var_aic_stack(
-    x: np.ndarray, y: np.ndarray, p_max: int = 14
+    x: np.ndarray, y: np.ndarray, p_max: int = P_MAX
 ) -> list[BivariateVarModel | ValueError]:
     """Per pair of stacks ``(B, N)``, the order ``1 .. p_max`` minimizing its :func:`aic_curve`
     (ties go to the smaller) and its ``R11^-1 R12`` and ``Sigma_p``, those one :func:`_aic_scan`
@@ -406,7 +410,7 @@ def fit_var_stack(x: np.ndarray, y: np.ndarray, p: int) -> tuple[np.ndarray, np.
     return coeffs, sigma
 
 
-def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = 14) -> np.ndarray:
+def aic_curve(x: np.ndarray, y: np.ndarray, p_max: int = P_MAX) -> np.ndarray:
     """``AIC(p) = N ln det(Sigma_p) + 2 (4 p)`` for ``p = 1 .. p_max``, N the pair length.
 
     ``Sigma_p`` is :func:`fit_var`'s, each order on its own sample ``p+1 ..

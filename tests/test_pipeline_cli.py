@@ -61,6 +61,8 @@ def test_config_validation():
         AnalysisConfig(order=0)
     with pytest.raises(ValueError, match="q must be >= 1"):
         AnalysisConfig(q=0)
+    with pytest.raises(ValueError, match="^grid needs at least 2 points, got 1$"):
+        AnalysisConfig(grid_points=1)  # in FrequencyGrid's words, before any fit
     with pytest.raises(ValueError, match="n_surrogates must be >= 0"):
         AnalysisConfig(n_surrogates=-1)
     with pytest.raises(ValueError, match="unknown hypothesis"):
@@ -762,6 +764,22 @@ def test_cli_rejects_one_surrogate_before_fitting(tmp_path, capsys, monkeypatch)
     assert "error: need at least 2 surrogates, got 1" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_one_point_grid_before_fitting(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_var ran before the grid size was checked")
+
+    monkeypatch.setattr(gica.pipeline, "fit_var", forbidden)
+    monkeypatch.setattr(gica.varmodel, "fit_var", forbidden)
+    csv = tmp_path / "pair.csv"
+    assert run_cli(["simulate", "--system", "open_loop", "--n", "300", "--out", csv]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "grid1"
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--grid-points", "1", "--out", outdir])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: grid needs at least 2 points, got 1\n"
+    assert not outdir.exists()
+
+
 def test_cli_analyze_rejects_unstable_fit(tmp_path, capsys):
     pair = explosive_pair()
     csv = tmp_path / "explosive.csv"
@@ -840,6 +858,21 @@ def test_cli_summary_names_the_measures_of_a_hypothesis_not_run(
             assert line == f"  {label:<5} not tested ({untested[label]} not run)"
         else:
             assert re.fullmatch(rf"  {label:<5} [* ]", line), line
+
+
+def test_cli_prints_each_warning_to_stderr(tmp_path, capsys):
+    csv = tmp_path / "pair.csv"
+    run_cli(["simulate", "--system", "open_loop", "--b", "1", "--c", "0.5", "--n", "500",
+             "--seed", "3", "--out", csv])
+    capsys.readouterr()
+    rc = run_cli(["analyze", "--input", csv, "--fs", "1", "--p-max", "1", "--grid-points", "129",
+                  "--out", tmp_path / "o"])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: AIC picked order 1 = p_max; the true order may be higher",
+        "warning: residual cross-correlation 0.219 exceeds 0.2; the strictly causal "
+        "decomposition may be distorted",
+    ]
 
 
 def test_cli_simulate_creates_output_directory(tmp_path, capsys):

@@ -376,6 +376,18 @@ def test_fit_var_rejects_constant_series():
         fit_var(x, y, 2)
 
 
+@pytest.mark.parametrize("order", [2, "aic"])
+@pytest.mark.parametrize("x_shape, y_shape", [((100,), (99,)), ((1, 100), (1, 100))])
+def test_fit_var_refuses_a_pair_that_is_not_two_equal_series_in_one_message(
+    order, x_shape, y_shape
+):
+    # the pair's message at either order, not the stack fit's at an integer one
+    rng = np.random.default_rng(0)
+    message = "^x and y must be one-dimensional series of equal length$"
+    with pytest.raises(ValueError, match=message):
+        fit_var(rng.standard_normal(x_shape), rng.standard_normal(y_shape), order)
+
+
 def test_fit_var_rejects_bad_order():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="order"):
