@@ -37,8 +37,10 @@ set; its arrays are ``(B, n)``. :func:`measure_blocks` is the one batch driver, 
 surrogates and study runs alike: on one order's stack, the model stage per chunk of rows, the
 grid stage per block, and every row of a chunk or block that fails a gate alone. The grid
 stage forms only the measures its caller reads: H1 surrogates form the shares and gc and gi,
-H2 surrogates the shares, ``det E``, ``det F`` and ga, and every model passes every model-stage
-gate, whose Schur-Cohn tests imply the singular-transfer checks an H1 block skips.
+H2 surrogates the shares, ``det E``, ``det F`` and ga, and those only on the window of grid
+points the weights of their bands touch. Every model passes every model-stage gate, whose
+Schur-Cohn tests imply the singular-transfer checks an H1 block skips and, off the window,
+those of an H2 block and its zero-PSD gate.
 :func:`assemble_profiles` is :func:`measure_stack`'s batch of one, plus display spectra from
 its ``E``, ``det E`` and shares. :data:`GRID_POINTS` is the default grid size.
 """
@@ -74,6 +76,8 @@ class FrequencyGrid:
     fs: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"grid size must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
         if not (np.isfinite(self.fs) and self.fs > 0):
@@ -92,10 +96,6 @@ class FrequencyGrid:
     def step(self) -> float:
         """Normalized-frequency spacing."""
         return 0.5 / (self.n_points - 1)
-
-    @classmethod
-    def default(cls, fs: float = 1.0, n_points: int = GRID_POINTS) -> "FrequencyGrid":
-        return cls(n_points, fs)
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,11 @@ class SpectralProfile:
 _DFT_TABLES: dict[int, np.ndarray] = {}
 
 
-def _dft_table(grid: FrequencyGrid, lags: int) -> np.ndarray:
-    """Rows ``(-cos, sin)(2 pi f_j k)``, interleaved over ``j``, ``(K, 2 n)`` for lags ``k = 1 ..
-    K``, ``K >= lags``: one table per grid size, grown to the most lags seen. The angle is
-    indexed as ``(j k) mod M``, so it is exact for any lag."""
+def _dft_table(grid: FrequencyGrid, lags: int, window: slice = slice(None)) -> np.ndarray:
+    """Rows ``(-cos, sin)(2 pi f_j k)``, interleaved over the ``w`` grid points ``j`` of
+    ``window``, ``(lags, 2 w)`` for lags ``k = 1 .. lags``: a view of one table per grid size,
+    grown to the most lags seen. The angle is indexed as ``(j k) mod M``, so it is exact for
+    any lag."""
     n = grid.n_points
     table = _DFT_TABLES.get(n)
     if table is None or table.shape[0] < lags:
@@ -132,20 +133,23 @@ def _dft_table(grid: FrequencyGrid, lags: int) -> np.ndarray:
         angle = 2 * np.pi / size * (np.outer(np.arange(1, lags + 1), np.arange(n)) % size)
         table = _DFT_TABLES[n] = np.stack([-np.cos(angle), np.sin(angle)], -1).reshape(lags, -1)
         table.setflags(write=False)
-    return table
+    return table[:lags].reshape(lags, n, 2)[:, window].reshape(lags, -1)
 
 
-def _lag_transform(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, k, k)`` on the grid, ``(B, n, k, k)``.
+def _lag_transform(
+    coeffs: np.ndarray, grid: FrequencyGrid, window: slice = slice(None)
+) -> np.ndarray:
+    """``I - sum_k A_k e^(-2i pi f k)`` of lags ``(B, m, k, k)`` on the ``w`` grid points of
+    ``window``, ``(B, w, k, k)``.
 
     Each model's lags ``(k k, m)`` times :func:`_dft_table` give the real and imaginary
     parts in place, a product per model, so a row does not depend on the batch. The grid is
     ``j / M``, ``M = 2 (n - 1)``, so lags ``k >= M`` alias onto ``k mod M``.
     """
     b, m, k = coeffs.shape[:3]
-    parts = np.swapaxes(coeffs.reshape(b, m, k * k), 1, 2) @ _dft_table(grid, m)[:m]
+    parts = np.swapaxes(coeffs.reshape(b, m, k * k), 1, 2) @ _dft_table(grid, m, window)
     parts[:, :: k + 1, 0::2] += 1.0  # the real part of the identity
-    return np.moveaxis(parts.view(complex).reshape(b, k, k, -1), -1, 1)
+    return np.moveaxis(parts.view(complex).reshape(b, k, k, parts.shape[-1] // 2), -1, 1)
 
 
 def _nonsingular(det: np.ndarray, what: str) -> np.ndarray:
@@ -183,17 +187,22 @@ def _band_matrix(grid: FrequencyGrid, edges: tuple[tuple[float, float], ...]) ->
     return weights
 
 
+def _band_edges(grid: FrequencyGrid, bands_hz: list[tuple[float, float]]) -> tuple:
+    """The normalized edges of ``(lo, hi)`` Hz bands, each checked to lie in ``[0, fs/2]``."""
+    fs = grid.fs
+    for lo, hi in bands_hz:
+        if not 0 <= lo < hi <= fs / 2:
+            raise ValueError(f"band [{lo}, {hi}] Hz must satisfy 0 <= lo < hi <= {fs / 2}")
+    return tuple((lo / fs, hi / fs) for lo, hi in bands_hz)
+
+
 def _band_integrals(
     values: np.ndarray, grid: FrequencyGrid, bands_hz: list[tuple[float, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals and means ``(..., len(bands_hz))`` of rows ``(..., n)`` over ``(lo, hi)`` Hz
     bands: a product per row with one cached weight matrix, so a row does not depend on the
     batch. A band is ``inf`` where its weights touch an ``inf`` of the row, and only there."""
-    fs = grid.fs
-    for lo, hi in bands_hz:
-        if not 0 <= lo < hi <= fs / 2:
-            raise ValueError(f"band [{lo}, {hi}] Hz must satisfy 0 <= lo < hi <= {fs / 2}")
-    edges = tuple((lo / fs, hi / fs) for lo, hi in bands_hz)
+    edges = _band_edges(grid, bands_hz)
     weights, isinf = _band_matrix(grid, edges), np.isinf(values)
     integrals = (np.where(isinf, 0.0, values)[..., None, :] @ weights)[..., 0, :]
     rows = isinf.any(axis=-1)  # only rows holding an inf pay for the check
@@ -226,6 +235,19 @@ def _band_stack(profiles: dict[str, np.ndarray], grid: FrequencyGrid, bands: dic
         for j, band in enumerate(bands)
     }
     return table, dict(zip(measures, integrals[..., -1]))
+
+
+def _band_window(grid: FrequencyGrid, bands: dict) -> slice:
+    """One slice of the grid points the cached weights of ``bands`` touch (the full band's, the
+    last column, touch all), empty without bands. Its ends are rounded out to even points, so
+    the BLAS kernel takes a table product's columns over the window in the groups of 4 it takes
+    them in over the whole grid, where only a last odd pair takes another path: the window's
+    values are the whole grid's bit for bit."""
+    weights = _band_matrix(grid, _band_edges(grid, [*bands.values(), (0.0, grid.fs / 2)]))
+    touched = np.flatnonzero(weights[:, :-1].any(axis=1))
+    if not touched.size:
+        return slice(0, 0)
+    return slice(touched[0] // 2 * 2, min(grid.n_points, -(-(touched[-1] + 1) // 2) * 2))
 
 
 def _band_row(table: dict, i: int) -> dict[str, dict[str, dict[str, float]]]:
@@ -300,7 +322,7 @@ def _model_stage(
 
 def _grid_stage(
     models: tuple, grid: FrequencyGrid, bands: dict[str, tuple[float, float]],
-    measures: Collection[str] = MEASURES,
+    measures: Collection[str] = MEASURES, window: slice = slice(None),
 ) -> tuple[tuple, dict[str, np.ndarray], MeasureReport]:
     """The grid-sized half of :func:`measure_stack` on rows of :func:`_model_stage`:
     ``(E, det E, causal, internal)``, the ``(B, n)`` profiles of ``measures`` and the report.
@@ -308,17 +330,20 @@ def _grid_stage(
     Only what ``measures`` read is formed. The shares of ``P_Y`` and their zero-PSD gate always;
     gc and gi from them; ``det E``, ``det F`` with their singular-transfer gates, ``ga_shape``
     and ga only for ga (``det E`` is None without it). The report's band table holds the formed
-    measures, and its ``f_y`` is None without gi.
+    measures, and its ``f_y`` is None without gi. All of it is formed and gated on the grid
+    points of ``window`` alone, and the profiles are 0 off it; ``(E, det E, causal, internal)``
+    hold the window's points. Only a window off which every weight of ``bands`` is 0 keeps the
+    band table's values (:func:`measure_blocks`).
     """
     coeffs, sigma, x_coeffs, a_y, f_xy = models
-    e = _lag_transform(coeffs, grid)
+    e = _lag_transform(coeffs, grid, window)
     det_e = None
     if "ga" in measures:
         det_e = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
         det_e = _nonsingular(det_e, "full model")
         # -B_yx(f), as E_yx is -A_yx(f): a product per row, so a row does not depend on the batch
         q = x_coeffs.shape[-1]
-        minus_b = (x_coeffs[:, None] @ _dft_table(grid, q)[:q])[:, 0].view(complex)
+        minus_b = (x_coeffs[:, None] @ _dft_table(grid, q, window))[:, 0].view(complex)
         det_f = _nonsingular(e[..., 0, 0] - e[..., 0, 1] * minus_b, "mixed model")
     causal = sigma[:, 0, 0, None] * np.abs(e[..., 1, 0]) ** 2
     internal = sigma[:, 1, 1, None] * np.abs(e[..., 0, 0]) ** 2
@@ -335,6 +360,9 @@ def _grid_stage(
     for name, values in profiles.items():
         if np.isnan(values).any():
             raise ValueError(f"profile {name!r} contains NaN")
+        if window != slice(None):  # 0 off the window, so the band product adds the same terms
+            profiles[name] = np.zeros((len(values), grid.n_points))
+            profiles[name][:, window] = values
     table, full = _band_stack(profiles, grid, bands)
     report = MeasureReport(f_xy, full.get("gi"), np.maximum(a_y, 0.0), table)
     return (e, det_e, causal, internal), profiles, report
@@ -375,6 +403,12 @@ def measure_blocks(
     grid stage runs per block of :data:`SURROGATE_BLOCK` rows, one block's profiles held at a
     time. Every row of a chunk or block that fails a gate is measured alone, and a row that
     fails alone gives ``(range(row, row + 1), error)``.
+
+    For ga alone (H2 surrogates), whose band means are all that is read, the grid stage runs on
+    :func:`_band_window` of ``bands``, and the ga profile is 0 off it; the report's values are
+    the whole grid's bit for bit, as off the window every band weight is 0. Off it the model
+    stage's Schur-Cohn tests imply the gates: ``det E`` and ``det F`` have no zero on the
+    circle, and ``causal + internal = 0`` needs ``E_xx = E_yx = 0``, so ``det E = 0``.
     """
     # checked up front: in the grid stage it would fail every model, one by one
     if not measures or not set(measures) <= set(MEASURES):
@@ -386,10 +420,13 @@ def measure_blocks(
         try:
             part = slice(rows.start, rows.stop)
             models = models or _model_stage(coeffs[part], sigma[part], q)[1]
-            return _grid_stage(models, grid, bands, measures)[1:]
+            return _grid_stage(models, grid, bands, measures, window)[1:]
         except ValueError as err:
             return err
 
+    window = slice(None)
+    if not {"gc", "gi"} & set(measures):  # ga alone: only its band means are read
+        window = _band_window(grid, bands)
     p = coeffs.shape[1]
     size = SURROGATE_BLOCK * max(1, 8 * grid.n_points // ((4 * (p + 1)) ** 2 + 2 * q**2))
     for start in range(0, len(coeffs), size):

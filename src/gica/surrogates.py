@@ -9,8 +9,12 @@ target past), the fitted residuals are permuted without replacement
 independently per channel, and the pair is regenerated jointly from zero
 initial conditions with a 100-sample burn-in. The driver equation is the
 analysed model's row 0; only the null target equation is fitted, by
-:func:`gica.varmodel.gated_lstsq`. The generator, :func:`gica.restricted.restricted_lags`
-of the two, is gated by :func:`gica.varmodel.require_stable`; the whole batch's
+:func:`gica.varmodel.gated_lstsq`. The draw and the build are two steps.
+:func:`draw_surrogates` draws the residual indices of every surrogate: both nulls
+have ``n - p`` driver and ``n - q`` target residuals, so one draw serves both, and
+:func:`gica.pipeline.analyze_pair` draws once per analysis. :func:`build_surrogates`
+fits a null on them. The generator, :func:`gica.restricted.restricted_lags`
+of the two equations, is gated by :func:`gica.varmodel.require_stable`; the whole batch's
 channel-major drive runs through one call of :func:`gica.varmodel.simulate_var`,
 a block-state matmul scan in which each surrogate is bit-identical to the same
 surrogate run alone, and the batch is returned as a channel-major ``(2, B, n)``
@@ -68,17 +72,37 @@ def fit_restricted_direct(
     return coeffs[:, 0], resid[:, 0]
 
 
-def generate_surrogates(
-    pair: TimeSeriesPair, model: BivariateVarModel, hypothesis: str, n_surrogates: int,
-    seed: int = 0, q: int = Q,
+def draw_surrogates(n: int, p: int, q: int, n_surrogates: int, seed: int) -> np.ndarray:
+    """The residual indices each of ``n_surrogates`` surrogates of ``n`` samples drives with,
+    ``(2, B, SURROGATE_BURN_IN + n)``.
+
+    Row ``i`` of each channel is a permutation, drawn from the RNG stream keyed by ``(seed,
+    i)``, of the driver's ``n - p`` residuals (channel 0) and the null target's ``n - q``
+    (channel 1); the burn-in reuses it cyclically and the retained stretch restarts it from
+    the beginning. The counts do not depend on the hypothesis, so one draw serves both.
+    """
+    sizes = (n - p, n - q)
+    if min(sizes) < 1:  # the null fit refuses these too, but the draw comes first
+        raise ValueError(f"series too short for surrogates: {n} samples, {max(p, q)} lags")
+    steps = np.concatenate([np.arange(SURROGATE_BURN_IN), np.arange(n)])
+    cyclic = [steps % size for size in sizes]
+    drawn = np.empty((2, n_surrogates, steps.size), dtype=np.intp)
+    for i in range(n_surrogates):
+        rng = np.random.default_rng((seed, i))
+        for out, size, index in zip(drawn, sizes, cyclic):
+            out[i] = rng.permutation(size)[index]
+    return drawn
+
+
+def build_surrogates(
+    pair: TimeSeriesPair, model: BivariateVarModel, hypothesis: str, drawn: np.ndarray, q: int
 ) -> np.ndarray:
-    """``n_surrogates`` pairs consistent with the null ``hypothesis``, ``(2, B, n)``.
+    """The surrogate pairs of :func:`draw_surrogates`' indices ``drawn`` under the null
+    ``hypothesis``, ``(2, B, n)``.
 
     The driver equation is row 0 of ``model``, the full model fitted to ``pair``, and the
-    null target equation is fitted at ``q`` lags; each surrogate permutes both residual
-    series (independently, without replacement) and regenerates the pair jointly.
-    Surrogate ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream keyed by
-    ``(seed, i)``, so results are reproducible and order-independent.
+    null target equation is fitted at ``q`` lags; ``drawn`` gathers both residual series
+    into the drive, and the pairs are regenerated jointly.
     """
     if hypothesis not in NULL_KIND:
         raise ValueError(f"hypothesis must be {H1!r} or {H2!r}, got {hypothesis!r}")
@@ -88,18 +112,26 @@ def generate_surrogates(
     b, v = fit_restricted_direct(pair.x, pair.y, NULL_KIND[hypothesis], q)
     coeffs = restricted_lags(model.coeffs[None], b[None], NULL_KIND[hypothesis])[0]
     require_stable(coeffs, "fitted surrogate generator")
-
-    # burn-in reuses the permuted residuals cyclically, the retained
-    # stretch restarts them from the beginning
-    steps = np.concatenate([np.arange(SURROGATE_BURN_IN), np.arange(pair.n)])
-    cyclic = [steps % resid.size for resid in (u, v)]
-    drive = np.empty((2, n_surrogates, steps.size))  # channel-major: contiguous rows
-    for i in range(n_surrogates):
-        rng = np.random.default_rng((seed, i))
-        for out, resid, index in zip(drive, (u, v), cyclic):
-            out[i] = rng.permutation(resid)[index]
+    drive = np.empty(drawn.shape)  # channel-major: contiguous rows
+    for out, resid, index in zip(drive, (u, v), drawn):
+        np.take(resid, index, out=out, mode="clip")  # in range: "clip" spares a buffered copy
     series = np.moveaxis(simulate_var(coeffs, np.moveaxis(drive, 0, -1)), -1, 0)
     return series[..., SURROGATE_BURN_IN:]
+
+
+def generate_surrogates(
+    pair: TimeSeriesPair, model: BivariateVarModel, hypothesis: str, n_surrogates: int,
+    seed: int = 0, q: int = Q,
+) -> np.ndarray:
+    """``n_surrogates`` pairs consistent with the null ``hypothesis``, ``(2, B, n)``.
+
+    :func:`build_surrogates` of :func:`draw_surrogates`: each surrogate permutes both residual
+    series (independently, without replacement) and regenerates the pair jointly. Surrogate
+    ``i`` is ``x, y = series[:, i]`` and draws from the RNG stream keyed by ``(seed, i)``, so
+    results are reproducible and order-independent.
+    """
+    drawn = draw_surrogates(pair.n, model.p, q, n_surrogates, seed)
+    return build_surrogates(pair, model, hypothesis, drawn, q)
 
 
 def significance_test(

@@ -85,6 +85,18 @@ def test_config_rejects_an_order_that_is_not_an_integer(order):
         AnalysisConfig(order=order)
 
 
+@pytest.mark.parametrize("size", [2.5, True])
+def test_config_rejects_a_grid_size_that_is_not_an_integer(size):
+    # refused when the config is built, in FrequencyGrid's words, not by np.linspace after
+    # the fit; a bool is no size, even one that counts as 1
+    message = f"^grid size must be an integer, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        AnalysisConfig(grid_points=size)
+    with pytest.raises(ValueError, match=message):
+        gica.spectral.FrequencyGrid(size)
+    assert gica.spectral.FrequencyGrid(np.int64(3)).values.tolist() == [0.0, 0.25, 0.5]
+
+
 @pytest.mark.parametrize("order", [1, np.int64(2), np.int32(3), "aic"])
 def test_config_takes_integer_orders_and_aic(order):
     assert AnalysisConfig(order=order).order == order
@@ -136,7 +148,7 @@ def test_every_copy_of_a_default_agrees():
             study.q,
         ],
         "grid points": [
-            default(gica.spectral.FrequencyGrid.default, "n_points"),
+            default(gica.simulate.run_confounded_study, "grid").n_points,
             config["grid_points"],
             analyze.grid_points,
             theory.grid_points,

@@ -87,7 +87,6 @@ def test_grid_endpoints_and_step():
     assert_allclose(grid.values, [0.0, 0.125, 0.25, 0.375, 0.5], rtol=0, atol=0)
     assert_allclose(grid.freqs_hz, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0, atol=0)
     assert grid.step == 0.125
-    assert FrequencyGrid.default().n_points == 2049
 
 
 def test_grid_validation():
@@ -469,3 +468,72 @@ def test_measure_blocks_yields_blocks_in_order_and_a_failing_model_alone(random_
                     assert np.array_equal(
                         block_report.value(measure, scope)[j], report.value(measure, scope)[0]
                     ), (row, measure, scope)
+
+
+STEP_129 = 0.5 / 128  # a grid step at 129 points; 16 and 40 steps are grid points at 2049 too
+WINDOW_BANDS = {
+    "whole grid": {"all": (0.0, 0.5)},
+    "touching f = 0": {"low": (0.0, 0.013)},
+    "touching fs/2": {"high": (0.41, 0.5)},
+    "narrower than a step": {"narrow": (0.1001, 0.1002)},
+    "edges on grid points": {"on": (16 * STEP_129, 40 * STEP_129)},
+    "two apart": {"a": (0.02, 0.05), "b": (0.3, 0.35)},
+    "no bands": {},
+}
+
+
+@pytest.mark.parametrize("n_points", [129, 2049])
+@pytest.mark.parametrize("case", WINDOW_BANDS)
+def test_autonomy_alone_on_the_band_window_equals_every_measure(
+    monkeypatch, random_model_factory, n_points, case
+):
+    # ga alone forms E, det E and det F only on the grid points the band weights touch; its
+    # report is the all-measures call's bit for bit, at orders 1, 2 and 14
+    grid, bands = FrequencyGrid(n_points), WINDOW_BANDS[case]
+    rng = np.random.default_rng(n_points)
+    windows, transform = [], gica.spectral._lag_transform
+
+    def recording_transform(coeffs, grid, window=slice(None)):
+        windows.append(range(grid.n_points)[window])
+        return transform(coeffs, grid, window)
+
+    monkeypatch.setattr(gica.spectral, "_lag_transform", recording_transform)
+    for p in (1, 2, 14):
+        models = [random_model_factory(rng, p) for _ in range(3)]
+        coeffs, sigma = (np.stack([getattr(m, k) for m in models]) for k in ("coeffs", "sigma"))
+        [(_, every)] = measure_blocks(coeffs, sigma, 8, grid, bands)
+        windows.clear()
+        [(_, alone)] = measure_blocks(coeffs, sigma, 8, grid, bands, ("ga",))
+        assert not isinstance(every, ValueError), every
+        assert every[1].a_y.tolist() == alone[1].a_y.tolist()
+        assert every[1].f_xy.tolist() == alone[1].f_xy.tolist()
+        assert alone[1].bands.keys() == bands.keys()
+        for band in bands:
+            for key, values in every[1].bands[band]["ga"].items():
+                assert values.tolist() == alone[1].bands[band]["ga"][key].tolist(), (band, key)
+        # a band's weights touch the grid points inside it and the two that bracket each edge;
+        # the window rounds their span out to even points
+        [window], step, expected = windows, grid.step, range(0)
+        if bands:
+            first = min(int(np.floor(lo / step)) for lo, _ in bands.values())
+            stop = max(int(np.ceil(hi / step)) for _, hi in bands.values()) + 1
+            expected = range(first - first % 2, min(n_points, stop + stop % 2))
+        assert window == expected
+        ga = alone[0]["ga"]
+        assert np.array_equal(ga[:, window], every[0]["ga"][:, window])
+        assert not ga[:, : window.start].any() and not ga[:, window.stop :].any()
+
+
+@pytest.mark.parametrize(
+    "measures", [("gc",), ("gi",), ("ga",), ("gc", "gi"), ("gc", "ga"), ("gi", "ga")]
+)
+def test_each_subset_of_measures_reports_what_every_measure_does(random_model_factory, measures):
+    # only ga alone is formed on the band window: F_y is gi's integral over the whole grid
+    grid, rng = FrequencyGrid(129), np.random.default_rng(5)
+    models = [random_model_factory(rng, 2) for _ in range(3)]
+    coeffs, sigma = (np.stack([getattr(m, k) for m in models]) for k in ("coeffs", "sigma"))
+    [(_, (_, every))] = measure_blocks(coeffs, sigma, 8, grid, DEFAULT_BANDS)
+    [(_, (_, some))] = measure_blocks(coeffs, sigma, 8, grid, DEFAULT_BANDS, measures)
+    for measure in measures:
+        for scope in ("time", *DEFAULT_BANDS):
+            assert every.value(measure, scope).tolist() == some.value(measure, scope).tolist()

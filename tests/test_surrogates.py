@@ -1,4 +1,5 @@
 """Surrogate generation and percentile-based significance verdicts."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gica.spectral
-from gica.pipeline import SURROGATE_BLOCK, AnalysisConfig, surrogate_values
+from gica.pipeline import SURROGATE_BLOCK, AnalysisConfig, analyze_pair, surrogate_values
 from gica.simulate import SimSpec, simulate
 from gica.spectral import DEFAULT_BANDS, FrequencyGrid, assemble_profiles, measure_stack
 from gica.surrogates import (
@@ -14,6 +15,7 @@ from gica.surrogates import (
     H2,
     SURROGATE_BURN_IN,
     TAILS,
+    draw_surrogates,
     fit_restricted_direct,
     generate_surrogates,
     significance_test,
@@ -55,6 +57,13 @@ def test_config_validation(coupled_pair, coupled_model):
         AnalysisConfig(n_surrogates=100, alpha=1.0)
     with pytest.raises(ValueError, match="hypothesis must be"):
         generate_surrogates(coupled_pair, coupled_model, "h3", 2)
+
+
+def test_draw_refuses_a_record_no_longer_than_its_lags():
+    # the null fit would refuse it too, but the draw, shared by both nulls, comes first
+    with pytest.raises(ValueError, match="^series too short for surrogates: 20 samples, 20 lags$"):
+        draw_surrogates(20, 2, 20, 3, 0)
+    assert draw_surrogates(21, 2, 20, 3, 0).shape == (2, 3, SURROGATE_BURN_IN + 21)
 
 
 def test_tail_assignments():
@@ -226,6 +235,30 @@ def test_block_path_matches_single_model_path(coupled_pair, hypothesis, p):
                 )
 
 
+def test_both_hypotheses_share_one_draw(coupled_pair, monkeypatch):
+    # the residual counts do not depend on the null, so each surrogate's permutations are
+    # drawn once for both hypotheses, and each hypothesis gets the verdicts it gets alone
+    def verdicts(hypotheses):
+        config = AnalysisConfig(
+            detrend_cutoff=None, order=2, grid_points=129, n_surrogates=7, seed=5,
+            hypotheses=hypotheses,
+        )
+        return analyze_pair(coupled_pair, config).report.significance
+
+    streams, default_rng = [], np.random.default_rng
+
+    def recording_rng(*args):
+        if sys._getframe(1).f_globals["__name__"] == "gica.surrogates":
+            streams.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    both = verdicts((H1, H2))
+    assert streams == [((5, i),) for i in range(7)]
+    assert both[H1] == verdicts((H1,))[H1]
+    assert both[H2] == verdicts((H2,))[H2]
+
+
 @pytest.mark.parametrize("hypothesis", [H1, H2])
 def test_block_values_do_not_depend_on_block_size(coupled_pair, coupled_model, hypothesis):
     # 7 surrogates are one partial block; in 23 the same ones share a full block
@@ -320,9 +353,9 @@ def test_models_are_measured_at_once_and_grids_in_blocks(coupled_pair, coupled_m
         derived.append(len(coeffs))
         return derive(coeffs, *args)
 
-    def recording_transform(coeffs, grid):
+    def recording_transform(coeffs, grid, window):
         transformed.append(len(coeffs))
-        return transform(coeffs, grid)
+        return transform(coeffs, grid, window)
 
     monkeypatch.setattr(gica.spectral, "derive_restricted", recording_derive)
     monkeypatch.setattr(gica.spectral, "_lag_transform", recording_transform)
