@@ -7,16 +7,19 @@ stability gate, the restricted models derived analytically from the model's
 autocovariance, every spectral profile and the band summaries. It optionally
 attaches surrogate significance verdicts, whose settings are checked when
 :class:`AnalysisConfig` is built. The analysed model is a stack of one.
-Surrogate permutations are drawn once (:func:`gica.surrogates.draw_surrogates`)
-and serve every hypothesis, whose series are built from them in turn
-(:func:`gica.surrogates.build_surrogates`), each released before the next is
-built: the traced peak of 2 x 100 surrogates of 2000 samples at order 2 is
-14.1 MB, the shared indices, one drive and its recursion. Surrogates are fitted
-in blocks of :data:`gica.spectral.SURROGATE_BLOCK` rows of the built array, and
-the joined fits are measured by the one batch driver, :func:`gica.spectral.measure_blocks`
-(:func:`surrogate_values`). Every block is fitted before any is measured, so a failing fit
-fails the analysis first, with its block's error; otherwise the first surrogate that fails
-a measuring gate fails it with its own error. Each hypothesis's
+Surrogates run a chunk of :data:`SURROGATE_CHUNK` rows at a time: each chunk's
+permutations are drawn once (:func:`gica.surrogates.draw_surrogates`) and serve every
+hypothesis, whose generator (:func:`gica.surrogates.surrogate_generator`), made once
+before the first chunk, builds the chunk's series; each block of
+:data:`gica.spectral.SURROGATE_BLOCK` rows is fitted, and only the fits outlive the chunk,
+so memory does not grow with the surrogate count: the traced peak of 2 x 100 surrogates
+of 2000 samples at order 2 and 2049 points is 4.6 MB, and of 2 x 1000 6.3 MB. Each
+hypothesis's joined fits are then measured by the one batch driver,
+:func:`gica.spectral.measure_blocks`; :func:`surrogate_values` is the same fits and
+measuring of a whole ``(2, B, n)`` batch. Every surrogate of every hypothesis is fitted
+before any is measured, so a failing generator or fit, of any hypothesis, fails the
+analysis first, with its own error; otherwise the first surrogate that fails a measuring
+gate, in the order of the hypotheses, fails it with its own error. Each hypothesis's
 surrogates form only the measures :data:`gica.surrogates.TAILS` tests on them: gc and gi for
 H1, ga for H2, the latter only on the grid points its band weights touch; every surrogate
 passes every model-stage gate. The fitted
@@ -29,7 +32,7 @@ mean square.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +40,13 @@ import numpy as np
 from .restricted import Q, RestrictedModel
 from .spectral import DEFAULT_BANDS, GRID_POINTS, MEASURES, FrequencyGrid, MeasureReport
 from .spectral import SURROGATE_BLOCK, SpectralProfile, assemble_profiles, measure_blocks
-from .surrogates import ALPHA, H1, H2, TAILS, build_surrogates, draw_surrogates, significance_test
+from .surrogates import ALPHA, H1, H2, TAILS, draw_surrogates, significance_test, surrogate_generator
 from .timeseries import TimeSeriesPair, preprocess
 from .varmodel import P_MAX, BivariateVarModel, fit_var, fit_var_stack
 
 RESIDUAL_CORRELATION_WARN = 0.2
 NEAR_EXACT_WARN = 1e-5  # residual variance over mean square, far above the fit's eps gate
+SURROGATE_CHUNK = 2 * SURROGATE_BLOCK  # surrogates drawn, built and fitted at a time
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,15 @@ class AnalysisConfig:
         for hyp in self.hypotheses:
             if hyp not in (H1, H2):
                 raise ValueError(f"unknown hypothesis {hyp!r}")
+        if len(set(self.hypotheses)) < len(self.hypotheses):
+            raise ValueError(f"each hypothesis may be given once, got {tuple(self.hypotheses)}")
         # the surrogate settings fail now, not after the fit, and only if surrogates are drawn
         if 0 < self.n_surrogates < 2:
             raise ValueError(f"need at least 2 surrogates, got {self.n_surrogates}")
         if self.n_surrogates > 0 and not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.n_surrogates > 0 and not self.hypotheses:
+            raise ValueError("surrogates need at least one hypothesis to test")
 
 
 @dataclass
@@ -149,8 +157,20 @@ def surrogate_values(
     block whose fit fails fails the call with its block's error. Otherwise the first surrogate
     that fails a measuring gate fails the call with its own error.
     """
-    starts = range(0, series.shape[1], SURROGATE_BLOCK)
-    fits = (fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order) for i in starts)
+    return _measured(list(_fitted(series, order)), q, grid, bands, measures)
+
+
+def _fitted(series: np.ndarray, order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``fit_var_stack`` of each block of ``SURROGATE_BLOCK`` pairs of ``series``, in order."""
+    for i in range(0, series.shape[1], SURROGATE_BLOCK):
+        yield fit_var_stack(*series[:, i : i + SURROGATE_BLOCK], order)
+
+
+def _measured(
+    fits: list[tuple[np.ndarray, np.ndarray]], q: int, grid: FrequencyGrid, bands: dict,
+    measures: Collection[str],
+) -> dict[tuple[str, str], np.ndarray]:
+    """:func:`surrogate_values` of the joined block ``fits``."""
     coeffs, sigma = map(np.concatenate, zip(*fits))
     reports = []
     for _, outcome in measure_blocks(coeffs, sigma, q, grid, bands, measures):
@@ -170,14 +190,20 @@ def _significance(
     """Surrogate verdicts for every requested hypothesis, measure, and scope."""
     out: dict = {"n_surrogates": config.n_surrogates, "alpha": config.alpha, "seed": config.seed}
     pair, model, q = result.pair, result.model, config.q
-    drawn = draw_surrogates(pair.n, model.p, q, config.n_surrogates, config.seed)
-    for hyp in config.hypotheses:
+    builds = {hyp: surrogate_generator(pair, model, hyp, q) for hyp in config.hypotheses}
+    fits: dict[str, list] = {hyp: [] for hyp in builds}
+    for start in range(0, config.n_surrogates, SURROGATE_CHUNK):
+        rows = range(start, min(start + SURROGATE_CHUNK, config.n_surrogates))
+        drawn = draw_surrogates(pair.n, model.p, q, rows, config.seed)
+        # every null is built before any is fitted: built and fitted in turn, glibc's malloc
+        # handed the fits' scratch memory back to the system and faulted it in again
+        series = {hyp: build(drawn) for hyp, build in builds.items()}
+        for hyp, pairs in series.items():
+            fits[hyp].extend(_fitted(pairs, result.order))
+        del drawn, series  # only the fits outlive a chunk, not even into the next one's build
+    for hyp, blocks in fits.items():
         measures = [measure for measure, (needed, _) in TAILS.items() if needed == hyp]
-        # the series die with the call, before the next hypothesis builds its own
-        values = surrogate_values(
-            build_surrogates(pair, model, hyp, drawn, q), result.order, q, grid, config.bands,
-            measures,
-        )
+        values = _measured(blocks, q, grid, config.bands, measures)
         out[hyp] = {
             measure: {
                 scope: significance_test(

@@ -12,7 +12,8 @@ Every stability gate is :func:`require_stable`, a Schur-Cohn step-down on
 the determinant polynomial ``det E(z)`` (:func:`det_polynomial`), and every
 simulation, the three-process confounded system and surrogate batches
 included, runs :func:`simulate_var`: a block-state scan of the recursion in
-stacked matmuls, each row bit-identical at any batch size.
+stacked matmuls, each row bit-identical at any batch size. :func:`block_filter` is
+that scan with its block matrices formed once, for surrogates built a chunk at a time.
 
 Every least-squares fit is the R factor of ``[design | targets]`` from the
 lag-major :func:`lag_matrix` (a QR per row chunk), ``lstsq``'s rank rule on
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,11 +207,20 @@ def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
     Every matmul is stacked over the drive's rows, each 2-D slice of a shape that does not
     depend on the batch, so each row is bit-identical at any batch size. One 2-D GEMM over
     the whole batch would not be: the BLAS kernel, and with it the rounding, depends on the
-    product's shape.
+    product's shape. :func:`block_filter` is the scan with its matrices formed once, for
+    drives that arrive in parts.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != np.shape(drive)[-1:] * 2:  # k channels, k x k lags
         raise ValueError(f"lags {coeffs.shape}, drive {np.shape(drive)}: not (m, k, k), (.., T, k)")
+    return block_filter(coeffs)(drive)
+
+
+def block_filter(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`simulate_var` of lags ``coeffs`` ``(m, k, k)`` as a function of the drive ``(...,
+    T, k)``: the block matrices are formed here, once, and each call runs only the scan, its
+    rows bit-identical to :func:`simulate_var`'s."""
+    coeffs = np.asarray(coeffs, dtype=float)
     m, k = coeffs.shape[:2]
     size = m + 16  # L: the loop over blocks stays short, the Toeplitz product (half zeros) cheap
     # unit responses over a block: unit r < m k is a past output, the others a drive sample
@@ -220,15 +231,19 @@ def simulate_var(coeffs: np.ndarray, drive: np.ndarray) -> np.ndarray:
         s[:, t] += s[:, t - m : t].reshape(units, m * k) @ window
     response = s[:, m:].reshape(units, size * k)
     state, toeplitz = response[: m * k], response[m * k :]
-    drive = np.asarray(drive, dtype=float)
-    *lead, steps, _ = drive.shape
-    blocks = -(-steps // size)
-    padded = np.zeros((*lead, blocks * size, k))
-    padded[..., :steps, :] = drive
-    out = padded.reshape(math.prod(lead), blocks, size * k) @ toeplitz
-    for j in range(1, blocks):
-        out[:, j : j + 1] += out[:, j - 1 : j, (size - m) * k :] @ state
-    return out.reshape(*lead, blocks * size, k)[..., :steps, :]
+
+    def scan(drive: np.ndarray) -> np.ndarray:
+        drive = np.asarray(drive, dtype=float)
+        *lead, steps, _ = drive.shape
+        blocks = -(-steps // size)
+        padded = np.zeros((*lead, blocks * size, k))
+        padded[..., :steps, :] = drive
+        out = padded.reshape(math.prod(lead), blocks, size * k) @ toeplitz
+        for j in range(1, blocks):
+            out[:, j : j + 1] += out[:, j - 1 : j, (size - m) * k :] @ state
+        return out.reshape(*lead, blocks * size, k)[..., :steps, :]
+
+    return scan
 
 
 def poles_to_ar_coeffs(rho: float, f_norm: float) -> tuple[float, float]:

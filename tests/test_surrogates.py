@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gica.pipeline
 import gica.spectral
 from gica.pipeline import SURROGATE_BLOCK, AnalysisConfig, analyze_pair, surrogate_values
 from gica.simulate import SimSpec, simulate
@@ -57,13 +58,24 @@ def test_config_validation(coupled_pair, coupled_model):
         AnalysisConfig(n_surrogates=100, alpha=1.0)
     with pytest.raises(ValueError, match="hypothesis must be"):
         generate_surrogates(coupled_pair, coupled_model, "h3", 2)
+    # a repeated hypothesis would run, and key, its surrogates twice
+    with pytest.raises(ValueError, match=r"^each hypothesis may be given once, got \('h1', 'h1'\)$"):
+        AnalysisConfig(n_surrogates=20, hypotheses=(H1, H1))
+    # surrogates with no hypothesis would be drawn for no verdict
+    with pytest.raises(ValueError, match="^surrogates need at least one hypothesis to test$"):
+        AnalysisConfig(n_surrogates=20, hypotheses=())
+    assert AnalysisConfig(hypotheses=()).hypotheses == ()  # no surrogates, nothing to test
 
 
-def test_draw_refuses_a_record_no_longer_than_its_lags():
-    # the null fit would refuse it too, but the draw, shared by both nulls, comes first
+def test_draw_refuses_a_record_no_longer_than_its_lags(coupled_pair):
+    # the null fit would refuse it too, in other words; the generator refuses it as the draw does
     with pytest.raises(ValueError, match="^series too short for surrogates: 20 samples, 20 lags$"):
-        draw_surrogates(20, 2, 20, 3, 0)
-    assert draw_surrogates(21, 2, 20, 3, 0).shape == (2, 3, SURROGATE_BURN_IN + 21)
+        draw_surrogates(20, 2, 20, range(3), 0)
+    assert draw_surrogates(21, 2, 20, range(3), 0).shape == (2, 3, SURROGATE_BURN_IN + 21)
+    short = TimeSeriesPair(coupled_pair.x[:20], coupled_pair.y[:20], 1.0)
+    config = AnalysisConfig(detrend_cutoff=None, order=1, grid_points=129, n_surrogates=2)
+    with pytest.raises(ValueError, match="^series too short for surrogates: 20 samples, 20 lags$"):
+        analyze_pair(short, config)
 
 
 def test_tail_assignments():
@@ -535,3 +547,70 @@ def test_verdict_serialization_handles_infinity():
     }
     assert isinstance(verdict["significant"], bool)
     assert isinstance(verdict["thresholds"]["5"], float)
+
+
+def streamed_config(order, n_surrogates, hypotheses=(H1, H2)):
+    return AnalysisConfig(
+        detrend_cutoff=None, order=order, grid_points=129, n_surrogates=n_surrogates, seed=5,
+        hypotheses=hypotheses,
+    )
+
+
+@pytest.mark.parametrize("hypothesis", [H1, H2])
+@pytest.mark.parametrize("p", [2, 14])
+def test_streamed_verdicts_equal_the_whole_batch(coupled_pair, hypothesis, p):
+    # 41 surrogates are two full chunks and a chunk of one; the oracle builds, fits and
+    # measures them all at once
+    n = 2 * gica.pipeline.SURROGATE_CHUNK + 1
+    result = analyze_pair(coupled_pair, streamed_config(p, n, (hypothesis,)))
+    series = generate_surrogates(result.pair, result.model, hypothesis, n, 5, 20)
+    measures = hypothesis_measures(hypothesis)
+    values = surrogate_values(series, p, 20, FrequencyGrid(129), DEFAULT_BANDS, measures)
+    oracle = {
+        measure: {
+            scope: significance_test(
+                measure, scope, result.report.value(measure, scope), values[measure, scope], 0.05
+            )
+            for scope in SCOPES
+        }
+        for measure in measures
+    }
+    assert result.report.significance[hypothesis] == oracle
+
+
+def test_every_fit_comes_before_any_measuring(coupled_pair, monkeypatch):
+    # the fit of H2's last chunk, the last fit made, fails; H1 is not measured first
+    calls, measured = [], []
+    fit, measure = gica.pipeline.fit_var_stack, gica.pipeline.measure_blocks
+
+    def failing_fit(x, y, order):
+        calls.append(len(x))
+        if len(calls) == 10:  # per chunk H1's blocks, then H2's: 10, 10, 10, 10 twice, 1, 1
+            raise ValueError("the last fit fails")
+        return fit(x, y, order)
+
+    def recording_measure(*args):
+        measured.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(gica.pipeline, "fit_var_stack", failing_fit)
+    monkeypatch.setattr(gica.pipeline, "measure_blocks", recording_measure)
+    with pytest.raises(ValueError, match="^the last fit fails$"):
+        analyze_pair(coupled_pair, streamed_config(2, 41))
+    assert calls == [10, 10, 10, 10] * 2 + [1, 1] and measured == []
+
+
+def test_significance_memory_does_not_grow_with_surrogates():
+    # only the fits outlive a chunk, so 200 surrogates peak near where 20 do
+    pair = simulate(SimSpec(system="open_loop", n=2000, seed=3, b=1.0, c=0.5))
+
+    def peak(n_surrogates):
+        tracemalloc.start()
+        try:
+            analyze_pair(pair, streamed_config(2, n_surrogates))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    analyze_pair(pair, streamed_config(2, 2))  # fills the grid's caches
+    assert peak(200) <= 1.2 * peak(20)
